@@ -60,7 +60,11 @@ def _load_circuit(path: str):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("CTRLCIRC_SEED", "0"))
+    text = os.environ.get("CTRLCIRC_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise StructureError(f"CTRLCIRC_SEED must be an integer, got {text!r}") from None
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -358,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "fixtures" and args.action == "emit" and not args.name:
-        print("fixtures emit needs a name", file=sys.stderr)
-        return 2
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "fixtures" and args.action == "emit" and not args.name:
+            print("fixtures emit needs a name", file=sys.stderr)
+            return 2
         return args.fn(args)
     except SystemExit as e:
         if isinstance(e.code, str):

@@ -160,7 +160,7 @@ def _check_tags(c: Circuit, values: Mapping[str, Value]) -> None:
 
 
 def is_final(c: Circuit, st: State) -> bool:
-    return st.domain == c.outvars
+    return st.values.keys() == c.outvars
 
 
 def enabled_units(c: Circuit, st: State) -> frozenset[str]:
@@ -175,8 +175,13 @@ def ready_units(c: Circuit, st: State, rng: SplitMix64) -> frozenset[str]:
     Groups are visited sorted by their least member so draws are
     reproducible; singleton groups do not consume randomness.
     """
+    return frozenset(_pick_ready(c, enabled_units(c, st), rng))
+
+
+def _pick_ready(c: Circuit, enabled: Iterable[str], rng: SplitMix64) -> list[str]:
+    """The ready picks of :func:`ready_units` for a given enabled set."""
     groups: dict[frozenset[str], list[str]] = {}
-    for u in enabled_units(c, st):
+    for u in enabled:
         groups.setdefault(c.pre_set(u), []).append(u)
     picks = []
     for members in sorted((sorted(g) for g in groups.values()), key=lambda g: g[0]):
@@ -184,7 +189,7 @@ def ready_units(c: Circuit, st: State, rng: SplitMix64) -> frozenset[str]:
             picks.append(members[0])
         else:
             picks.append(members[rng.below(len(members))])
-    return frozenset(picks)
+    return picks
 
 
 def reduce_unit(c: Circuit, u: str, st: State) -> Value:
@@ -199,38 +204,54 @@ def reduce_unit(c: Circuit, u: str, st: State) -> Value:
     return Value.ZERO if all(bits) else Value.ONE
 
 
-def _transition(c: Circuit, st: State, ready: Iterable[str]) -> tuple[dict[str, Value], Optional[tuple[str, str]]]:
-    """Apply one step for the given ready set.
+def _transition(
+    c: Circuit, st: State, results: Mapping[str, Value]
+) -> tuple[dict[str, Value], set[str], Optional[tuple[str, str]]]:
+    """Apply one step in which the units keyed in ``results`` fire.
 
-    Returns the next assignment and an optional ``(variable, detail)``
-    conflict. A variable produced by a firing unit takes the produced value
-    even if another firing unit consumes it; assigned variables untouched by
-    any firing unit keep their value; consumed-only variables leave the
-    domain.
+    ``results`` maps each firing unit to its :func:`reduce_unit` value.
+    Returns the next assignment, the variables the firing units touch, and
+    an optional ``(variable, detail)`` conflict. A variable produced by a
+    firing unit takes the produced value even if another firing unit
+    consumes it; assigned variables untouched by any firing unit keep their
+    value; consumed-only variables leave the domain. Only touched variables
+    can enter or leave the domain.
     """
     produced: dict[str, Value] = {}
     producer: dict[str, str] = {}
     touched: set[str] = set()
-    for u in sorted(ready):
-        result = reduce_unit(c, u, st)
+    for u in sorted(results):
+        result = results[u]
         touched |= c.pre_set(u) | c.post_set(u)
         for v in sorted(c.post_set(u)):
             val = Value.SIGNAL if c.var_types[v] is CTRL else result
             if v in produced and produced[v] != val:
-                return {}, (v, f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}")
+                return {}, touched, (v, f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}")
             produced[v] = val
             producer[v] = u
     nxt = dict(produced)
     for v, val in st.values.items():
         if v not in touched:
             nxt[v] = val
-    return nxt, None
+    return nxt, touched, None
+
+
+def _fire(
+    c: Circuit, st: State, ready: Iterable[str]
+) -> tuple[dict[str, Value], dict[str, Value], set[str], Optional[tuple[str, str]]]:
+    """One step's firing: each ready unit reduced once, then the transition.
+
+    Returns the results, the next assignment, the touched variables and an
+    optional conflict (see :func:`_transition`).
+    """
+    results = {u: reduce_unit(c, u, st) for u in sorted(ready)}
+    nxt, touched, conflict = _transition(c, st, results)
+    return results, nxt, touched, conflict
 
 
 def step(c: Circuit, st: State, rng: SplitMix64) -> State:
     """One transition. Raises :class:`WriteConflictError` on conflicting writes."""
-    ready = ready_units(c, st, rng)
-    nxt, conflict = _transition(c, st, ready)
+    _, nxt, _, conflict = _fire(c, st, ready_units(c, st, rng))
     if conflict:
         raise WriteConflictError(conflict[0], conflict[1])
     return State(st.time + 1, nxt)
@@ -242,6 +263,13 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     Every state is recorded together with the enabled and ready sets that
     produced the next one; the last record has empty sets. Failure modes are
     reported through the outcome, never raised.
+
+    The enabled set is kept incrementally: each unit counts its input
+    variables still unassigned (as in Kahn's topological sort), the counts
+    are seeded once from ``init`` in O(|flows|), and after each step only
+    the consumers of variables that entered or left the domain are updated.
+    A step therefore costs O(changed variables x their consumers) for the
+    enabled set, plus the O(|state|) copy of the state the trace keeps.
     """
     if init.time != 0 or init.domain != c.invars:
         raise StructureError("run() needs an initial state (time 0, exactly the invars)")
@@ -249,21 +277,34 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     rng = SplitMix64(cfg.seed)
     steps: list[TraceStep] = []
     st = init
+    missing = {u: sum(v not in st.values for v in c.pre_set(u)) for u in c.units}
+    enabled_set = {u for u, n in missing.items() if not n}
     while True:
         if is_final(c, st):
             steps.append(TraceStep(st.time, st, (), (), {}))
             return Trace(tuple(steps), Outcome.FINAL)
-        enabled = tuple(sorted(enabled_units(c, st)))
+        enabled = tuple(sorted(enabled_set))
         if not enabled:
             steps.append(TraceStep(st.time, st, (), (), {}))
             return Trace(tuple(steps), Outcome.DEADLOCK)
         if st.time >= cfg.max_steps:
             steps.append(TraceStep(st.time, st, enabled, (), {}))
             return Trace(tuple(steps), Outcome.STEP_LIMIT)
-        ready = tuple(sorted(ready_units(c, st, rng)))
-        results = {u: reduce_unit(c, u, st) for u in ready}
-        nxt, conflict = _transition(c, st, ready)
+        ready = tuple(sorted(_pick_ready(c, enabled, rng)))
+        results, nxt, touched, conflict = _fire(c, st, ready)
         steps.append(TraceStep(st.time, st, enabled, ready, results))
         if conflict:
             return Trace(tuple(steps), Outcome.WRITE_CONFLICT, conflict=conflict[1])
+        for v in touched:
+            had = v in st.values
+            if had == (v in nxt):
+                continue
+            delta = 1 if had else -1
+            for u in c.consumers(v):
+                n = missing[u] + delta
+                missing[u] = n
+                if n:
+                    enabled_set.discard(u)
+                else:
+                    enabled_set.add(u)
         st = State(st.time + 1, nxt)

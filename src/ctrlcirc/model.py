@@ -56,7 +56,13 @@ class Circuit:
     variable set). ``in_flows`` map flow ids to variable->unit edges,
     ``out_flows`` to unit->variable edges. ``sigma`` is the set of types the
     circuit operates on.
+
+    Circuits compare equal field by field but are not hashable: the fields
+    are dicts, so ``__hash__`` is set to ``None`` and ``hash(circuit)``
+    raises ``TypeError`` naming ``Circuit``.
     """
+
+    __hash__ = None
 
     var_types: Mapping[str, TypeTag]
     units: frozenset[str]
@@ -291,27 +297,26 @@ def is_sound(c: Circuit) -> bool:
 
     Reachability alternates variable -> unit -> variable and must traverse at
     least one unit, so an inoutvar (no flows at all) never satisfies it.
-    Circuits may be cyclic; the visited set guarantees termination.
+    Circuits may be cyclic. One reverse pass from the outvars marks the good
+    units (those producing an outvar or a variable that feeds a good unit);
+    a variable is sound iff it feeds a good unit. That is O(V + E).
     """
-    starts = c.flow_sources | c.invars
-    for v in starts:
-        seen_units: set[str] = set()
-        frontier = list(c.consumers(v))
-        reached_out = False
-        while frontier:
-            u = frontier.pop()
-            if u in seen_units:
-                continue
-            seen_units.add(u)
-            for w in c.post_set(u):
-                if w in c.outvars:
-                    reached_out = True
-                    frontier = []
-                    break
-                frontier.extend(c.consumers(w))
-        if not reached_out:
-            return False
-    return True
+    producers: dict[str, list[str]] = {}
+    for f in c.out_flows.values():
+        producers.setdefault(f.dst, []).append(f.src)
+    frontier = [u for v in c.outvars for u in producers.get(v, ())]
+    good: set[str] = set()
+    sound: set[str] = set()
+    while frontier:
+        u = frontier.pop()
+        if u in good:
+            continue
+        good.add(u)
+        for v in c.pre_set(u):
+            if v not in sound:
+                sound.add(v)
+                frontier.extend(producers.get(v, ()))
+    return c.flow_sources <= sound and c.invars <= sound
 
 
 def classify(c: Circuit) -> CircuitClass:

@@ -1,0 +1,428 @@
+"""Differential tests: execution and soundness against the original algorithms.
+
+``reference_run`` and ``reference_is_sound`` are the first, direct
+implementations: the run rescans every unit for enabledness on every step,
+and soundness runs one forward search per start variable. The library keeps
+the enabled set incrementally and decides soundness in one reverse pass;
+both must agree with these references exactly (JSONL trace bytes, and the
+Boolean verdict).
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from typing import Iterable, Optional
+
+import pytest
+
+from ctrlcirc import (
+    BOOL,
+    CTRL,
+    ExecConfig,
+    Outcome,
+    SplitMix64,
+    Value,
+    ValidationError,
+    circuit_violations,
+    initial_state,
+    is_sound,
+    parallel,
+    run,
+    step,
+    unit_circuit,
+    validate_circuit,
+)
+from ctrlcirc.dynamics import State, Trace, TraceStep, is_final
+from ctrlcirc.fixtures import (
+    REGISTRY,
+    build_action,
+    build_buffer,
+    build_eater,
+    build_entry,
+    build_next_state,
+    build_not,
+    fixture,
+)
+from ctrlcirc.model import Circuit, Flow
+from ctrlcirc.operators import IterationWiring, iterate_head
+from ctrlcirc.serialize import trace_to_jsonl
+from conftest import random_circuit
+
+S, B0, B1 = Value.SIGNAL, Value.ZERO, Value.ONE
+
+
+# -- reference implementations ----------------------------------------------
+
+
+def _ref_enabled(c: Circuit, st: State) -> frozenset[str]:
+    dom = st.values
+    return frozenset(u for u in c.units if all(v in dom for v in c.pre_set(u)))
+
+
+def _ref_ready(c: Circuit, st: State, rng: SplitMix64) -> frozenset[str]:
+    groups: dict[frozenset[str], list[str]] = {}
+    for u in _ref_enabled(c, st):
+        groups.setdefault(c.pre_set(u), []).append(u)
+    picks = []
+    for members in sorted((sorted(g) for g in groups.values()), key=lambda g: g[0]):
+        if len(members) == 1:
+            picks.append(members[0])
+        else:
+            picks.append(members[rng.below(len(members))])
+    return frozenset(picks)
+
+
+def _ref_reduce(c: Circuit, u: str, st: State) -> Value:
+    bits = [st.values[v].bit for v in c.pre_set(u) if c.var_types[v] is BOOL]
+    if not bits:
+        return Value.ONE
+    return Value.ZERO if all(bits) else Value.ONE
+
+
+def _ref_transition(c: Circuit, st: State, ready: Iterable[str]) -> tuple[dict, Optional[tuple[str, str]]]:
+    produced: dict[str, Value] = {}
+    producer: dict[str, str] = {}
+    touched: set[str] = set()
+    for u in sorted(ready):
+        result = _ref_reduce(c, u, st)
+        touched |= c.pre_set(u) | c.post_set(u)
+        for v in sorted(c.post_set(u)):
+            val = Value.SIGNAL if c.var_types[v] is CTRL else result
+            if v in produced and produced[v] != val:
+                return {}, (v, f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}")
+            produced[v] = val
+            producer[v] = u
+    nxt = dict(produced)
+    for v, val in st.values.items():
+        if v not in touched:
+            nxt[v] = val
+    return nxt, None
+
+
+def reference_run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
+    rng = SplitMix64(cfg.seed)
+    steps: list[TraceStep] = []
+    st = init
+    while True:
+        if st.domain == c.outvars:
+            steps.append(TraceStep(st.time, st, (), (), {}))
+            return Trace(tuple(steps), Outcome.FINAL)
+        enabled = tuple(sorted(_ref_enabled(c, st)))
+        if not enabled:
+            steps.append(TraceStep(st.time, st, (), (), {}))
+            return Trace(tuple(steps), Outcome.DEADLOCK)
+        if st.time >= cfg.max_steps:
+            steps.append(TraceStep(st.time, st, enabled, (), {}))
+            return Trace(tuple(steps), Outcome.STEP_LIMIT)
+        ready = tuple(sorted(_ref_ready(c, st, rng)))
+        results = {u: _ref_reduce(c, u, st) for u in ready}
+        nxt, conflict = _ref_transition(c, st, ready)
+        steps.append(TraceStep(st.time, st, enabled, ready, results))
+        if conflict:
+            return Trace(tuple(steps), Outcome.WRITE_CONFLICT, conflict=conflict[1])
+        st = State(st.time + 1, nxt)
+
+
+def reference_is_sound(c: Circuit) -> bool:
+    for v in c.flow_sources | c.invars:
+        seen_units: set[str] = set()
+        frontier = list(c.consumers(v))
+        reached_out = False
+        while frontier:
+            u = frontier.pop()
+            if u in seen_units:
+                continue
+            seen_units.add(u)
+            for w in c.post_set(u):
+                if w in c.outvars:
+                    reached_out = True
+                    frontier = []
+                    break
+                frontier.extend(c.consumers(w))
+        if not reached_out:
+            return False
+    return True
+
+
+# -- helpers -----------------------------------------------------------------
+
+
+def random_inputs(rnd: random.Random, c: Circuit) -> dict[str, Value]:
+    return {v: S if c.var_types[v] is CTRL else Value.from_bit(rnd.randint(0, 1)) for v in c.invars}
+
+
+def all_inputs(c: Circuit) -> list[dict[str, Value]]:
+    """Every Boolean assignment of the invars (control invars carry a signal)."""
+    bools = sorted(v for v in c.invars if c.var_types[v] is BOOL)
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(bools)):
+        inputs = {v: S for v in c.invars if c.var_types[v] is CTRL}
+        inputs.update({v: Value.from_bit(b) for v, b in zip(bools, bits)})
+        out.append(inputs)
+    return out
+
+
+def assert_same_run(c: Circuit, inputs, seed: int, max_steps: int = 10_000) -> Trace:
+    init = initial_state(c, inputs)
+    cfg = ExecConfig(seed=seed, max_steps=max_steps)
+    got = run(c, init, cfg)
+    want = reference_run(c, init, cfg)
+    assert trace_to_jsonl(got) == trace_to_jsonl(want), (seed, inputs)
+    assert got.outcome is want.outcome and got.conflict == want.conflict
+    return got
+
+
+def toggle_loop() -> Circuit:
+    """Head iteration whose body inverter competes with the exit each pass."""
+    w = IterationWiring(
+        entry=build_buffer(),
+        body=build_not(),
+        end=build_buffer(),
+        exit=build_eater(1),
+        head=(("c_out", "c_out", "v1", "v1"), ("b_out", "b_out", "v2", "v2")),
+        tail=(("v3", "c_in"), ("v4", "b_in")),
+    )
+    return iterate_head(w).circuit
+
+
+def flipflop_head_loop() -> Circuit:
+    """Head iteration of the flip-flop blocks; the exit absorbs the loop head."""
+    w = IterationWiring(
+        entry=build_entry(),
+        body=build_action(),
+        end=build_next_state(),
+        exit=build_eater(3),
+        head=(
+            ("ctrl_out", "ctrl_out", "ctrl_in", "v1"),
+            ("r_out", "r_out", "r_in", "v2"),
+            ("q_out", "q_out", "q_in", "v3"),
+            ("s_out", "s_out", "s_in", "v4"),
+        ),
+        tail=(("ctrl_out", "ctrl_in"), ("q_next_out", "q_in")),
+    )
+    return iterate_head(w).circuit
+
+
+def random_flow_graph(rnd: random.Random) -> Optional[Circuit]:
+    """A valid circuit with random flows (cycles, dead ends, inoutvars), or None."""
+    n_vars = rnd.randint(2, 9)
+    tags = {f"v{i}": CTRL if i < 2 or rnd.random() < 0.6 else BOOL for i in range(n_vars)}
+    ctrl = sorted(v for v, t in tags.items() if t is CTRL)
+    names = sorted(tags)
+    ins, outs = {}, {}
+    units = [f"u{k}" for k in range(rnd.randint(1, 6))]
+    for u in units:
+        pre = {rnd.choice(ctrl)} | set(rnd.sample(names, rnd.randint(0, 2)))
+        post = {rnd.choice(ctrl)} | set(rnd.sample(names, rnd.randint(0, 2)))
+        for v in sorted(pre):
+            ins[f"i{len(ins)}"] = Flow(v, u)
+        for v in sorted(post):
+            outs[f"o{len(outs)}"] = Flow(u, v)
+    try:
+        return validate_circuit(tags, units, ins, outs)
+    except ValidationError:
+        return None
+
+
+# -- execution ---------------------------------------------------------------
+
+
+def test_run_matches_reference_on_random_circuits(rnd):
+    for _ in range(60):
+        c = random_circuit(rnd, 4)
+        inputs = random_inputs(rnd, c)
+        for seed in range(3):
+            assert_same_run(c, inputs, seed)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_run_matches_reference_on_every_fixture(name):
+    c = fixture(name)
+    for inputs in all_inputs(c):
+        for seed in range(12):
+            assert_same_run(c, inputs, seed, max_steps=300)
+
+
+def test_run_matches_reference_on_iterate_head_composites():
+    lengths = set()
+    for c in (toggle_loop(), flipflop_head_loop()):
+        for inputs in all_inputs(c):
+            for seed in range(30):
+                lengths.add(len(assert_same_run(c, inputs, seed, max_steps=400).steps))
+    assert len(lengths) > 2  # the toggle loop stops at different passes
+
+
+def test_run_matches_reference_on_competing_groups():
+    # two groups of different sizes compete in the same step; their draw
+    # order is fixed by least member, not by size
+    units = ["a1", "a2", "a3", "b1", "b2"]
+    c = validate_circuit(
+        {"x": CTRL, "y": CTRL, "oa": CTRL, "ob": CTRL},
+        units,
+        {f"i{u}": Flow("x" if u[0] == "a" else "y", u) for u in units},
+        {f"o{u}": Flow(u, "oa" if u[0] == "a" else "ob") for u in units},
+    )
+    picks = set()
+    for seed in range(40):
+        tr = assert_same_run(c, {"x": S, "y": S}, seed)
+        assert tr.outcome is Outcome.FINAL
+        picks.add(tr.steps[0].ready)
+    assert len(picks) == 6
+
+
+def test_run_matches_reference_on_deadlock():
+    # a and w assigned; u1 waits on c, which only u2 (waiting on b) produces
+    c = validate_circuit(
+        {"a": CTRL, "b": CTRL, "c": CTRL, "d": CTRL, "w": CTRL},
+        ["u1", "u2"],
+        {"i1": Flow("a", "u1"), "i2": Flow("c", "u1"), "i3": Flow("b", "u2")},
+        {"o1": Flow("u1", "b"), "o2": Flow("u2", "c"), "o3": Flow("u2", "d")},
+    )
+    for seed in range(5):
+        assert assert_same_run(c, {"a": S, "w": S}, seed).outcome is Outcome.DEADLOCK
+
+
+def test_run_matches_reference_when_an_input_arrives_late_or_never():
+    # u2 waits on x: first u3 produces it in the same step as b, then (c2)
+    # only u3 can produce it and u3 waits on u2, so the run deadlocks
+    c = validate_circuit(
+        {"a": CTRL, "x": CTRL, "b": CTRL, "y": CTRL, "z": CTRL},
+        ["u1", "u2", "u3"],
+        {"i1": Flow("a", "u1"), "i2": Flow("b", "u2"), "i3": Flow("x", "u2"), "i4": Flow("y", "u3")},
+        {"o1": Flow("u1", "b"), "o2": Flow("u2", "z"), "o3": Flow("u3", "x")},
+    )
+    tr = assert_same_run(c, {"a": S, "y": S}, 0)
+    assert tr.outcome is Outcome.FINAL
+    c2 = validate_circuit(
+        {"a": CTRL, "x": CTRL, "b": CTRL, "z": CTRL, "q": CTRL},
+        ["u1", "u2", "u3"],
+        {"i1": Flow("a", "u1"), "i2": Flow("b", "u2"), "i3": Flow("x", "u2"), "i4": Flow("z", "u3")},
+        {"o1": Flow("u1", "b"), "o2": Flow("u2", "z"), "o3": Flow("u3", "x"), "o4": Flow("u3", "q")},
+    )
+    tr = assert_same_run(c2, {"a": S}, 0)
+    assert tr.outcome is Outcome.DEADLOCK
+    assert tr.final_state.time == 1
+
+
+@pytest.mark.parametrize("max_steps", [1, 5])
+def test_run_matches_reference_on_step_limit(max_steps):
+    c = fixture("flipflop")
+    limited = 0
+    for inputs in all_inputs(c):
+        for seed in range(8):
+            tr = assert_same_run(c, inputs, seed, max_steps=max_steps)
+            if tr.outcome is Outcome.STEP_LIMIT:
+                assert tr.final_state.time == max_steps
+                assert tr.steps[-1].enabled
+                limited += 1
+    assert limited
+
+
+def test_run_matches_reference_on_write_conflict():
+    c = validate_circuit(
+        {"c1": CTRL, "c2": CTRL, "b1": BOOL, "b2": BOOL, "t": BOOL, "z1": CTRL, "z2": CTRL},
+        ["u1", "u2"],
+        {"i1": Flow("c1", "u1"), "i2": Flow("b1", "u1"), "i3": Flow("c2", "u2"), "i4": Flow("b2", "u2")},
+        {"o1": Flow("u1", "t"), "o2": Flow("u1", "z1"), "o3": Flow("u2", "t"), "o4": Flow("u2", "z2")},
+    )
+    outcomes = {
+        assert_same_run(c, inputs, seed).outcome for inputs in all_inputs(c) for seed in range(4)
+    }
+    assert outcomes == {Outcome.WRITE_CONFLICT, Outcome.FINAL}
+
+
+def test_step_replays_run(rnd):
+    # step() and run() share one firing function and one draw order
+    circuits = [random_circuit(rnd, 4) for _ in range(20)] + [toggle_loop(), fixture("p53"), fixture("flipflop")]
+    for c in circuits:
+        inputs = random_inputs(rnd, c)
+        for seed in range(4):
+            tr = run(c, initial_state(c, inputs), ExecConfig(seed=seed, max_steps=60))
+            rng = SplitMix64(seed)
+            st = tr.steps[0].state
+            for rec in tr.steps[1:]:
+                st = step(c, st, rng)
+                assert st == rec.state
+            assert is_final(c, st) == (tr.outcome is Outcome.FINAL)
+
+
+# -- soundness ---------------------------------------------------------------
+
+
+def sound_through_cycle() -> Circuit:
+    # a reaches the outvar only around the loop b -> u2 -> c -> u3 -> b
+    return validate_circuit(
+        {"a": CTRL, "b": CTRL, "c": CTRL, "out": CTRL},
+        ["u1", "u2", "u3"],
+        {"i1": Flow("a", "u1"), "i2": Flow("b", "u2"), "i3": Flow("c", "u3")},
+        {"o1": Flow("u1", "b"), "o2": Flow("u2", "c"), "o3": Flow("u3", "b"), "o4": Flow("u3", "out")},
+    )
+
+
+def feeds_closed_cycle() -> Circuit:
+    # p feeds only the loop q -> u3 -> r -> u4 -> q, which has no exit
+    return validate_circuit(
+        {"a": CTRL, "out": CTRL, "p": CTRL, "q": CTRL, "r": CTRL},
+        ["u1", "u2", "u3", "u4"],
+        {"i1": Flow("a", "u1"), "i2": Flow("p", "u2"), "i3": Flow("q", "u3"), "i4": Flow("r", "u4")},
+        {"o1": Flow("u1", "out"), "o2": Flow("u1", "p"), "o3": Flow("u2", "q"), "o4": Flow("u3", "r"), "o5": Flow("u4", "q")},
+    )
+
+
+def dead_end_branch() -> Circuit:
+    # u1 forks: one branch ends in the outvar, the other loops on itself
+    return validate_circuit(
+        {"a": CTRL, "out": CTRL, "x": BOOL, "loop": CTRL},
+        ["u1", "u2"],
+        {"i1": Flow("a", "u1"), "i2": Flow("x", "u2"), "i3": Flow("loop", "u2")},
+        {"o1": Flow("u1", "out"), "o2": Flow("u1", "x"), "o3": Flow("u1", "loop"), "o4": Flow("u2", "loop")},
+    )
+
+
+def with_inoutvar() -> Circuit:
+    return parallel(fixture("and"), unit_circuit())
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (sound_through_cycle, True),
+        (feeds_closed_cycle, False),
+        (dead_end_branch, False),
+        (with_inoutvar, False),
+        (unit_circuit, False),
+    ],
+)
+def test_is_sound_hand_built_cases(build, want):
+    c = build()
+    assert not circuit_violations(c)
+    assert reference_is_sound(c) is want
+    assert is_sound(c) is want
+
+
+def test_is_sound_matches_reference_on_fixtures_and_loops():
+    circuits = [fixture(name) for name in sorted(REGISTRY)] + [toggle_loop(), flipflop_head_loop()]
+    for c in circuits:
+        assert is_sound(c) == reference_is_sound(c)
+
+
+def test_is_sound_matches_reference_on_random_circuits(rnd):
+    for _ in range(60):
+        c = random_circuit(rnd, 4)
+        assert is_sound(c) == reference_is_sound(c)
+        d = parallel(c, unit_circuit())
+        assert not is_sound(d) and not reference_is_sound(d)
+
+
+def test_is_sound_matches_reference_on_random_flow_graphs():
+    rnd = random.Random(0x50D)
+    verdicts = []
+    while len(verdicts) < 400:
+        c = random_flow_graph(rnd)
+        if c is None:
+            continue
+        want = reference_is_sound(c)
+        assert is_sound(c) is want, c
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts

@@ -315,6 +315,17 @@ def test_cli_seed_env_default(monkeypatch):
     assert args.seed == 0
 
 
+def test_cli_malformed_seed_env_is_malformed_input(monkeypatch, tmp_path, capsys):
+    circ = tmp_path / "and.circuit"
+    circ.write_text(dumps_circuit(build_and()))
+    inputs = tmp_path / "in.json"
+    inputs.write_text(json.dumps({"v1": "*", "v2": 1, "v3": 0}))
+    monkeypatch.setenv("CTRLCIRC_SEED", "abc")
+    assert run_cli("exec", str(circ), "--inputs", str(inputs)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "CTRLCIRC_SEED" in err and "'abc'" in err
+
+
 def test_cli_bad_file_is_io_error(tmp_path, capsys):
     missing = tmp_path / "nope.circuit"
     assert run_cli("validate", str(missing)) == 2

@@ -176,3 +176,11 @@ def test_relabel_rejects_collisions():
         relabel(c, {"v1": "x", "v2": "x"})
     with pytest.raises(StructureError):
         relabel(c, {"nope": "x"})
+
+
+def test_circuits_compare_by_value_but_are_unhashable():
+    a, b = mk_primitive(1, 1, 1, 1), mk_primitive(1, 1, 1, 1)
+    assert a == b
+    assert Circuit.__hash__ is None
+    with pytest.raises(TypeError, match="Circuit"):
+        hash(a)
