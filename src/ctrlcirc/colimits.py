@@ -5,10 +5,17 @@ disjoint union of each component set; a coproduct places two circuits side
 by side. Identifier freshness uses a namespace prefix ``<tag>/<L|R>/<id>``
 and quotient classes are named after their lexicographically least member,
 so results are reproducible and diffable.
+
+Isomorphism is decided on the var/unit graph whose edges carry flow
+multiplicities: joint colour refinement (Weisfeiler-Leman, a few rounds)
+rejects most non-isomorphic pairs in near-linear time, and a VF2-style
+backtracking search (Cordella et al., 2004) extends the mapping from
+already-mapped neighbours on an explicit stack.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -254,19 +261,10 @@ def copair(f: CircuitMorphism, g: CircuitMorphism, cp: CoproductResult) -> Circu
 # ---------------------------------------------------------------------------
 # isomorphism
 
-
-def _var_signature(c: Circuit, v: str):
-    return (
-        c.var_types[v].value,
-        len([1 for f in c.out_flows.values() if f.dst == v]),
-        len([1 for f in c.in_flows.values() if f.src == v]),
-    )
-
-
-def _unit_signature(c: Circuit, u: str, var_sig):
-    ins = sorted(var_sig[f.src] for f in c.in_flows.values() if f.dst == u)
-    outs = sorted(var_sig[f.dst] for f in c.out_flows.values() if f.src == u)
-    return (tuple(ins), tuple(outs))
+# Colour refinement stops after this many rounds even if classes still split:
+# on a deep netlist the rounds to a fixpoint grow with its depth, and the
+# neighbour-first search below resolves the rest from mapped neighbours.
+_REFINE_ROUNDS = 4
 
 
 def _flow_multiplicities(c: Circuit):
@@ -279,12 +277,164 @@ def _flow_multiplicities(c: Circuit):
     return in_mult, out_mult
 
 
+def _var_unit_graph(c: Circuit):
+    """Number variables ``0..V-1`` then units (both sorted) and index the flows.
+
+    Returns the node names, the initial colours (a variable's type tag, one
+    shared colour for units) and, per node, a map from each neighbour to the
+    pair (flows from the node to it, flows from it to the node).
+    """
+    names = c.sorted_vars() + c.sorted_units()
+    n_vars = len(c.var_types)
+    vi = {v: i for i, v in enumerate(names[:n_vars])}
+    ui = {u: n_vars + i for i, u in enumerate(names[n_vars:])}
+    adj: list[dict[int, tuple[int, int]]] = [{} for _ in names]
+    in_mult, out_mult = _flow_multiplicities(c)
+    for (v, u), m in in_mult.items():
+        back = out_mult.get((u, v), 0)
+        adj[vi[v]][ui[u]] = (m, back)
+        adj[ui[u]][vi[v]] = (back, m)
+    for (u, v), m in out_mult.items():
+        if (v, u) not in in_mult:
+            adj[vi[v]][ui[u]] = (0, m)
+            adj[ui[u]][vi[v]] = (m, 0)
+    colours = [("v", c.var_types[v].value) for v in names[:n_vars]] + [("u",)] * len(c.units)
+    return names, colours, adj
+
+
+def _refine(ca: list, cb: list, adj_a: list, adj_b: list) -> Optional[tuple[list[int], list[int]]]:
+    """Joint 1-WL colour refinement of two graphs over one shared palette.
+
+    A node's next colour is its colour plus the sorted multiset of (flow
+    multiplicities, neighbour colour) over its neighbours. Stops when no
+    class splits or after ``_REFINE_ROUNDS`` rounds, so the cost is
+    O(rounds * (V + E log deg)). Returns ``None`` as soon as the colour
+    histograms differ, which proves the graphs non-isomorphic.
+    """
+    def recolour(cols: list[int], adj: list[dict], palette: dict) -> list[int]:
+        return [
+            palette.setdefault((cols[x], tuple(sorted((k, cols[y]) for y, k in adj[x].items()))), len(palette))
+            for x in range(len(cols))
+        ]
+
+    palette: dict = {}
+    ca = [palette.setdefault(x, len(palette)) for x in ca]
+    cb = [palette.setdefault(x, len(palette)) for x in cb]
+    classes = len(palette)
+    for _ in range(_REFINE_ROUNDS):
+        if sorted(ca) != sorted(cb):
+            return None
+        palette = {}
+        ca, cb = recolour(ca, adj_a, palette), recolour(cb, adj_b, palette)
+        if len(palette) == classes:
+            return ca, cb  # no class split, so the histograms still agree
+        classes = len(palette)
+    return (ca, cb) if sorted(ca) == sorted(cb) else None
+
+
+def _search_order(colours: list[int], adj: list[dict]) -> tuple[list[int], list[int]]:
+    """Neighbour-first node order, rarest colour first, with each node's parent.
+
+    A node's parent is the earlier node through which the order reached it
+    (``-1`` for the first node of each connected component).
+    """
+    freq: dict[int, int] = {}
+    for col in colours:
+        freq[col] = freq.get(col, 0) + 1
+    roots = sorted(range(len(colours)), key=lambda x: (freq[colours[x]], x))
+    parent = [-1] * len(colours)
+    seen = [False] * len(colours)
+    order: list[int] = []
+    frontier: list[tuple[int, int]] = []
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        frontier.append((freq[colours[root]], root))
+        while frontier:
+            _, x = heapq.heappop(frontier)
+            order.append(x)
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    parent[y] = x
+                    heapq.heappush(frontier, (freq[colours[y]], y))
+    return order, parent
+
+
+def _match(ca: list[int], cb: list[int], adj_a: list[dict], adj_b: list[dict]) -> Optional[list[int]]:
+    """Backtracking search for a colour-preserving graph isomorphism.
+
+    Nodes are mapped in neighbour-first order; a node with a mapped parent
+    only tries the same-colour, unused neighbours of the parent's image. A
+    candidate is checked against the node's mapped neighbours only, and
+    both sides must have the same number of mapped neighbours. The search
+    keeps an explicit stack of candidate iterators, one per mapped node.
+    Returns the node map from ``a`` to ``b``, or ``None``.
+    """
+    n = len(ca)
+    if n == 0:
+        return []
+    order, parent = _search_order(ca, adj_a)
+    by_colour: dict[int, list[int]] = {}
+    for y, col in enumerate(cb):
+        by_colour.setdefault(col, []).append(y)
+    core_a = [-1] * n
+    core_b = [-1] * n
+
+    def candidates(x: int):
+        p = parent[x]
+        if p < 0:
+            return iter([y for y in by_colour[ca[x]] if core_b[y] < 0])
+        col = ca[x]
+        return iter(sorted(y for y in adj_b[core_a[p]] if cb[y] == col and core_b[y] < 0))
+
+    def feasible(x: int, y: int) -> bool:
+        ny = adj_b[y]
+        mapped = 0
+        for z, k in adj_a[x].items():
+            w = core_a[z]
+            if w >= 0:
+                if ny.get(w) != k:
+                    return False
+                mapped += 1
+        for w in ny:
+            if core_b[w] >= 0:
+                mapped -= 1
+        return mapped == 0
+
+    stack = [candidates(order[0])]
+    while stack:
+        x = order[len(stack) - 1]
+        for y in stack[-1]:
+            if feasible(x, y):
+                core_a[x], core_b[y] = y, x
+                if len(stack) == n:
+                    return core_a
+                stack.append(candidates(order[len(stack)]))
+                break
+        else:
+            stack.pop()
+            if stack:
+                x = order[len(stack) - 1]
+                core_b[core_a[x]] = -1
+                core_a[x] = -1
+    return None
+
+
 def is_isomorphic(a: Circuit, b: Circuit) -> Optional[CircuitMorphism]:
     """Search for an isomorphism; returns a witness morphism or ``None``.
 
-    Complete backtracking over variables and units, ordered by structural
-    signature (type, in-degree, out-degree) to keep the worst case tractable
-    at the scale this package works with (well under 200 elements).
+    Both circuits are read as var/unit graphs whose edges carry flow
+    multiplicities. Joint colour refinement (1-WL, at most four rounds of
+    O(V + E log deg)) rejects most non-isomorphic pairs outright. A complete
+    VF2-style backtracking search on an explicit stack then maps each node
+    next to an already-mapped one, trying only same-colour neighbours of
+    that neighbour's image and checking only mapped neighbours. Where each
+    such step has one candidate, as on netlists, chains and composites with
+    distinct wiring, the search is O(V + E). Pairs that refinement cannot
+    separate but that are not isomorphic make it backtrack, and that worst
+    case is exponential. Flows are paired off per endpoint at the end.
     """
     if a.sigma != b.sigma:
         return None
@@ -296,77 +446,17 @@ def is_isomorphic(a: Circuit, b: Circuit) -> Optional[CircuitMorphism]:
     ):
         return None
 
-    sig_a = {v: _var_signature(a, v) for v in a.vars}
-    sig_b = {v: _var_signature(b, v) for v in b.vars}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
+    names_a, init_a, adj_a = _var_unit_graph(a)
+    names_b, init_b, adj_b = _var_unit_graph(b)
+    refined = _refine(init_a, init_b, adj_a, adj_b)
+    if refined is None:
         return None
-    usig_a = {u: _unit_signature(a, u, sig_a) for u in a.units}
-    usig_b = {u: _unit_signature(b, u, sig_b) for u in b.units}
-    if sorted(usig_a.values()) != sorted(usig_b.values()):
+    core = _match(*refined, adj_a, adj_b)
+    if core is None:
         return None
-
-    in_mult_a, out_mult_a = _flow_multiplicities(a)
-    in_mult_b, out_mult_b = _flow_multiplicities(b)
-
-    # One interleaved ordering over variables and units, rarest signature first.
-    nodes: list[tuple[str, str]] = [("v", v) for v in a.sorted_vars()] + [("u", u) for u in a.sorted_units()]
-    freq: dict = {}
-    for kind, x in nodes:
-        s = sig_a[x] if kind == "v" else usig_a[x]
-        freq[(kind, s)] = freq.get((kind, s), 0) + 1
-    nodes.sort(key=lambda n: (freq[(n[0], sig_a[n[1]] if n[0] == "v" else usig_a[n[1]])], n[1]))
-
-    v_map: dict[str, str] = {}
-    u_map: dict[str, str] = {}
-    used_v: set[str] = set()
-    used_u: set[str] = set()
-
-    def consistent_var(v: str, w: str) -> bool:
-        if sig_a[v] != sig_b[w]:
-            return False
-        for u, uu in u_map.items():
-            if in_mult_a.get((v, u), 0) != in_mult_b.get((w, uu), 0):
-                return False
-            if out_mult_a.get((u, v), 0) != out_mult_b.get((uu, w), 0):
-                return False
-        return True
-
-    def consistent_unit(u: str, uu: str) -> bool:
-        if usig_a[u] != usig_b[uu]:
-            return False
-        for v, w in v_map.items():
-            if in_mult_a.get((v, u), 0) != in_mult_b.get((w, uu), 0):
-                return False
-            if out_mult_a.get((u, v), 0) != out_mult_b.get((uu, w), 0):
-                return False
-        return True
-
-    def extend(k: int) -> bool:
-        if k == len(nodes):
-            return True
-        kind, x = nodes[k]
-        if kind == "v":
-            for w in sorted(b.vars - used_v):
-                if consistent_var(x, w):
-                    v_map[x] = w
-                    used_v.add(w)
-                    if extend(k + 1):
-                        return True
-                    del v_map[x]
-                    used_v.remove(w)
-        else:
-            for uu in sorted(b.units - used_u):
-                if consistent_unit(x, uu):
-                    u_map[x] = uu
-                    used_u.add(uu)
-                    if extend(k + 1):
-                        return True
-                    del u_map[x]
-                    used_u.remove(uu)
-        return False
-
-    if not extend(0):
-        return None
+    n_vars = len(a.var_types)
+    v_map = {names_a[x]: names_b[core[x]] for x in range(n_vars)}
+    u_map = {names_a[x]: names_b[core[x]] for x in range(n_vars, len(names_a))}
 
     # Flows carry no data beyond their endpoints, so any endpoint-respecting
     # bijection works; pair them off in sorted order per endpoint group.

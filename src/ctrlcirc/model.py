@@ -194,6 +194,8 @@ def _assemble(
     sigma: Optional[Iterable[TypeTag | str]],
 ) -> Circuit:
     """Build a Circuit, raising StructureError on dangling references."""
+    if not isinstance(var_types, Mapping):
+        raise StructureError(f"variables must map ids to type tags, got {type(var_types).__name__}")
     vt = {str(v): _as_tag(t) for v, t in var_types.items()}
     us = frozenset(str(u) for u in units)
 

@@ -103,15 +103,22 @@ def dag_violations(nodes: Mapping[str, NodeKind], edges: frozenset[tuple[str, st
 
 def validate_dag(nodes: Mapping[str, NodeKind | str], edges) -> NandDag:
     """Validate raw netlist data; raises listing every violated rule."""
+    if not isinstance(nodes, Mapping):
+        raise StructureError(f"netlist nodes must map node names to kinds, got {type(nodes).__name__}")
     nk: dict[str, NodeKind] = {}
     for n, k in nodes.items():
-        nk[str(n)] = k if isinstance(k, NodeKind) else NodeKind(k)
+        try:
+            nk[str(n)] = k if isinstance(k, NodeKind) else NodeKind(k)
+        except ValueError:
+            raise StructureError(f"node {n!r} has unknown kind {k!r}") from None
     es = set()
     for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise StructureError(f"edge {e!r} must be a pair of node names")
         a, b = e
-        if a not in nk or b not in nk:
+        if not (isinstance(a, str) and isinstance(b, str)) or a not in nk or b not in nk:
             raise StructureError(f"edge ({a!r}, {b!r}) references an undeclared node")
-        es.add((str(a), str(b)))
+        es.add((a, b))
     bad = dag_violations(nk, frozenset(es))
     if bad:
         raise ValidationError(bad, subject="nand-dag")
@@ -328,12 +335,14 @@ class CircuitFamily:
 
 
 # Expression trees over fresh input leaves; ("leaf", bit) | ("nand", l, r).
-# Fan-out-1 gates cannot share subresults, so negation duplicates its
-# argument subtree instead of reusing a wire.
+# Fan-out-1 gates cannot share subresults, so an operand used twice is
+# emitted twice. Negation therefore never repeats a compound operand.
 
 
 def _expr_not(e):
-    return ("nand", e, e)  # duplicated at emission time, not shared
+    if e[0] == "leaf":
+        return ("nand", e, e)  # two fresh input nodes of the same bit
+    return ("nand", e, _expr_const_one())  # 2 gates and 3 leaves, nothing copied
 
 
 def _expr_and(a, b):
@@ -411,8 +420,10 @@ def synth_family(tables: Mapping[int, Sequence[int]]) -> CircuitFamily:
 
     Tables map ``k`` to the 2**k outputs (row index read in binary, least
     significant bit = first input). Synthesis is a plain sum-of-minterms
-    netlist compiled to fan-in-2 NAND gates, so member size is O(2**k);
-    no minimisation is attempted.
+    netlist compiled to fan-in-2 NAND gates: each of the at most 2**k
+    minterms is a chain of k literals, and negating a compound expression
+    NANDs it with a constant one instead of copying it, so member size is
+    O(k * 2**k) gates. No minimisation is attempted.
     """
     members: dict[int, FamilyMember] = {}
     for k, table in sorted(tables.items()):

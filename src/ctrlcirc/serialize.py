@@ -16,7 +16,13 @@ from .nanddag import NandDag, validate_dag
 from .dynamics import State, Trace, Value
 
 
+def _require_object(x: Any, what: str) -> None:
+    if not isinstance(x, Mapping):
+        raise StructureError(f"{what} must be a JSON object, got {type(x).__name__}")
+
+
 def _require_keys(d: Mapping[str, Any], required: set[str], optional: set[str], what: str) -> None:
+    _require_object(d, what)
     keys = set(d)
     unknown = keys - required - optional
     if unknown:
@@ -42,7 +48,11 @@ def circuit_to_dict(c: Circuit) -> dict:
 def circuit_from_dict(d: Mapping[str, Any]) -> Circuit:
     _require_keys(d, {"vars", "units", "in_flows", "out_flows"}, {"sigma"}, "circuit document")
 
+    if not isinstance(d["units"], list):
+        raise StructureError(f"circuit units must be a JSON list, got {type(d['units']).__name__}")
+
     def flows(key: str) -> dict[str, Flow]:
+        _require_object(d[key], f"circuit {key}")
         out = {}
         for fid, spec in d[key].items():
             _require_keys(spec, {"src", "dst"}, set(), f"{key}[{fid!r}]")
@@ -74,7 +84,9 @@ def dag_to_dict(d: NandDag) -> dict:
 
 def dag_from_dict(d: Mapping[str, Any]) -> NandDag:
     _require_keys(d, {"nodes", "edges"}, set(), "netlist document")
-    return validate_dag(d["nodes"], [tuple(e) for e in d["edges"]])
+    if not isinstance(d["edges"], list):
+        raise StructureError(f"netlist edges must be a JSON list, got {type(d['edges']).__name__}")
+    return validate_dag(d["nodes"], d["edges"])
 
 
 def dumps_dag(d: NandDag) -> str:
@@ -105,8 +117,13 @@ def morphism_from_dict(d: Mapping[str, Any], src: Circuit, dst: Circuit) -> Circ
 # -- values, states, traces -------------------------------------------------
 
 
+# Value -> JSON value as a plain dict, which avoids the ``Enum.value``
+# descriptor on the trace writer's hot path.
+_VALUE_JSON = {v: v.value for v in Value}
+
+
 def value_to_json(v: Value):
-    return v.value
+    return _VALUE_JSON[v]
 
 
 def value_from_json(x) -> Value:
@@ -126,28 +143,32 @@ def assignments_from_dict(d: Mapping[str, Any]) -> dict[str, Value]:
 def state_to_dict(st: State) -> dict:
     return {
         "time": st.time,
-        "values": {v: value_to_json(st.values[v]) for v in sorted(st.values)},
+        "values": {v: _VALUE_JSON[st.values[v]] for v in sorted(st.values)},
     }
+
+
+# ``json.dumps(obj, sort_keys=True)`` with the encoder built once; sorting
+# the keys orders every dict, so trace records are built unsorted.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def trace_to_jsonl(trace: Trace) -> str:
     """One record per step plus a final outcome line, byte-stable."""
-    lines = []
-    for s in trace.steps:
-        lines.append(
-            json.dumps(
-                {
-                    "time": s.time,
-                    "state": state_to_dict(s.state)["values"],
-                    "enabled": list(s.enabled),
-                    "ready": list(s.ready),
-                    "results": {u: value_to_json(s.results[u]) for u in sorted(s.results)},
-                },
-                sort_keys=True,
-            )
+    encode = _SORTED_JSON.encode
+    lines = [
+        encode(
+            {
+                "time": s.time,
+                "state": {v: _VALUE_JSON[x] for v, x in s.state.values.items()},
+                "enabled": s.enabled,
+                "ready": s.ready,
+                "results": {u: _VALUE_JSON[x] for u, x in s.results.items()},
+            }
         )
+        for s in trace.steps
+    ]
     tail: dict[str, Any] = {"outcome": trace.outcome.value}
     if trace.conflict:
         tail["conflict"] = trace.conflict
-    lines.append(json.dumps(tail, sort_keys=True))
+    lines.append(encode(tail))
     return "\n".join(lines) + "\n"

@@ -332,3 +332,46 @@ def test_cli_bad_file_is_io_error(tmp_path, capsys):
     garbled = tmp_path / "garbled.circuit"
     garbled.write_text("{not json")
     assert run_cli("validate", str(garbled)) == 2
+
+
+def test_cli_circuit_vars_list_is_malformed_input(tmp_path, capsys):
+    bad = tmp_path / "bad.circuit"
+    bad.write_text(json.dumps({"vars": ["a"], "units": [], "in_flows": {}, "out_flows": {}}))
+    good = tmp_path / "good.circuit"
+    good.write_text(dumps_circuit(build_and()))
+    inputs = tmp_path / "in.json"
+    inputs.write_text(json.dumps({"a": "*"}))
+    assert run_cli("exec", str(bad), "--inputs", str(inputs)) == 2
+    assert run_cli("iso", str(good), str(bad)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("malformed input: ") and "list" in line for line in err)
+
+
+def test_cli_netlist_edge_of_three_is_malformed_input(tmp_path, capsys):
+    dag = tmp_path / "g.dag"
+    dag.write_text(
+        json.dumps(
+            {
+                "nodes": {"a": "input", "b": "input", "g": "gate", "y": "output"},
+                "edges": [["a", "g"], ["b", "g", "y"], ["g", "y"]],
+            }
+        )
+    )
+    assert run_cli("import-nand", str(dag), "--out", str(tmp_path / "g.circuit")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "['b', 'g', 'y']" in err
+
+
+def test_cli_netlist_unknown_node_kind_is_malformed_input(tmp_path, capsys):
+    dag = tmp_path / "g.dag"
+    dag.write_text(
+        json.dumps(
+            {
+                "nodes": {"a": "input", "b": "input", "g": "wat", "y": "output"},
+                "edges": [["a", "g"], ["b", "g"], ["g", "y"]],
+            }
+        )
+    )
+    assert run_cli("import-nand", str(dag), "--out", str(tmp_path / "g.circuit")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "'wat'" in err

@@ -243,13 +243,22 @@ def test_family_constants():
     assert [fam1.evaluate([a, b]) for a in (0, 1) for b in (0, 1)] == [0, 0, 0, 0]
 
 
-def test_family_every_k3_function_spotcheck(rnd):
-    for _ in range(5):
-        table = [rnd.randint(0, 1) for _ in range(8)]
+def test_family_every_k3_function_exhaustive():
+    for t in range(256):
+        table = [(t >> row) & 1 for row in range(8)]
         fam = synth_family({3: table})
         for i in range(8):
             x = [(i >> 0) & 1, (i >> 1) & 1, (i >> 2) & 1]
             assert fam.evaluate(x) == table[i]
+
+
+def test_family_size_is_k_times_2_to_the_k():
+    # all ones but one row: 2**k - 1 minterms, the largest sum of minterms
+    # that is not the constant; copying negated subtrees made it doubly
+    # exponential
+    for k in range(1, 7):
+        member = synth_family({k: [0] + [1] * (2**k - 1)}).members[k]
+        assert len(member.dag.gates()) <= 8 * k * 2**k
 
 
 def test_family_rejects_bad_table():
