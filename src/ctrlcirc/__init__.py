@@ -51,7 +51,6 @@ from .operators import (
     iterate_head,
     iterate_tail,
     parallel,
-    parallel_with_injections,
     sequence,
     sequence_span,
     span_from_pairing,

@@ -16,17 +16,9 @@ from pathlib import Path
 
 from .errors import CircuitError, CompositionError, StructureError, ValidationError
 from .model import classify, interface, is_sound
-from .colimits import Span, is_isomorphic
-from .operators import (
-    IterationWiring,
-    auto_pairing,
-    branch,
-    iterate_head,
-    iterate_tail,
-    parallel_with_injections,
-    sequence,
-    sequence_span,
-)
+from .colimits import Span, coproduct, is_isomorphic
+from .morphisms import validate_morphism
+from .operators import IterationWiring, auto_pairing, branch, iterate_head, iterate_tail, sequence, sequence_span
 from .dynamics import ExecConfig, Outcome, initial_state, run
 from .nanddag import synth_family, to_control
 from .dot import export_dot
@@ -97,12 +89,46 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _morphism_maps(doc: dict) -> tuple[dict, dict, dict, dict]:
-    return doc.get("f_v", {}), doc.get("f_u", {}), doc.get("f_i", {}), doc.get("f_o", {})
+# Row width of each ``--wiring`` key; ``None`` leaves the width to the operator.
+_WIRING_ROWS = {"pairs": 2, "in_pairs": 2, "out_pairs": 2, "head": None, "tail": None}
+
+
+def _ids(xs) -> bool:
+    return all(isinstance(x, str) for x in xs)
+
+
+def _load_wiring(path) -> dict[str, list[tuple[str, ...]]]:
+    """Read a ``--wiring`` document: each key maps to a list of variable-id rows."""
+    doc = _load_json(path) if path else {}
+    if not isinstance(doc, dict) or not set(doc) <= set(_WIRING_ROWS):
+        raise StructureError(f"wiring document must be a JSON object with keys among {sorted(_WIRING_ROWS)}")
+    for key, rows in doc.items():
+        width = _WIRING_ROWS[key]
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and width in (None, len(row)) and _ids(row) for row in rows
+        ):
+            raise StructureError(f"wiring {key!r} must be a list of {width or 'n'}-element lists of variable ids")
+    return {key: [tuple(row) for row in rows] for key, rows in doc.items()}
+
+
+def _load_span(path: str, left, right) -> Span:
+    """Read a ``--span`` document: an apex (inline circuit or file name) and two leg map sets."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("apex"), (dict, str)):
+        raise StructureError("span document must be a JSON object whose apex is a circuit object or a file name")
+    apex = ser.circuit_from_dict(doc["apex"]) if isinstance(doc["apex"], dict) else _load_circuit(doc["apex"])
+    legs = []
+    for side, dst in (("left", left), ("right", right)):
+        maps = doc.get(side)
+        comps = [maps.get(k, {}) for k in ("f_v", "f_u", "f_i", "f_o")] if isinstance(maps, dict) else [None]
+        if not all(isinstance(m, dict) and _ids(m.values()) for m in comps):
+            raise StructureError(f"span {side} must be a JSON object of id maps f_v, f_u, f_i, f_o")
+        legs.append(validate_morphism(apex, dst, *comps))
+    return Span(apex, *legs)
 
 
 def cmd_compose(args) -> int:
-    wiring = _load_json(args.wiring) if args.wiring else {}
+    wiring = _load_wiring(args.wiring)
     prov: dict = {"op": args.op}
 
     if args.op in ("seq", "par", "branch"):
@@ -113,34 +139,21 @@ def cmd_compose(args) -> int:
 
     if args.op == "seq":
         if args.span:
-            doc = _load_json(args.span)
-            apex = ser.circuit_from_dict(doc["apex"]) if isinstance(doc.get("apex"), dict) else _load_circuit(doc["apex"])
-            from .morphisms import validate_morphism
-
-            lm = validate_morphism(apex, left, *_morphism_maps(doc["left"]))
-            rm = validate_morphism(apex, right, *_morphism_maps(doc["right"]))
-            res = sequence_span(Span(apex, lm, rm))
+            res = sequence_span(_load_span(args.span, left, right))
         else:
-            pairs = [tuple(p) for p in wiring.get("pairs", [])]
-            if args.auto_pair:
-                pairs = auto_pairing(left, right)
+            pairs = auto_pairing(left, right) if args.auto_pair else wiring.get("pairs", [])
             res = sequence(left, right, pairs)
         out = res.circuit
         prov["total"] = res.total
         prov["left"] = ser.morphism_to_dict(res.left_leg)
         prov["right"] = ser.morphism_to_dict(res.right_leg)
     elif args.op == "par":
-        cp = parallel_with_injections(left, right)
+        cp = coproduct(left, right, tag="par")
         out = cp.circuit
         prov["left"] = ser.morphism_to_dict(cp.left)
         prov["right"] = ser.morphism_to_dict(cp.right)
     elif args.op == "branch":
-        res = branch(
-            left,
-            right,
-            [tuple(p) for p in wiring.get("in_pairs", [])],
-            [tuple(p) for p in wiring.get("out_pairs", [])],
-        )
+        res = branch(left, right, wiring.get("in_pairs", []), wiring.get("out_pairs", []))
         out = res.circuit
         prov["left"] = ser.morphism_to_dict(res.left_leg)
         prov["right"] = ser.morphism_to_dict(res.right_leg)
@@ -153,8 +166,8 @@ def cmd_compose(args) -> int:
             body=body,
             end=end,
             exit=exit_c,
-            head=tuple(tuple(r) for r in wiring.get("head", [])),
-            tail=tuple(tuple(r) for r in wiring.get("tail", [])),
+            head=tuple(wiring.get("head", [])),
+            tail=tuple(wiring.get("tail", [])),
         )
         res = iterate_head(w) if args.op == "iter-head" else iterate_tail(w)
         out = res.circuit

@@ -1,10 +1,12 @@
 """Gluing constructions on circuits: pushout, coproduct, isomorphism.
 
-A pushout merges two circuits along a shared apex by quotienting the tagged
-disjoint union of each component set; a coproduct places two circuits side
-by side. Identifier freshness uses a namespace prefix ``<tag>/<L|R>/<id>``
-and quotient classes are named after their lexicographically least member,
-so results are reproducible and diffable.
+One kernel does both gluings. It names every element of the two operands
+``<tag>/<L|R>/<id>`` and quotients that disjoint union by seed pairs: a
+pushout seeds the two images of each apex element, and a coproduct seeds
+nothing. Only seeded elements enter a union-find, and each class is named
+after its lexicographically least member, so results are reproducible and
+diffable. A gluing costs O(|left| + |right|) plus near-linear work in the
+seeds.
 
 Isomorphism is decided on the var/unit graph whose edges carry flow
 multiplicities: joint colour refinement (Weisfeiler-Leman, a few rounds)
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CompositionError, StructureError
 from .model import Circuit, Flow, TypeTag, circuit_violations
@@ -46,54 +48,86 @@ class Cospan:
     right_leg: CircuitMorphism
 
 
-class UnionFind:
-    """Plain union-find over hashable items; classes are reported sorted."""
+def _seed_classes(pairs: Iterable[tuple[str, str]], tag: str) -> dict[str, str]:
+    """Union-find over the names of seeded elements only.
 
-    def __init__(self, items: Iterable):
-        self.parent = {x: x for x in items}
+    Each seed pair joins ``<tag>/L/<left id>`` and ``<tag>/R/<right id>``.
+    A class's root is always its lexicographically least member, so the map
+    returned (every seeded name to its root) names each class reproducibly.
+    """
+    parent: dict[str, str] = {}
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+    def find(x: str) -> str:
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def classes(self) -> list[list]:
-        by_root: dict = {}
-        for x in self.parent:
-            by_root.setdefault(self.find(x), []).append(x)
-        return [sorted(members) for members in by_root.values()]
+    for lx, rx in pairs:
+        a, b = find(f"{tag}/L/{lx}"), find(f"{tag}/R/{rx}")
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return {x: find(x) for x in parent}
 
 
-def _quotient(
-    left_items: Iterable[str],
-    right_items: Iterable[str],
-    seeds: Iterable[tuple[str, str]],
-    name: Callable[[tuple[str, str]], str],
-) -> tuple[dict[tuple[str, str], str], list[list[tuple[str, str]]]]:
-    """Quotient the tagged union of two id sets by the seed pairs.
+def _glue_flows(kind: str, sides) -> dict[str, Flow]:
+    """Image of both operands' flows; identified flows must agree on endpoints."""
+    out: dict[str, Flow] = {}
+    for flows, f_flow, f_src, f_dst in sides:
+        for x, fl in flows.items():
+            image = Flow(f_src[fl.src], f_dst[fl.dst])
+            if out.setdefault(f_flow[x], image) != image:
+                raise AssertionError(f"gluing produced an ill-defined {kind}-flow map at {f_flow[x]!r}")
+    return out
 
-    Returns a map from tagged element to its class representative name, and
-    the list of classes (each a sorted list of tagged elements).
+
+def _glue(
+    left: Circuit, right: Circuit, seeds: Sequence[Iterable[tuple[str, str]]], tag: str
+) -> tuple[Circuit, CircuitMorphism, CircuitMorphism]:
+    """The one gluing kernel: quotient ``left + right`` by the seed pairs.
+
+    ``seeds`` holds four iterables of (left id, right id) pairs, for
+    variables, units, input flows and output flows. Every element is named
+    ``<tag>/<L|R>/<id>``; a seeded element takes the least name of its
+    class. Returns the glued circuit and both (validated) legs. Cost:
+    O(|left| + |right|) plus near-linear work in the seeds.
     """
-    tagged = [("L", x) for x in left_items] + [("R", x) for x in right_items]
-    uf = UnionFind(tagged)
-    for lx, rx in seeds:
-        uf.union(("L", lx), ("R", rx))
-    classes = uf.classes()
-    rep: dict[tuple[str, str], str] = {}
-    for members in classes:
-        rep_name = min(name(m) for m in members)
-        for m in members:
-            rep[m] = rep_name
-    return rep, classes
+    left_maps: list[dict[str, str]] = []
+    right_maps: list[dict[str, str]] = []
+    for pairs, l_ids, r_ids in zip(
+        seeds,
+        (left.var_types, left.units, left.in_flows, left.out_flows),
+        (right.var_types, right.units, right.in_flows, right.out_flows),
+    ):
+        rep = _seed_classes(pairs, tag)
+        for maps, side, ids in ((left_maps, "L", l_ids), (right_maps, "R", r_ids)):
+            names = {x: f"{tag}/{side}/{x}" for x in ids}
+            maps.append({x: rep.get(n, n) for x, n in names.items()} if rep else names)
+    lv, lu, li, lo = left_maps
+    rv, ru, ri, ro = right_maps
+
+    var_types: dict[str, TypeTag] = {}
+    for base, f_v in ((left, lv), (right, rv)):
+        for v, t in base.var_types.items():
+            if var_types.setdefault(f_v[v], t) is not t:
+                raise AssertionError(f"gluing identified variables of different types at {f_v[v]!r}")
+    result = Circuit(
+        var_types=var_types,
+        units=frozenset([*lu.values(), *ru.values()]),
+        in_flows=_glue_flows("input", ((left.in_flows, li, lv, lu), (right.in_flows, ri, rv, ru))),
+        out_flows=_glue_flows("output", ((left.out_flows, lo, lu, lv), (right.out_flows, ro, ru, rv))),
+        sigma=left.sigma | right.sigma,
+    )
+    bad = circuit_violations(result)
+    if bad:
+        raise AssertionError(f"gluing produced an invalid circuit: {bad}")
+    return (
+        result,
+        validate_morphism(left, result, lv, lu, li, lo),
+        validate_morphism(right, result, rv, ru, ri, ro),
+    )
 
 
 def pushout(span: Span, tag: str = "po") -> Cospan:
@@ -104,94 +138,21 @@ def pushout(span: Span, tag: str = "po") -> Cospan:
     ``CompositionError("pushout-does-not-exist")``.
     """
     alpha, beta = span.left, span.right
-    left, right = alpha.dst, beta.dst
+    for side, leg, other in (("left", alpha, beta), ("right", beta, alpha)):
+        gain_in, gain_out = boundary_sets(span.apex, other.dst, other.f_v, other.f_u)
+        outside = {leg.f_v[v] for v in gain_in | gain_out} - (leg.dst.invars | leg.dst.outvars)
+        if outside:
+            raise CompositionError(
+                "pushout-does-not-exist",
+                f"{side} operand would gain flows at non-interface variables {sorted(outside)}",
+            )
 
-    gi_b, go_b = boundary_sets(span.apex, right, beta.f_v, beta.f_u)
-    gi_a, go_a = boundary_sets(span.apex, left, alpha.f_v, alpha.f_u)
-    img_in_left = {alpha.f_v[v] for v in gi_b | go_b}
-    img_in_right = {beta.f_v[v] for v in gi_a | go_a}
-    if not img_in_left <= (left.invars | left.outvars):
-        raise CompositionError(
-            "pushout-does-not-exist",
-            f"left operand would gain flows at non-interface variables {sorted(img_in_left - (left.invars | left.outvars))}",
-        )
-    if not img_in_right <= (right.invars | right.outvars):
-        raise CompositionError(
-            "pushout-does-not-exist",
-            f"right operand would gain flows at non-interface variables {sorted(img_in_right - (right.invars | right.outvars))}",
-        )
-
-    def name(member: tuple[str, str]) -> str:
-        side, orig = member
-        return f"{tag}/{side}/{orig}"
-
-    v_rep, v_classes = _quotient(
-        left.vars, right.vars, ((alpha.f_v[v], beta.f_v[v]) for v in span.apex.vars), name
-    )
-    u_rep, _ = _quotient(
-        left.units, right.units, ((alpha.f_u[u], beta.f_u[u]) for u in span.apex.units), name
-    )
-    i_rep, i_classes = _quotient(
-        left.in_flows, right.in_flows, ((alpha.f_i[i], beta.f_i[i]) for i in span.apex.in_flows), name
-    )
-    o_rep, o_classes = _quotient(
-        left.out_flows, right.out_flows, ((alpha.f_o[o], beta.f_o[o]) for o in span.apex.out_flows), name
-    )
-
-    sides = {"L": left, "R": right}
-    var_types: dict[str, TypeTag] = {}
-    for members in v_classes:
-        tags = {sides[s].var_types[x] for s, x in members}
-        if len(tags) != 1:
-            raise AssertionError(f"pushout identified variables of different types: {members}")
-        var_types[v_rep[members[0]]] = tags.pop()
-
-    in_flows: dict[str, Flow] = {}
-    for members in i_classes:
-        images = {
-            (v_rep[(s, sides[s].in_flows[x].src)], u_rep[(s, sides[s].in_flows[x].dst)]) for s, x in members
-        }
-        if len(images) != 1:
-            raise AssertionError(f"pushout produced an ill-defined input-flow map on {members}")
-        src, dst = images.pop()
-        in_flows[i_rep[members[0]]] = Flow(src, dst)
-    out_flows: dict[str, Flow] = {}
-    for members in o_classes:
-        images = {
-            (u_rep[(s, sides[s].out_flows[x].src)], v_rep[(s, sides[s].out_flows[x].dst)]) for s, x in members
-        }
-        if len(images) != 1:
-            raise AssertionError(f"pushout produced an ill-defined output-flow map on {members}")
-        src, dst = images.pop()
-        out_flows[o_rep[members[0]]] = Flow(src, dst)
-
-    result = Circuit(
-        var_types=var_types,
-        units=frozenset(u_rep[m] for m in u_rep),
-        in_flows=in_flows,
-        out_flows=out_flows,
-        sigma=left.sigma | right.sigma,
-    )
-    bad = circuit_violations(result)
-    if bad:
-        raise AssertionError(f"pushout produced an invalid circuit: {bad}")
-
-    def leg(side: str, base: Circuit) -> CircuitMorphism:
-        return validate_morphism(
-            base,
-            result,
-            {v: v_rep[(side, v)] for v in base.vars},
-            {u: u_rep[(side, u)] for u in base.units},
-            {i: i_rep[(side, i)] for i in base.in_flows},
-            {o: o_rep[(side, o)] for o in base.out_flows},
-        )
-
-    left_leg = leg("L", left)
-    right_leg = leg("R", right)
-    for v in span.apex.vars:
-        if left_leg.f_v[alpha.f_v[v]] != right_leg.f_v[beta.f_v[v]]:
+    comps = ((alpha.f_v, beta.f_v), (alpha.f_u, beta.f_u), (alpha.f_i, beta.f_i), (alpha.f_o, beta.f_o))
+    cs = Cospan(*_glue(alpha.dst, beta.dst, [[(fa[x], fb[x]) for x in fa] for fa, fb in comps], tag))
+    for v in span.apex.var_types:
+        if cs.left_leg.f_v[alpha.f_v[v]] != cs.right_leg.f_v[beta.f_v[v]]:
             raise AssertionError("pushout square does not commute")
-    return Cospan(result, left_leg, right_leg)
+    return cs
 
 
 # ---------------------------------------------------------------------------
@@ -206,34 +167,8 @@ class CoproductResult:
 
 
 def coproduct(a: Circuit, b: Circuit, tag: str = "cp") -> CoproductResult:
-    """Componentwise disjoint union with namespace-prefixed identifiers."""
-
-    def ren(side: str, x: str) -> str:
-        return f"{tag}/{side}/{x}"
-
-    var_types = {ren("L", v): t for v, t in a.var_types.items()}
-    var_types.update({ren("R", v): t for v, t in b.var_types.items()})
-    units = frozenset([ren("L", u) for u in a.units] + [ren("R", u) for u in b.units])
-    in_flows = {ren("L", i): Flow(ren("L", f.src), ren("L", f.dst)) for i, f in a.in_flows.items()}
-    in_flows.update({ren("R", i): Flow(ren("R", f.src), ren("R", f.dst)) for i, f in b.in_flows.items()})
-    out_flows = {ren("L", o): Flow(ren("L", f.src), ren("L", f.dst)) for o, f in a.out_flows.items()}
-    out_flows.update({ren("R", o): Flow(ren("R", f.src), ren("R", f.dst)) for o, f in b.out_flows.items()})
-    result = Circuit(var_types, units, in_flows, out_flows, a.sigma | b.sigma)
-    bad = circuit_violations(result)
-    if bad:
-        raise AssertionError(f"coproduct produced an invalid circuit: {bad}")
-
-    def inj(side: str, base: Circuit) -> CircuitMorphism:
-        return validate_morphism(
-            base,
-            result,
-            {v: ren(side, v) for v in base.vars},
-            {u: ren(side, u) for u in base.units},
-            {i: ren(side, i) for i in base.in_flows},
-            {o: ren(side, o) for o in base.out_flows},
-        )
-
-    return CoproductResult(result, inj("L", a), inj("R", b))
+    """Componentwise disjoint union: the gluing that identifies nothing."""
+    return CoproductResult(*_glue(a, b, ((), (), (), ()), tag))
 
 
 def copair(f: CircuitMorphism, g: CircuitMorphism, cp: CoproductResult) -> CircuitMorphism:

@@ -13,7 +13,8 @@ from typing import Callable, Iterable, Mapping
 
 from .dynamics import ExecConfig, Value, initial_state, run
 from .model import Circuit, mk_primitive, relabel, unit_circuit
-from .operators import IterationWiring, branch, iterate_tail, parallel_with_injections, sequence
+from .colimits import coproduct
+from .operators import IterationWiring, branch, iterate_tail, sequence
 
 
 def build_not() -> Circuit:
@@ -62,7 +63,7 @@ def build_or() -> Circuit:
     Interface: ``c1_in``/``a_in`` feed one inverter, ``c2_in``/``b_in`` the
     other; ``or_out`` carries ``a or b``.
     """
-    cp = parallel_with_injections(build_not(), build_not())
+    cp = coproduct(build_not(), build_not(), tag="par")
     final = mk_primitive(2, 2, 1, 1)  # v1,v2 ctrl in; v3,v4 bool in; v5,v6 out
     pairs = [
         (cp.left.f_v["v3"], "v1"),
@@ -116,7 +117,7 @@ def _finish_alt(circuit: Circuit, names: Mapping[str, str]) -> Circuit:
 def build_alt_invert() -> Circuit:
     """Fork, then an inverter beside a Boolean eater, then a join."""
     fork = build_fork(2)
-    cp = parallel_with_injections(build_not(), build_eater(1))
+    cp = coproduct(build_not(), build_eater(1), tag="par")
     st1 = sequence(fork, cp.circuit, [("v2", cp.left.f_v["v1"]), ("v3", cp.right.f_v["v1"])])
     join = build_join(2)
     st2 = sequence(
@@ -149,7 +150,7 @@ def _build_alt_or(invert_first: bool) -> Circuit:
     fork = build_fork(2)
     first = build_not() if invert_first else build_buffer()
     second = build_buffer() if invert_first else build_not()
-    cp = parallel_with_injections(first, second)
+    cp = coproduct(first, second, tag="par")
     left_ids = ("v1", "v2", "v3", "v4") if invert_first else ("c_in", "b_in", "c_out", "b_out")
     right_ids = ("c_in", "b_in", "c_out", "b_out") if invert_first else ("v1", "v2", "v3", "v4")
     st1 = sequence(fork, cp.circuit, [("v2", cp.left.f_v[left_ids[0]]), ("v3", cp.right.f_v[right_ids[0]])])
@@ -188,7 +189,7 @@ def build_alt_or_b() -> Circuit:
 def build_alt_echo() -> Circuit:
     """Fork, then a buffer beside a Boolean eater, then a join (echoes p53)."""
     fork = build_fork(2)
-    cp = parallel_with_injections(build_buffer(), build_eater(1))
+    cp = coproduct(build_buffer(), build_eater(1), tag="par")
     st1 = sequence(fork, cp.circuit, [("v2", cp.left.f_v["c_in"]), ("v3", cp.right.f_v["v1"])])
     join = build_join(2)
     st2 = sequence(
@@ -276,8 +277,8 @@ def build_entry() -> Circuit:
     inputs and the join only their control outputs.
     """
     fork = build_fork(3)
-    cpA = parallel_with_injections(build_buffer(), build_buffer())
-    cp = parallel_with_injections(cpA.circuit, build_buffer())
+    cpA = coproduct(build_buffer(), build_buffer(), tag="par")
+    cp = coproduct(cpA.circuit, build_buffer(), tag="par")
     b_ctrl_ins = [
         cp.left.f_v[cpA.left.f_v["c_in"]],
         cp.left.f_v[cpA.right.f_v["c_in"]],

@@ -338,16 +338,10 @@ def classify(c: Circuit) -> CircuitClass:
 def mk_trivial(tags: Sequence[TypeTag | str], prefix: str = "v") -> Circuit:
     """A circuit of bare variables: no units, no flows.
 
-    Needs at least one control tag; variables are named ``v1..vn`` in the
-    given order.
+    Variables are named ``v1..vn`` in the given order. Without a control
+    tag, :func:`validate_circuit` raises :class:`ValidationError`.
     """
-    tags = [_as_tag(t) for t in tags]
-    if not tags:
-        raise ValidationError(["no-vars"])
-    if CTRL not in tags:
-        raise ValidationError(["no-control-invar", "no-control-outvar"])
-    vt = {f"{prefix}{i + 1}": t for i, t in enumerate(tags)}
-    return validate_circuit(vt)
+    return validate_circuit({f"{prefix}{i + 1}": t for i, t in enumerate(tags)})
 
 
 def unit_circuit() -> Circuit:

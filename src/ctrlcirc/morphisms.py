@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import StructureError, ValidationError
-from .model import Circuit, TypeTag
+from .model import Circuit, TypeTag, validate_circuit
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,8 @@ class Adjoint:
 def _adjoint(c: Circuit, vs: frozenset[str], kind: str) -> Adjoint:
     # Domain variables reuse the codomain's interface ids, which makes "the"
     # adjoint an actual canonical object rather than one up to isomorphism.
-    vt = {v: c.var_types[v] for v in sorted(vs)}
-    dom = Circuit(var_types=vt, units=frozenset(), in_flows={}, out_flows={}, sigma=frozenset(vt.values()))
-    m = validate_morphism(dom, c, {v: v for v in vt}, {}, {}, {})
+    dom = validate_circuit({v: c.var_types[v] for v in sorted(vs)})
+    m = validate_morphism(dom, c, {v: v for v in dom.var_types}, {}, {}, {})
     if not is_mono(m):
         raise AssertionError("adjoint embedding must be mono")
     return Adjoint(kind, m)

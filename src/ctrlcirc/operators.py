@@ -12,21 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CompositionError
-from .model import Circuit, CircuitClass, TypeTag, circuit_violations, classify, is_sound
+from .errors import CompositionError, ValidationError
+from .model import Circuit, CircuitClass, TypeTag, classify, is_sound, mk_trivial
 from .morphisms import CircuitMorphism, compose_morphisms, is_mono, validate_morphism
-from .colimits import CoproductResult, Span, copair, coproduct, pushout
+from .colimits import Span, copair, coproduct, pushout
 
 Pairing = Sequence[tuple[str, str]]
 
 
 def _trivial_apex(tags: Sequence[TypeTag], prefix: str) -> Circuit:
-    vt = {f"{prefix}{i + 1}": t for i, t in enumerate(tags)}
-    c = Circuit(var_types=vt, units=frozenset(), in_flows={}, out_flows={}, sigma=frozenset(tags))
-    bad = circuit_violations(c)
-    if bad:
-        raise CompositionError("pairing-needs-control", f"synthesised apex is invalid: {bad}")
-    return c
+    try:
+        return mk_trivial(tags, prefix)
+    except ValidationError as e:
+        raise CompositionError("pairing-needs-control", f"synthesised apex is invalid: {e.violations}") from None
 
 
 def _check_pairing(left: Circuit, right: Circuit, pairs: Pairing) -> None:
@@ -73,16 +71,7 @@ def sequence(left: Circuit, right: Circuit, pairs: Pairing, tag: str = "seq") ->
     whole left outvar set and the whole right invar set) is detected and
     reported, not declared.
     """
-    _check_pairing(left, right, pairs)
-    for l, r in pairs:
-        if l not in left.outvars:
-            raise CompositionError("pair-left-not-outvar", l)
-        if r not in right.invars:
-            raise CompositionError("pair-right-not-invar", r)
-    span = span_from_pairing(left, right, pairs)
-    total = {l for l, _ in pairs} == left.outvars and {r for _, r in pairs} == right.invars
-    cs = pushout(span, tag=tag)
-    return SequenceResult(cs.result, cs.left_leg, cs.right_leg, total)
+    return sequence_span(span_from_pairing(left, right, pairs), tag=tag)
 
 
 def sequence_span(span: Span, tag: str = "seq") -> SequenceResult:
@@ -99,9 +88,9 @@ def sequence_span(span: Span, tag: str = "seq") -> SequenceResult:
     img_l = {span.left.f_v[v] for v in span.apex.vars}
     img_r = {span.right.f_v[v] for v in span.apex.vars}
     if not img_l <= left.outvars:
-        raise CompositionError("pair-left-not-outvar")
+        raise CompositionError("pair-left-not-outvar", ", ".join(sorted(img_l - left.outvars)))
     if not img_r <= right.invars:
-        raise CompositionError("pair-right-not-invar")
+        raise CompositionError("pair-right-not-invar", ", ".join(sorted(img_r - right.invars)))
     total = img_l == left.outvars and img_r == right.invars
     cs = pushout(span, tag=tag)
     return SequenceResult(cs.result, cs.left_leg, cs.right_leg, total)
@@ -129,10 +118,6 @@ def auto_pairing(left: Circuit, right: Circuit) -> list[tuple[str, str]]:
 def parallel(a: Circuit, b: Circuit, tag: str = "par") -> Circuit:
     """Place two circuits side by side (their coproduct)."""
     return coproduct(a, b, tag=tag).circuit
-
-
-def parallel_with_injections(a: Circuit, b: Circuit, tag: str = "par") -> CoproductResult:
-    return coproduct(a, b, tag=tag)
 
 
 # ---------------------------------------------------------------------------

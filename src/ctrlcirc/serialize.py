@@ -50,12 +50,16 @@ def circuit_from_dict(d: Mapping[str, Any]) -> Circuit:
 
     if not isinstance(d["units"], list):
         raise StructureError(f"circuit units must be a JSON list, got {type(d['units']).__name__}")
+    if not isinstance(d.get("sigma", []), (list, type(None))):
+        raise StructureError(f"circuit sigma must be a JSON list, got {type(d['sigma']).__name__}")
 
     def flows(key: str) -> dict[str, Flow]:
         _require_object(d[key], f"circuit {key}")
         out = {}
         for fid, spec in d[key].items():
             _require_keys(spec, {"src", "dst"}, set(), f"{key}[{fid!r}]")
+            if not (isinstance(spec["src"], str) and isinstance(spec["dst"], str)):
+                raise StructureError(f"{key}[{fid!r}] endpoints must be ids (strings)")
             out[fid] = Flow(spec["src"], spec["dst"])
         return out
 
@@ -137,6 +141,7 @@ def value_from_json(x) -> Value:
 
 
 def assignments_from_dict(d: Mapping[str, Any]) -> dict[str, Value]:
+    _require_object(d, "inputs document")
     return {str(v): value_from_json(x) for v, x in d.items()}
 
 

@@ -1,0 +1,201 @@
+"""Fuzz the document readers and the command line with malformed JSON.
+
+Every reader either returns its object or raises ``StructureError`` (bad
+shape) or ``ValidationError`` (well-formed data that breaks a model rule).
+Through ``main()`` those become exit 2 (``malformed input: ...``) and exit 1
+(``validation failure: ...``); a well-formed wiring that the operator
+refuses is a composition failure, exit 1. Nothing escapes as a traceback.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ctrlcirc import Circuit, StructureError, ValidationError
+from ctrlcirc import cli
+from ctrlcirc.fixtures import fixture
+from ctrlcirc.nanddag import NandDag
+from ctrlcirc.serialize import assignments_from_dict, circuit_from_dict, circuit_to_dict, dag_from_dict
+
+IDS = ["v1", "v2", "v4", "v5", "u1", "i1", "o1", "p1", "c_in", "b_out", "a", "g", "y"]
+KEYS = IDS + ["vars", "units", "in_flows", "out_flows", "sigma", "src", "dst", "nodes", "edges",
+              "pairs", "in_pairs", "out_pairs", "head", "tail", "apex", "left", "right", "f_v", "f_u", "f_i", "f_o"]
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(IDS + ["ctrl", "bool", "*", "0", "1", "input", "gate", "output"])
+    | st.text(max_size=3)
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), children, max_size=4),
+    max_leaves=12,
+)
+
+CIRCUIT = circuit_to_dict(fixture("and"))
+DAG = {"nodes": {"a": "input", "b": "input", "g": "gate", "y": "output"}, "edges": [["a", "g"], ["b", "g"], ["g", "y"]]}
+INPUTS = {"v1": "*", "v2": 1, "v3": 0}
+SEQ_WIRING = {"pairs": [["v4", "v1"], ["v5", "v2"]]}
+BRANCH_WIRING = {
+    "in_pairs": [["c_in", "c_in"], ["b_in", "b_in"]],
+    "out_pairs": [["c_out", "c_out"], ["b_out", "b_out"]],
+}
+SPAN = {
+    "apex": {"vars": {"p1": "ctrl", "p2": "bool"}, "units": [], "in_flows": {}, "out_flows": {}},
+    "left": {"f_v": {"p1": "v4", "p2": "v5"}, "f_u": {}, "f_i": {}, "f_o": {}},
+    "right": {"f_v": {"p1": "v1", "p2": "v2"}, "f_u": {}, "f_i": {}, "f_o": {}},
+}
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with one subtree replaced by random JSON, or deleted."""
+    doc = json.loads(json.dumps(base))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return draw(JSON)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if draw(st.booleans()):
+        parent[path[-1]] = draw(JSON)
+    else:
+        del parent[path[-1]]
+    return doc
+
+
+def documents(base):
+    return mutated(base) | JSON
+
+
+FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(documents(CIRCUIT))
+def test_circuit_reader_raises_only_typed_errors(doc):
+    try:
+        assert isinstance(circuit_from_dict(doc), Circuit)
+    except (StructureError, ValidationError):
+        pass
+
+
+@FUZZ
+@given(documents(DAG))
+def test_netlist_reader_raises_only_typed_errors(doc):
+    try:
+        assert isinstance(dag_from_dict(doc), NandDag)
+    except (StructureError, ValidationError):
+        pass
+
+
+@FUZZ
+@given(documents(INPUTS))
+def test_inputs_reader_raises_only_structure_errors(doc):
+    try:
+        assert isinstance(assignments_from_dict(doc), dict)
+    except StructureError:
+        pass
+
+
+# -- main() -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for name in ("and", "nand2", "not", "buffer"):
+        (d / f"{name}.circuit").write_text(json.dumps(circuit_to_dict(fixture(name))))
+    return d
+
+
+def main_on(files, argv_of, doc) -> tuple[int, str]:
+    """Run ``main`` on ``doc`` written to a file; returns exit code and stderr."""
+    doc_file = files / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([str(a).format(dir=files, doc=doc_file) for a in argv_of])
+    return code, err.getvalue()
+
+
+EXEC = ["exec", "{dir}/and.circuit", "--inputs", "{doc}"]
+SEQ = ["compose", "--op", "seq", "{dir}/nand2.circuit", "{dir}/not.circuit", "--wiring", "{doc}", "--out", "{dir}/o.circuit"]
+BRANCH = ["compose", "--op", "branch", "{dir}/buffer.circuit", "{dir}/buffer.circuit", "--wiring", "{doc}", "--out", "{dir}/o.circuit"]
+ITER = ["compose", "--op", "iter-tail"] + ["{dir}/buffer.circuit"] * 4 + ["--wiring", "{doc}", "--out", "{dir}/o.circuit"]
+SPAN_SEQ = ["compose", "--op", "seq", "{dir}/nand2.circuit", "{dir}/not.circuit", "--span", "{doc}", "--out", "{dir}/o.circuit"]
+
+# The documented exit code of each failure, by the prefix main() prints.
+DOCUMENTED = {"malformed input": 2, "io error": 2, "validation failure": 1, "composition failure": 1}
+
+
+def assert_documented(code: int, err: str) -> None:
+    if code == 0:
+        assert err == ""
+        return
+    prefix = err.split(":", 1)[0]
+    assert DOCUMENTED.get(prefix) == code, (code, err)
+
+
+@pytest.mark.parametrize(
+    "argv_of, base",
+    [(EXEC, INPUTS), (SEQ, SEQ_WIRING), (BRANCH, BRANCH_WIRING), (ITER, {"head": [], "tail": []}), (SPAN_SEQ, SPAN)],
+    ids=["exec-inputs", "seq-wiring", "branch-wiring", "iter-wiring", "seq-span"],
+)
+def test_main_maps_malformed_documents_to_documented_exits(files, argv_of, base):
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(documents(base))
+    def check(doc):
+        assert_documented(*main_on(files, argv_of, doc))
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "argv_of, doc",
+    [
+        (EXEC, ["x"]),
+        (EXEC, "x"),
+        (SEQ, {"pairs": [["v4"]]}),
+        (SEQ, {"pairs": [["v4", "v1", "v2"]]}),
+        (SEQ, {"pairs": [[4, "v1"]]}),
+        (SEQ, {"pairs": 5}),
+        (SEQ, {"pair": [["v4", "v1"]]}),
+        (SEQ, [["v4", "v1"]]),
+        (BRANCH, {"in_pairs": [[1, 2, 3]]}),
+        (ITER, {"head": [1]}),
+        (SPAN_SEQ, {**SPAN, "apex": 3}),
+        (SPAN_SEQ, {"left": SPAN["left"], "right": SPAN["right"]}),
+        (SPAN_SEQ, {**SPAN, "left": []}),
+        (SPAN_SEQ, {**SPAN, "right": {"f_v": {"p1": ["v1"], "p2": "v2"}}}),
+    ],
+    ids=[
+        "inputs-list", "inputs-string", "pair-of-one", "pair-of-three", "pair-of-int", "pairs-int",
+        "unknown-key", "wiring-list", "branch-row-of-ints", "head-row-int", "apex-int", "apex-missing",
+        "leg-list", "leg-map-of-list",
+    ],
+)
+def test_malformed_cli_documents_exit_2(files, argv_of, doc):
+    code, err = main_on(files, argv_of, doc)
+    assert code == 2 and err.startswith("malformed input: "), err
+
+
+def test_well_formed_wiring_still_composes(files):
+    assert main_on(files, SEQ, SEQ_WIRING) == (0, "")
+    assert main_on(files, BRANCH, BRANCH_WIRING) == (0, "")
+    assert main_on(files, SPAN_SEQ, SPAN) == (0, "")
