@@ -121,8 +121,8 @@ def _glue(
         sigma=left.sigma | right.sigma,
     )
     bad = circuit_violations(result)
-    if bad:
-        raise AssertionError(f"gluing produced an invalid circuit: {bad}")
+    if bad:  # a coproduct of valid circuits never gets here; a pushout can
+        raise CompositionError("pushout-does-not-exist", f"the glued structure is not a valid circuit: {bad}")
     return (
         result,
         validate_morphism(left, result, lv, lu, li, lo),
@@ -134,7 +134,8 @@ def pushout(span: Span, tag: str = "po") -> Cospan:
     """Glue the two base circuits of a span along its apex.
 
     Exists only when each leg maps the other leg's boundary-gaining
-    variables into interface variables; otherwise raises
+    variables into interface variables and the glued structure satisfies
+    every model rule (say, it keeps a control invar); otherwise raises
     ``CompositionError("pushout-does-not-exist")``.
     """
     alpha, beta = span.left, span.right

@@ -109,36 +109,37 @@ def build_buffer() -> Circuit:
 # exactly one alternative runs per execution.
 
 
-def _finish_alt(circuit: Circuit, names: Mapping[str, str]) -> Circuit:
-    out, _ = relabel(circuit, names)
-    return out
+def _build_alt_through(operand: Circuit, ids: tuple[str, str, str, str]) -> Circuit:
+    """Fork, then ``operand`` beside a Boolean eater, then a join.
 
-
-def build_alt_invert() -> Circuit:
-    """Fork, then an inverter beside a Boolean eater, then a join."""
+    ``ids`` names the operand's control in, Boolean in, control out and
+    Boolean out; the operand turns ``p53_in`` into ``p53_out``.
+    """
+    c_in, b_in, c_out, b_out = ids
     fork = build_fork(2)
-    cp = coproduct(build_not(), build_eater(1), tag="par")
-    st1 = sequence(fork, cp.circuit, [("v2", cp.left.f_v["v1"]), ("v3", cp.right.f_v["v1"])])
+    cp = coproduct(operand, build_eater(1), tag="par")
+    st1 = sequence(fork, cp.circuit, [("v2", cp.left.f_v[c_in]), ("v3", cp.right.f_v["v1"])])
     join = build_join(2)
     st2 = sequence(
         st1.circuit,
         join,
-        [
-            (st1.right_leg.f_v[cp.left.f_v["v3"]], "v1"),
-            (st1.right_leg.f_v[cp.right.f_v["v3"]], "v2"),
-        ],
+        [(st1.right_leg.f_v[cp.left.f_v[c_out]], "v1"), (st1.right_leg.f_v[cp.right.f_v["v3"]], "v2")],
     )
     lift = lambda v: st2.left_leg.f_v[st1.right_leg.f_v[v]]
-    return _finish_alt(
-        st2.circuit,
-        {
-            st2.left_leg.f_v[st1.left_leg.f_v["v1"]]: "ctrl_in",
-            lift(cp.left.f_v["v2"]): "p53_in",
-            lift(cp.right.f_v["v2"]): "mdm2_in",
-            st2.right_leg.f_v["v3"]: "ctrl_out",
-            lift(cp.left.f_v["v4"]): "p53_out",
-        },
-    )
+    names = {
+        st2.left_leg.f_v[st1.left_leg.f_v["v1"]]: "ctrl_in",
+        lift(cp.left.f_v[b_in]): "p53_in",
+        lift(cp.right.f_v["v2"]): "mdm2_in",
+        st2.right_leg.f_v["v3"]: "ctrl_out",
+        lift(cp.left.f_v[b_out]): "p53_out",
+    }
+    circuit, _ = relabel(st2.circuit, names)
+    return circuit
+
+
+def build_alt_invert() -> Circuit:
+    """Fork, then an inverter beside a Boolean eater, then a join."""
+    return _build_alt_through(build_not(), ("v1", "v2", "v3", "v4"))
 
 
 def _build_alt_or(invert_first: bool) -> Circuit:
@@ -166,16 +167,15 @@ def _build_alt_or(invert_first: bool) -> Circuit:
         ],
     )
     lift = lambda v: st2.left_leg.f_v[st1.right_leg.f_v[v]]
-    return _finish_alt(
-        st2.circuit,
-        {
-            st2.left_leg.f_v[st1.left_leg.f_v["v1"]]: "ctrl_in",
-            lift(cp.left.f_v[left_ids[1]]): "p53_in",
-            lift(cp.right.f_v[right_ids[1]]): "mdm2_in",
-            st2.right_leg.f_v["v5"]: "ctrl_out",
-            st2.right_leg.f_v["v6"]: "p53_out",
-        },
-    )
+    names = {
+        st2.left_leg.f_v[st1.left_leg.f_v["v1"]]: "ctrl_in",
+        lift(cp.left.f_v[left_ids[1]]): "p53_in",
+        lift(cp.right.f_v[right_ids[1]]): "mdm2_in",
+        st2.right_leg.f_v["v5"]: "ctrl_out",
+        st2.right_leg.f_v["v6"]: "p53_out",
+    }
+    circuit, _ = relabel(st2.circuit, names)
+    return circuit
 
 
 def build_alt_or_a() -> Circuit:
@@ -188,29 +188,7 @@ def build_alt_or_b() -> Circuit:
 
 def build_alt_echo() -> Circuit:
     """Fork, then a buffer beside a Boolean eater, then a join (echoes p53)."""
-    fork = build_fork(2)
-    cp = coproduct(build_buffer(), build_eater(1), tag="par")
-    st1 = sequence(fork, cp.circuit, [("v2", cp.left.f_v["c_in"]), ("v3", cp.right.f_v["v1"])])
-    join = build_join(2)
-    st2 = sequence(
-        st1.circuit,
-        join,
-        [
-            (st1.right_leg.f_v[cp.left.f_v["c_out"]], "v1"),
-            (st1.right_leg.f_v[cp.right.f_v["v3"]], "v2"),
-        ],
-    )
-    lift = lambda v: st2.left_leg.f_v[st1.right_leg.f_v[v]]
-    return _finish_alt(
-        st2.circuit,
-        {
-            st2.left_leg.f_v[st1.left_leg.f_v["v1"]]: "ctrl_in",
-            lift(cp.left.f_v["b_in"]): "p53_in",
-            lift(cp.right.f_v["v2"]): "mdm2_in",
-            st2.right_leg.f_v["v3"]: "ctrl_out",
-            lift(cp.left.f_v["b_out"]): "p53_out",
-        },
-    )
+    return _build_alt_through(build_buffer(), ("c_in", "b_in", "c_out", "b_out"))
 
 
 @dataclass(frozen=True)

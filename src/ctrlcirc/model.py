@@ -144,9 +144,6 @@ class Circuit:
         """Units feeding ``var``."""
         return self._var_producers[var]
 
-    def tag(self, var: str) -> TypeTag:
-        return self.var_types[var]
-
     def sorted_vars(self) -> list[str]:
         return sorted(self.var_types)
 
@@ -271,11 +268,7 @@ def validate_circuit(
     Raises :class:`StructureError` for dangling references and
     :class:`ValidationError` (listing every violated clause) otherwise.
     """
-    c = _assemble(var_types, units, in_flows or {}, out_flows or {}, sigma)
-    violations = circuit_violations(c)
-    if violations:
-        raise ValidationError(violations)
-    return c
+    return revalidate(_assemble(var_types, units, in_flows or {}, out_flows or {}, sigma))
 
 
 def revalidate(c: Circuit) -> Circuit:

@@ -9,11 +9,10 @@ units outside the image must sit on the source circuit's interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 from .errors import StructureError, ValidationError
-from .model import Circuit, TypeTag, validate_circuit
+from .model import Circuit, validate_circuit
 
 
 @dataclass(frozen=True)
@@ -26,19 +25,6 @@ class CircuitMorphism:
     f_u: Mapping[str, str]
     f_i: Mapping[str, str]
     f_o: Mapping[str, str]
-
-    @property
-    def f_sigma(self) -> dict[TypeTag, TypeTag]:
-        """The type component; always an inclusion."""
-        return {t: t for t in self.src.sigma}
-
-    @cached_property
-    def var_image(self) -> frozenset[str]:
-        return frozenset(self.f_v.values())
-
-    @cached_property
-    def unit_image(self) -> frozenset[str]:
-        return frozenset(self.f_u.values())
 
 
 def _check_total(name: str, mapping: Mapping[str, str], domain: frozenset[str] | set[str], codomain) -> None:

@@ -1,8 +1,12 @@
 """User-facing composition operators.
 
 Every operator reduces to pushouts and coproducts. Callers describe what to
-glue with variable pairings (never raw spans); the trivial apex circuits and
-their embeddings are synthesised internally. Results carry the leg
+glue with variable pairings or iteration rows (never raw spans); one helper
+synthesises the trivial apex of a list of rows and its monos into each
+operand. Branching and both iterations end with one shared step: two
+operands are glued at both ends at once, by a pushout along the coproduct
+of a head apex and a tail apex. The two iterations differ only in whether
+the exit column joins the head rows or the tail rows. Results carry the leg
 morphisms, so each original element can be traced to its representative in
 the composite.
 """
@@ -15,24 +19,15 @@ from typing import Sequence
 from .errors import CompositionError, ValidationError
 from .model import Circuit, CircuitClass, TypeTag, classify, is_sound, mk_trivial
 from .morphisms import CircuitMorphism, compose_morphisms, is_mono, validate_morphism
-from .colimits import Span, copair, coproduct, pushout
+from .colimits import Cospan, Span, copair, coproduct, pushout
 
 Pairing = Sequence[tuple[str, str]]
-
-
-def _trivial_apex(tags: Sequence[TypeTag], prefix: str) -> Circuit:
-    try:
-        return mk_trivial(tags, prefix)
-    except ValidationError as e:
-        raise CompositionError("pairing-needs-control", f"synthesised apex is invalid: {e.violations}") from None
 
 
 def _check_pairing(left: Circuit, right: Circuit, pairs: Pairing) -> None:
     if not pairs:
         raise CompositionError("empty-pairing", "a pairing must identify at least one variable")
-    ls = [l for l, _ in pairs]
-    rs = [r for _, r in pairs]
-    if len(set(ls)) != len(ls) or len(set(rs)) != len(rs):
+    if any(len(set(side)) != len(pairs) for side in zip(*pairs)):
         raise CompositionError("pairing-not-injective")
     for l, r in pairs:
         if l not in left.vars or r not in right.vars:
@@ -41,14 +36,33 @@ def _check_pairing(left: Circuit, right: Circuit, pairs: Pairing) -> None:
             raise CompositionError("pair-tag-mismatch", f"({l}, {r})")
 
 
+def _apex(
+    rows: Sequence[Sequence[str]], targets: Sequence[Circuit], prefix: str
+) -> tuple[Circuit, list[CircuitMorphism]]:
+    """A trivial apex with one variable per row, and its mono into each target.
+
+    Variable ``<prefix><i + 1>`` maps to ``rows[i][k]`` in ``targets[k]``;
+    the entries of a row must share one type.
+    """
+    try:
+        apex = mk_trivial([targets[0].var_types[row[0]] for row in rows], prefix)
+    except ValidationError as e:
+        raise CompositionError("pairing-needs-control", f"synthesised apex is invalid: {e.violations}") from None
+    names = [f"{prefix}{i + 1}" for i in range(len(rows))]
+    return apex, [validate_morphism(apex, c, dict(zip(names, col)), {}, {}, {}) for c, col in zip(targets, zip(*rows))]
+
+
 def span_from_pairing(left: Circuit, right: Circuit, pairs: Pairing, prefix: str = "p") -> Span:
     """Synthesise the trivial apex and the two mono legs a pairing describes."""
     _check_pairing(left, right, pairs)
-    apex = _trivial_apex([left.var_types[l] for l, _ in pairs], prefix)
-    names = [f"{prefix}{i + 1}" for i in range(len(pairs))]
-    to_left = validate_morphism(apex, left, dict(zip(names, (l for l, _ in pairs))), {}, {}, {})
-    to_right = validate_morphism(apex, right, dict(zip(names, (r for _, r in pairs))), {}, {}, {})
+    apex, (to_left, to_right) = _apex(pairs, (left, right), prefix)
     return Span(apex, to_left, to_right)
+
+
+def _glue_both_ends(head: Span, tail: Span, tag: str) -> Cospan:
+    """Glue the spans' left and right operands at both ends: a pushout along the apexes' coproduct."""
+    cp = coproduct(head.apex, tail.apex, tag=f"{tag}0")
+    return pushout(Span(cp.circuit, copair(head.left, tail.left, cp), copair(head.right, tail.right, cp)), tag=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +154,19 @@ def branch(a: Circuit, b: Circuit, in_pairs: Pairing, out_pairs: Pairing, tag: s
     (equal types), ``out_pairs`` their outvars; the composite's interface
     stays in bijection with each operand's.
     """
-    for pairs, avs, bvs, side in (
-        (in_pairs, a.invars, b.invars, "invars"),
-        (out_pairs, a.outvars, b.outvars, "outvars"),
+    spans = []
+    for pairs, avs, bvs, side, prefix in (
+        (in_pairs, a.invars, b.invars, "invars", "p"),
+        (out_pairs, a.outvars, b.outvars, "outvars", "q"),
     ):
         if {l for l, _ in pairs} != avs or {r for _, r in pairs} != bvs:
             raise CompositionError("branch-interface-mismatch", f"{side} not covered bijectively")
         try:
-            _check_pairing(a, b, pairs)
+            spans.append(span_from_pairing(a, b, pairs, prefix))
         except CompositionError as e:
             raise CompositionError("branch-interface-mismatch", str(e)) from None
-
-    in_span = span_from_pairing(a, b, in_pairs, prefix="p")
-    out_span = span_from_pairing(a, b, out_pairs, prefix="q")
-    cp = coproduct(in_span.apex, out_span.apex, tag=f"{tag}0")
-    to_a = copair(in_span.left, out_span.left, cp)
-    to_b = copair(in_span.right, out_span.right, cp)
-    cs = pushout(Span(cp.circuit, to_a, to_b), tag=tag)
-    return BranchResult(cs.result, cs.left_leg, cs.right_leg, in_span.apex, out_span.apex)
+    cs = _glue_both_ends(*spans, tag)
+    return BranchResult(cs.result, cs.left_leg, cs.right_leg, spans[0].apex, spans[1].apex)
 
 
 # ---------------------------------------------------------------------------
@@ -206,130 +215,86 @@ class IterationResult:
 
 
 def _shared_domain(
-    rows: Sequence[tuple[str, ...]],
-    columns: Sequence[tuple[Circuit, frozenset[str], str]],
-    prefix: str,
-    what: str,
+    rows: Sequence[tuple[str, ...]], columns: Sequence[tuple[Circuit, frozenset[str], str]], prefix: str, what: str
 ) -> tuple[Circuit, list[CircuitMorphism]]:
-    """Build one trivial circuit shared by several interface embeddings.
+    """Check ``rows`` against ``columns``, then build their shared apex and its monos.
 
     ``columns`` lists, per row position, the target circuit, the interface
     set the column must cover, and a label for error messages.
     """
     if any(len(row) != len(columns) for row in rows):
         raise CompositionError("iteration-wiring-mismatch", f"{what} rows must have {len(columns)} entries")
-    for k, (circ, must_cover, label) in enumerate(columns):
+    for k, (_, iface, label) in enumerate(columns):
         col = [row[k] for row in rows]
         if len(set(col)) != len(col):
             raise CompositionError("iteration-wiring-mismatch", f"{what} column {label} repeats a variable")
-        if set(col) != must_cover:
+        if set(col) != iface:
             raise CompositionError(
-                "iteration-wiring-mismatch",
-                f"{what} column {label} must cover exactly {sorted(must_cover)}",
+                "iteration-wiring-mismatch", f"{what} column {label} must cover exactly {sorted(iface)}"
             )
-    tags = []
+    targets = [circ for circ, _, _ in columns]
     for row in rows:
-        row_tags = {columns[k][0].var_types[row[k]] for k in range(len(columns))}
-        if len(row_tags) != 1:
+        if len({c.var_types[v] for c, v in zip(targets, row)}) != 1:
             raise CompositionError("iteration-wiring-mismatch", f"{what} row {row} mixes types")
-        tags.append(row_tags.pop())
-    dom = _trivial_apex(tags, prefix)
-    names = [f"{prefix}{i + 1}" for i in range(len(rows))]
-    monos = []
-    for k, (circ, _, _) in enumerate(columns):
-        f_v = {names[i]: rows[i][k] for i in range(len(rows))}
-        monos.append(validate_morphism(dom, circ, f_v, {}, {}, {}))
-    return dom, monos
+    return _apex(rows, targets, prefix)
 
 
-def _require_sound(w: IterationWiring) -> None:
+def _iterate(w: IterationWiring, exit_at_head: bool, tag: str) -> IterationResult:
+    """Both iterations: the exit column joins the head rows or the tail rows."""
     for label, c in (("entry", w.entry), ("body", w.body), ("end", w.end), ("exit", w.exit)):
         if not is_sound(c):
             raise CompositionError("iteration-operand-unsound", label)
+    head_cols = [
+        (w.entry, w.entry.outvars, "entry-outvars"),
+        (w.end, w.end.outvars, "end-outvars"),
+        (w.body, w.body.invars, "body-invars"),
+    ]
+    tail_cols = [(w.body, w.body.outvars, "body-outvars"), (w.end, w.end.invars, "end-invars")]
+    (head_cols if exit_at_head else tail_cols).append((w.exit, w.exit.invars, "exit-invars"))
+    lam0, (m_entry, m_end_out, m_body_in, *exit_h) = _shared_domain(w.head, head_cols, prefix="h", what="head")
+    lam1, (m_body_out, m_end_in, *exit_t) = _shared_domain(w.tail, tail_cols, prefix="t", what="tail")
+    [m_exit] = exit_h + exit_t
+
+    if exit_at_head:
+        # exit and body compete for the loop head, which entry and end feed
+        pl = pushout(Span(lam0, m_exit, m_body_in), tag=f"{tag}1")
+        pr = pushout(Span(lam0, m_entry, m_end_out), tag=f"{tag}2")
+        cs = _glue_both_ends(
+            Span(lam0, compose_morphisms(pl.left_leg, m_exit), compose_morphisms(pr.left_leg, m_entry)),
+            Span(lam1, compose_morphisms(pl.right_leg, m_body_out), compose_morphisms(pr.right_leg, m_end_in)),
+            tag,
+        )
+        return IterationResult(
+            circuit=cs.result,
+            entry_map=compose_morphisms(cs.right_leg, pr.left_leg),
+            body_map=compose_morphisms(cs.left_leg, pl.right_leg),
+            end_map=compose_morphisms(cs.right_leg, pr.right_leg),
+            exit_map=compose_morphisms(cs.left_leg, pl.left_leg),
+        )
+
+    # entry, end and exit form one operand around the body's two ends
+    p1 = pushout(Span(lam0, m_entry, m_end_out), tag=f"{tag}1")
+    p2 = pushout(Span(lam1, m_end_in, m_exit), tag=f"{tag}2")
+    p3 = pushout(Span(w.end, p1.right_leg, p2.left_leg), tag=f"{tag}3")
+    cs = _glue_both_ends(
+        Span(lam0, compose_morphisms(p3.left_leg, compose_morphisms(p1.left_leg, m_entry)), m_body_in),
+        Span(lam1, compose_morphisms(p3.right_leg, compose_morphisms(p2.right_leg, m_exit)), m_body_out),
+        tag,
+    )
+    return IterationResult(
+        circuit=cs.result,
+        entry_map=compose_morphisms(cs.left_leg, compose_morphisms(p3.left_leg, p1.left_leg)),
+        body_map=cs.right_leg,
+        end_map=compose_morphisms(cs.left_leg, compose_morphisms(p3.left_leg, p1.right_leg)),
+        exit_map=compose_morphisms(cs.left_leg, compose_morphisms(p3.right_leg, p2.right_leg)),
+    )
 
 
 def iterate_head(w: IterationWiring, tag: str = "hd") -> IterationResult:
     """While-style loop: the stop/continue choice precedes each body run."""
-    _require_sound(w)
-    lam0, (m_entry, m_end_out, m_body_in, m_exit) = _shared_domain(
-        w.head,
-        [
-            (w.entry, w.entry.outvars, "entry-outvars"),
-            (w.end, w.end.outvars, "end-outvars"),
-            (w.body, w.body.invars, "body-invars"),
-            (w.exit, w.exit.invars, "exit-invars"),
-        ],
-        prefix="h",
-        what="head",
-    )
-    lam1, (m_body_out, m_end_in) = _shared_domain(
-        w.tail,
-        [(w.body, w.body.outvars, "body-outvars"), (w.end, w.end.invars, "end-invars")],
-        prefix="t",
-        what="tail",
-    )
-    pl = pushout(Span(lam0, m_exit, m_body_in), tag=f"{tag}1")
-    pr = pushout(Span(lam0, m_entry, m_end_out), tag=f"{tag}2")
-    cp = coproduct(lam0, lam1, tag=f"{tag}0")
-    into_l = copair(
-        compose_morphisms(pl.left_leg, m_exit),
-        compose_morphisms(pl.right_leg, m_body_out),
-        cp,
-    )
-    into_r = copair(
-        compose_morphisms(pr.left_leg, m_entry),
-        compose_morphisms(pr.right_leg, m_end_in),
-        cp,
-    )
-    cs = pushout(Span(cp.circuit, into_l, into_r), tag=tag)
-    return IterationResult(
-        circuit=cs.result,
-        entry_map=compose_morphisms(cs.right_leg, pr.left_leg),
-        body_map=compose_morphisms(cs.left_leg, pl.right_leg),
-        end_map=compose_morphisms(cs.right_leg, pr.right_leg),
-        exit_map=compose_morphisms(cs.left_leg, pl.left_leg),
-    )
+    return _iterate(w, exit_at_head=True, tag=tag)
 
 
 def iterate_tail(w: IterationWiring, tag: str = "tl") -> IterationResult:
     """Do-while-style loop: the body always runs before each stop check."""
-    _require_sound(w)
-    lam0, (m_entry, m_end_out, m_body_in) = _shared_domain(
-        w.head,
-        [
-            (w.entry, w.entry.outvars, "entry-outvars"),
-            (w.end, w.end.outvars, "end-outvars"),
-            (w.body, w.body.invars, "body-invars"),
-        ],
-        prefix="h",
-        what="head",
-    )
-    lam1, (m_body_out, m_end_in, m_exit) = _shared_domain(
-        w.tail,
-        [
-            (w.body, w.body.outvars, "body-outvars"),
-            (w.end, w.end.invars, "end-invars"),
-            (w.exit, w.exit.invars, "exit-invars"),
-        ],
-        prefix="t",
-        what="tail",
-    )
-    p1 = pushout(Span(lam0, m_entry, m_end_out), tag=f"{tag}1")
-    p2 = pushout(Span(lam1, m_end_in, m_exit), tag=f"{tag}2")
-    p3 = pushout(Span(w.end, p1.right_leg, p2.left_leg), tag=f"{tag}3")
-    cp = coproduct(lam0, lam1, tag=f"{tag}0")
-    into_p3 = copair(
-        compose_morphisms(p3.left_leg, compose_morphisms(p1.left_leg, m_entry)),
-        compose_morphisms(p3.right_leg, compose_morphisms(p2.right_leg, m_exit)),
-        cp,
-    )
-    into_body = copair(m_body_in, m_body_out, cp)
-    cs = pushout(Span(cp.circuit, into_p3, into_body), tag=tag)
-    left = cs.left_leg
-    return IterationResult(
-        circuit=cs.result,
-        entry_map=compose_morphisms(left, compose_morphisms(p3.left_leg, p1.left_leg)),
-        body_map=cs.right_leg,
-        end_map=compose_morphisms(left, compose_morphisms(p3.left_leg, p1.right_leg)),
-        exit_map=compose_morphisms(left, compose_morphisms(p3.right_leg, p2.right_leg)),
-    )
+    return _iterate(w, exit_at_head=False, tag=tag)

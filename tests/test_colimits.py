@@ -70,6 +70,18 @@ def test_pushout_existence_condition_rejects_interior_to_interior_gluing():
     assert exc.value.code == "pushout-does-not-exist"
 
 
+def test_pushout_that_breaks_a_model_rule_does_not_exist():
+    # crossing the pairing glues each inverter's control invar onto the
+    # other's control outvar: the result has no control invar or outvar left
+    from ctrlcirc.fixtures import build_not
+
+    span = span_from_pairing(build_not(), build_not(), [("v1", "v3"), ("v3", "v1")])
+    with pytest.raises(CompositionError) as exc:
+        pushout(span)
+    assert exc.value.code == "pushout-does-not-exist"
+    assert "['no-control-invar', 'no-control-outvar']" in str(exc.value)
+
+
 def test_pushout_onto_interior_from_trivial_is_allowed():
     # a bare inoutvar may be glued onto an interior variable: the gains land
     # on the apex's own interface, and the result is just the host circuit

@@ -221,8 +221,9 @@ def assert_same_pushout(span: Span, tag: str = "po") -> bool:
     """Both kernels agree on ``span``; returns whether the pushout exists.
 
     A glued result that is not a valid circuit (say, its only control invar
-    was identified with a produced variable) fails the internal check in
-    both kernels with ``AssertionError``.
+    was identified with a produced variable) fails the reference's internal
+    check with ``AssertionError``; the library refuses the same span with
+    ``CompositionError("pushout-does-not-exist")``.
     """
     try:
         want = reference_pushout(span, tag)
@@ -233,8 +234,9 @@ def assert_same_pushout(span: Span, tag: str = "po") -> bool:
         return False
     except AssertionError as e:
         assert "invalid circuit" in str(e)
-        with pytest.raises(AssertionError, match="invalid circuit"):
+        with pytest.raises(CompositionError, match="not a valid circuit") as got:
             pushout(span, tag)
+        assert got.value.code == "pushout-does-not-exist"
         return False
     got = pushout(span, tag)
     assert got == want
