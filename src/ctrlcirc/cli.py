@@ -17,7 +17,6 @@ from pathlib import Path
 from .errors import CircuitError, CompositionError, StructureError, ValidationError
 from .model import classify, interface, is_sound
 from .colimits import Span, coproduct, is_isomorphic
-from .morphisms import validate_morphism
 from .operators import IterationWiring, auto_pairing, branch, iterate_head, iterate_tail, sequence, sequence_span
 from .dynamics import ExecConfig, Outcome, initial_state, run
 from .nanddag import synth_family, to_control
@@ -112,18 +111,17 @@ def _load_wiring(path) -> dict[str, list[tuple[str, ...]]]:
 
 
 def _load_span(path: str, left, right) -> Span:
-    """Read a ``--span`` document: an apex (inline circuit or file name) and two leg map sets."""
+    """Read a ``--span`` document: an apex (inline circuit or file name) and two morphism documents."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("apex"), (dict, str)):
         raise StructureError("span document must be a JSON object whose apex is a circuit object or a file name")
     apex = ser.circuit_from_dict(doc["apex"]) if isinstance(doc["apex"], dict) else _load_circuit(doc["apex"])
     legs = []
     for side, dst in (("left", left), ("right", right)):
-        maps = doc.get(side)
-        comps = [maps.get(k, {}) for k in ("f_v", "f_u", "f_i", "f_o")] if isinstance(maps, dict) else [None]
-        if not all(isinstance(m, dict) and _ids(m.values()) for m in comps):
-            raise StructureError(f"span {side} must be a JSON object of id maps f_v, f_u, f_i, f_o")
-        legs.append(validate_morphism(apex, dst, *comps))
+        try:
+            legs.append(ser.morphism_from_dict(doc.get(side), apex, dst))
+        except StructureError as e:
+            raise StructureError(f"span {side}: {e}") from None
     return Span(apex, *legs)
 
 

@@ -5,8 +5,17 @@ One kernel does both gluings. It names every element of the two operands
 pushout seeds the two images of each apex element, and a coproduct seeds
 nothing. Only seeded elements enter a union-find, and each class is named
 after its lexicographically least member, so results are reproducible and
-diffable. A gluing costs O(|left| + |right|) plus near-linear work in the
-seeds.
+diffable.
+
+The glued circuit gets the full model check; the rest is checked only where
+a gluing can break it. Away from the seeds the renaming is injective and
+carries every flow with its endpoints, so the legs are morphisms by
+construction except for the boundary condition at seeded variables off an
+operand's interface, and flow images can only clash where flows are
+seeded. ``pushout`` scans an operand for variables that gain flows only
+when the other leg sends an apex variable off its operand's interface. A
+gluing costs O(|left| + |right|) for the renaming and the model check, plus
+near-linear work in the seeds.
 
 Isomorphism is decided on the var/unit graph whose edges carry flow
 multiplicities: joint colour refinement (Weisfeiler-Leman, a few rounds)
@@ -21,7 +30,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import CompositionError, StructureError
+from .errors import CompositionError, StructureError, ValidationError
 from .model import Circuit, Flow, TypeTag, circuit_violations
 from .morphisms import CircuitMorphism, boundary_sets, is_mono, validate_morphism
 
@@ -72,8 +81,18 @@ def _seed_classes(pairs: Iterable[tuple[str, str]], tag: str) -> dict[str, str]:
     return {x: find(x) for x in parent}
 
 
-def _glue_flows(kind: str, sides) -> dict[str, Flow]:
-    """Image of both operands' flows; identified flows must agree on endpoints."""
+def _glue_flows(kind: str, sides, seeded: bool) -> dict[str, Flow]:
+    """Image of both operands' flows; identified flows must agree on endpoints.
+
+    Without seeded flows every flow keeps a name of its own, so no two
+    images can meet and the images are built without comparing them.
+    """
+    if not seeded:
+        return {
+            f_flow[x]: Flow(f_src[fl.src], f_dst[fl.dst])
+            for flows, f_flow, f_src, f_dst in sides
+            for x, fl in flows.items()
+        }
     out: dict[str, Flow] = {}
     for flows, f_flow, f_src, f_dst in sides:
         for x, fl in flows.items():
@@ -83,25 +102,53 @@ def _glue_flows(kind: str, sides) -> dict[str, Flow]:
     return out
 
 
+def _check_boundary(
+    base: Circuit, result: Circuit, f_v: Mapping[str, str], f_u: Mapping[str, str], seeded: Iterable[str]
+) -> None:
+    """The boundary condition of a leg ``base -> result``, tested where it can fail.
+
+    An unseeded variable's image receives flows only from its own operand,
+    so only a seeded variable off ``base``'s interface can gain producers or
+    consumers. Raises the error ``validate_morphism`` raises for the leg.
+    """
+    for v in seeded:
+        if v in base.invars or v in base.outvars:
+            continue
+        img = f_v[v]
+        gains_in = result.producers(img) - {f_u[u] for u in base.producers(v)}
+        gains_out = result.consumers(img) - {f_u[u] for u in base.consumers(v)}
+        if gains_in or gains_out:
+            raise ValidationError(["boundary-condition-violated"], subject="morphism")
+
+
 def _glue(
-    left: Circuit, right: Circuit, seeds: Sequence[Iterable[tuple[str, str]]], tag: str
+    left: Circuit, right: Circuit, seeds: Sequence[Sequence[tuple[str, str]]], tag: str
 ) -> tuple[Circuit, CircuitMorphism, CircuitMorphism]:
     """The one gluing kernel: quotient ``left + right`` by the seed pairs.
 
-    ``seeds`` holds four iterables of (left id, right id) pairs, for
+    ``seeds`` holds four sequences of (left id, right id) pairs, for
     variables, units, input flows and output flows. Every element is named
     ``<tag>/<L|R>/<id>``; a seeded element takes the least name of its
-    class. Returns the glued circuit and both (validated) legs. Cost:
-    O(|left| + |right|) plus near-linear work in the seeds.
+    class. Returns the glued circuit and both legs.
+
+    The result gets the full model check; the legs are checked only where
+    a gluing can break them. Their maps are total and land in the result by
+    construction, the type check below keeps types, and the flow images keep
+    the four squares (they are compared where flows are seeded, and cannot
+    meet where none are). The boundary condition can fail only at a seeded
+    variable (see ``_check_boundary``). Cost: O(|left| + |right|) plus
+    near-linear work in the seeds.
     """
     left_maps: list[dict[str, str]] = []
     right_maps: list[dict[str, str]] = []
+    seeded: list[bool] = []
     for pairs, l_ids, r_ids in zip(
         seeds,
         (left.var_types, left.units, left.in_flows, left.out_flows),
         (right.var_types, right.units, right.in_flows, right.out_flows),
     ):
         rep = _seed_classes(pairs, tag)
+        seeded.append(bool(rep))
         for maps, side, ids in ((left_maps, "L", l_ids), (right_maps, "R", r_ids)):
             names = {x: f"{tag}/{side}/{x}" for x in ids}
             maps.append({x: rep.get(n, n) for x, n in names.items()} if rep else names)
@@ -116,18 +163,16 @@ def _glue(
     result = Circuit(
         var_types=var_types,
         units=frozenset([*lu.values(), *ru.values()]),
-        in_flows=_glue_flows("input", ((left.in_flows, li, lv, lu), (right.in_flows, ri, rv, ru))),
-        out_flows=_glue_flows("output", ((left.out_flows, lo, lu, lv), (right.out_flows, ro, ru, rv))),
+        in_flows=_glue_flows("input", ((left.in_flows, li, lv, lu), (right.in_flows, ri, rv, ru)), seeded[2]),
+        out_flows=_glue_flows("output", ((left.out_flows, lo, lu, lv), (right.out_flows, ro, ru, rv)), seeded[3]),
         sigma=left.sigma | right.sigma,
     )
     bad = circuit_violations(result)
     if bad:  # a coproduct of valid circuits never gets here; a pushout can
         raise CompositionError("pushout-does-not-exist", f"the glued structure is not a valid circuit: {bad}")
-    return (
-        result,
-        validate_morphism(left, result, lv, lu, li, lo),
-        validate_morphism(right, result, rv, ru, ri, ro),
-    )
+    _check_boundary(left, result, lv, lu, {lx for lx, _ in seeds[0]})
+    _check_boundary(right, result, rv, ru, {rx for _, rx in seeds[0]})
+    return result, CircuitMorphism(left, result, lv, lu, li, lo), CircuitMorphism(right, result, rv, ru, ri, ro)
 
 
 def pushout(span: Span, tag: str = "po") -> Cospan:
@@ -136,12 +181,17 @@ def pushout(span: Span, tag: str = "po") -> Cospan:
     Exists only when each leg maps the other leg's boundary-gaining
     variables into interface variables and the glued structure satisfies
     every model rule (say, it keeps a control invar); otherwise raises
-    ``CompositionError("pushout-does-not-exist")``.
+    ``CompositionError("pushout-does-not-exist")``. When a leg maps the
+    whole apex into its operand's interface, nothing can land outside it,
+    so the other operand is not scanned for gaining variables.
     """
     alpha, beta = span.left, span.right
     for side, leg, other in (("left", alpha, beta), ("right", beta, alpha)):
+        boundary = leg.dst.invars | leg.dst.outvars
+        if all(leg.f_v[v] in boundary for v in span.apex.var_types):
+            continue
         gain_in, gain_out = boundary_sets(span.apex, other.dst, other.f_v, other.f_u)
-        outside = {leg.f_v[v] for v in gain_in | gain_out} - (leg.dst.invars | leg.dst.outvars)
+        outside = {leg.f_v[v] for v in gain_in | gain_out} - boundary
         if outside:
             raise CompositionError(
                 "pushout-does-not-exist",

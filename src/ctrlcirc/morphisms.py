@@ -9,7 +9,7 @@ units outside the image must sit on the source circuit's interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import AbstractSet, Collection, Mapping
 
 from .errors import StructureError, ValidationError
 from .model import Circuit, validate_circuit
@@ -17,7 +17,12 @@ from .model import Circuit, validate_circuit
 
 @dataclass(frozen=True)
 class CircuitMorphism:
-    """Component maps of a circuit morphism (validated on construction)."""
+    """Component maps of a circuit morphism.
+
+    The class checks nothing itself: ``validate_morphism`` checks the maps
+    and builds one, and the gluing kernel builds its legs directly because
+    it checks them where a gluing can break them.
+    """
 
     src: Circuit
     dst: Circuit
@@ -27,13 +32,18 @@ class CircuitMorphism:
     f_o: Mapping[str, str]
 
 
-def _check_total(name: str, mapping: Mapping[str, str], domain: frozenset[str] | set[str], codomain) -> None:
-    keys = set(mapping)
-    if keys != set(domain):
+def _check_total(name: str, mapping: Mapping[str, str], domain: AbstractSet[str], codomain: Collection[str]) -> None:
+    """``mapping`` is defined exactly on ``domain`` and lands in ``codomain``.
+
+    The codomain is only probed for membership, never copied: the maps
+    checked most often have small sources and large codomains.
+    """
+    if mapping.keys() != domain:
+        keys = set(mapping)
         missing = sorted(set(domain) - keys)
         extra = sorted(keys - set(domain))
         raise StructureError(f"{name} must be total on its domain (missing={missing}, extra={extra})")
-    bad = sorted(set(mapping.values()) - set(codomain))
+    bad = sorted(set(mapping.values()).difference(codomain))
     if bad:
         raise StructureError(f"{name} maps into undeclared elements: {bad}")
 
@@ -63,10 +73,10 @@ def check_morphism(
     f_o: Mapping[str, str],
 ) -> list[str]:
     """Every violated morphism condition, by name (empty list means valid)."""
-    _check_total("f_v", f_v, src.vars, dst.vars)
+    _check_total("f_v", f_v, src.vars, dst.var_types)
     _check_total("f_u", f_u, src.units, dst.units)
-    _check_total("f_i", f_i, set(src.in_flows), set(dst.in_flows))
-    _check_total("f_o", f_o, set(src.out_flows), set(dst.out_flows))
+    _check_total("f_i", f_i, src.in_flows.keys(), dst.in_flows)
+    _check_total("f_o", f_o, src.out_flows.keys(), dst.out_flows)
 
     bad: list[str] = []
     if any(dst.var_types[f_v[v]] is not src.var_types[v] for v in src.var_types):

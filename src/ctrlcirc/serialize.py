@@ -1,4 +1,4 @@
-"""JSON file formats for circuits, netlists, morphisms, states and traces.
+"""JSON file formats for circuits, netlists, morphisms, input assignments and traces.
 
 All writers emit sorted keys so any given object serialises to exactly one
 byte sequence; readers reject unknown keys.
@@ -13,7 +13,7 @@ from .errors import StructureError
 from .model import Circuit, Flow, validate_circuit
 from .morphisms import CircuitMorphism, validate_morphism
 from .nanddag import NandDag, validate_dag
-from .dynamics import State, Trace, Value
+from .dynamics import Trace, Value
 
 
 def _require_object(x: Any, what: str) -> None:
@@ -113,12 +113,23 @@ def morphism_to_dict(m: CircuitMorphism) -> dict:
     }
 
 
+_MORPHISM_MAPS = ("f_v", "f_u", "f_i", "f_o")
+
+
 def morphism_from_dict(d: Mapping[str, Any], src: Circuit, dst: Circuit) -> CircuitMorphism:
-    _require_keys(d, {"f_v", "f_u", "f_i", "f_o"}, {"src", "dst"}, "morphism document")
-    return validate_morphism(src, dst, d["f_v"], d["f_u"], d["f_i"], d["f_o"])
+    """Read a morphism document: an object of id maps ``f_v``, ``f_u``, ``f_i``, ``f_o``.
+
+    A missing map is empty; ``src`` and ``dst`` keys are allowed and ignored.
+    """
+    _require_keys(d, set(), {*_MORPHISM_MAPS, "src", "dst"}, "morphism document")
+    maps = [d.get(k, {}) for k in _MORPHISM_MAPS]
+    for k, m in zip(_MORPHISM_MAPS, maps):
+        if not (isinstance(m, Mapping) and all(isinstance(y, str) for y in m.values())):
+            raise StructureError(f"morphism {k} must be a JSON object mapping ids to ids (strings)")
+    return validate_morphism(src, dst, *maps)
 
 
-# -- values, states, traces -------------------------------------------------
+# -- values, input assignments, traces --------------------------------------
 
 
 # Value -> JSON value as a plain dict, which avoids the ``Enum.value``
@@ -143,13 +154,6 @@ def value_from_json(x) -> Value:
 def assignments_from_dict(d: Mapping[str, Any]) -> dict[str, Value]:
     _require_object(d, "inputs document")
     return {str(v): value_from_json(x) for v, x in d.items()}
-
-
-def state_to_dict(st: State) -> dict:
-    return {
-        "time": st.time,
-        "values": {v: _VALUE_JSON[st.values[v]] for v in sorted(st.values)},
-    }
 
 
 # ``json.dumps(obj, sort_keys=True)`` with the encoder built once; sorting

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from ctrlcirc import StructureError, Value, circuit_violations
+from ctrlcirc import StructureError, Value, circuit_violations, in_adjoint
 from ctrlcirc.dot import export_dot
 from ctrlcirc.fixtures import REGISTRY, build_and, fixture
 from ctrlcirc.model import unit_circuit
@@ -16,6 +16,8 @@ from ctrlcirc.serialize import (
     dag_to_dict,
     dumps_circuit,
     loads_circuit,
+    morphism_from_dict,
+    morphism_to_dict,
     value_from_json,
     value_to_json,
 )
@@ -180,6 +182,16 @@ def test_cli_compose_from_explicit_span(tmp_path, capsys):
     ref = tmp_path / "ref.circuit"
     run_cli("fixtures", "emit", "and", "--out", str(ref))
     assert run_cli("iso", str(out), str(ref)) == 0
+
+
+def test_morphism_documents_round_trip_and_default_missing_maps():
+    m = in_adjoint(fixture("and")).morphism
+    doc = morphism_to_dict(m)
+    assert morphism_from_dict(doc, m.src, m.dst) == m
+    assert morphism_from_dict({"f_v": doc["f_v"]}, m.src, m.dst) == m  # trivial source: the rest is empty
+    for bad in ([], {"f_v": []}, {"f_v": {"c1": 1}}, {**doc, "f_x": {}}):
+        with pytest.raises(StructureError):
+            morphism_from_dict(bad, m.src, m.dst)
 
 
 def test_cli_iso_writes_witness(tmp_path):

@@ -183,11 +183,12 @@ def test_main_maps_malformed_documents_to_documented_exits(files, argv_of, base)
         (SPAN_SEQ, {"left": SPAN["left"], "right": SPAN["right"]}),
         (SPAN_SEQ, {**SPAN, "left": []}),
         (SPAN_SEQ, {**SPAN, "right": {"f_v": {"p1": ["v1"], "p2": "v2"}}}),
+        (SPAN_SEQ, {**SPAN, "left": {**SPAN["left"], "f_x": {}}}),
     ],
     ids=[
         "inputs-list", "inputs-string", "pair-of-one", "pair-of-three", "pair-of-int", "pairs-int",
         "unknown-key", "wiring-list", "branch-row-of-ints", "head-row-int", "apex-int", "apex-missing",
-        "leg-list", "leg-map-of-list",
+        "leg-list", "leg-map-of-list", "leg-unknown-key",
     ],
 )
 def test_malformed_cli_documents_exit_2(files, argv_of, doc):
