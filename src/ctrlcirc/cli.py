@@ -185,6 +185,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_exec(args) -> int:
+    if args.runs < 1:
+        raise StructureError(f"--runs must be at least 1, got {args.runs}")
     c = _load_circuit(args.circuit)
     inputs = ser.assignments_from_dict(_load_json(args.inputs))
     init = initial_state(c, inputs)
@@ -254,9 +256,7 @@ def cmd_import_nand(args) -> int:
 
 
 def cmd_synth_family(args) -> int:
-    doc = _load_json(args.tables)
-    tables = {int(k): v for k, v in doc.items()}
-    fam = synth_family(tables)
+    fam = synth_family(ser.truth_tables_from_dict(_load_json(args.tables)))
     outdir = Path(args.out_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import StructureError
 from .model import BOOL, CTRL, Circuit
@@ -204,57 +204,49 @@ def reduce_unit(c: Circuit, u: str, st: State) -> Value:
     return Value.ZERO if all(bits) else Value.ONE
 
 
-def _transition(
-    c: Circuit, st: State, results: Mapping[str, Value]
-) -> tuple[dict[str, Value], set[str], Optional[tuple[str, str]]]:
-    """Apply one step in which the units keyed in ``results`` fire.
+def _fire(
+    c: Circuit, st: State, ready: Sequence[str], values: dict[str, Value]
+) -> tuple[dict[str, Value], list[tuple[str, int]], Optional[tuple[str, str]]]:
+    """Fire the sorted ``ready`` units out of ``st`` into ``values``, in place.
 
-    ``results`` maps each firing unit to its :func:`reduce_unit` value.
-    Returns the next assignment, the variables the firing units touch, and
-    an optional ``(variable, detail)`` conflict. A variable produced by a
-    firing unit takes the produced value even if another firing unit
-    consumes it; assigned variables untouched by any firing unit keep their
-    value; consumed-only variables leave the domain. Only touched variables
-    can enter or leave the domain.
+    ``values`` holds ``st``'s assignment and becomes the next one. Each
+    ready unit is reduced once; a produced variable takes its value even if
+    another firing unit consumes it, and consumed-only variables leave the
+    domain. Returns the results, the variables that entered (+1) or left
+    (-1) the domain, and an optional ``(variable, detail)`` conflict, which
+    is found before ``values`` changes.
     """
+    results = {u: reduce_unit(c, u, st) for u in ready}
     produced: dict[str, Value] = {}
     producer: dict[str, str] = {}
-    touched: set[str] = set()
-    for u in sorted(results):
-        result = results[u]
-        touched |= c.pre_set(u) | c.post_set(u)
+    for u in ready:
         for v in sorted(c.post_set(u)):
-            val = Value.SIGNAL if c.var_types[v] is CTRL else result
+            val = Value.SIGNAL if c.var_types[v] is CTRL else results[u]
             if v in produced and produced[v] != val:
-                return {}, touched, (v, f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}")
+                return results, [], (v, f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}")
             produced[v] = val
             producer[v] = u
-    nxt = dict(produced)
-    for v, val in st.values.items():
-        if v not in touched:
-            nxt[v] = val
-    return nxt, touched, None
-
-
-def _fire(
-    c: Circuit, st: State, ready: Iterable[str]
-) -> tuple[dict[str, Value], dict[str, Value], set[str], Optional[tuple[str, str]]]:
-    """One step's firing: each ready unit reduced once, then the transition.
-
-    Returns the results, the next assignment, the touched variables and an
-    optional conflict (see :func:`_transition`).
-    """
-    results = {u: reduce_unit(c, u, st) for u in sorted(ready)}
-    nxt, touched, conflict = _transition(c, st, results)
-    return results, nxt, touched, conflict
+    changed = []
+    for u in ready:
+        for v in c.pre_set(u):
+            if v not in produced and v in values:
+                del values[v]
+                changed.append((v, -1))
+    changed.extend((v, 1) for v in produced if v not in values)
+    values.update(produced)
+    return results, changed, None
 
 
 def step(c: Circuit, st: State, rng: SplitMix64) -> State:
-    """One transition. Raises :class:`WriteConflictError` on conflicting writes."""
-    _, nxt, _, conflict = _fire(c, st, ready_units(c, st, rng))
+    """One transition, fired like :func:`run` into a copy of ``st.values``.
+
+    Raises :class:`WriteConflictError` on conflicting writes.
+    """
+    values = dict(st.values)
+    _, _, conflict = _fire(c, st, sorted(ready_units(c, st, rng)), values)
     if conflict:
-        raise WriteConflictError(conflict[0], conflict[1])
-    return State(st.time + 1, nxt)
+        raise WriteConflictError(*conflict)
+    return State(st.time + 1, values)
 
 
 def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
@@ -264,12 +256,12 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     produced the next one; the last record has empty sets. Failure modes are
     reported through the outcome, never raised.
 
-    The enabled set is kept incrementally: each unit counts its input
-    variables still unassigned (as in Kahn's topological sort), the counts
-    are seeded once from ``init`` in O(|flows|), and after each step only
-    the consumers of variables that entered or left the domain are updated.
-    A step therefore costs O(changed variables x their consumers) for the
-    enabled set, plus the O(|state|) copy of the state the trace keeps.
+    One assignment, copied once from ``init``, is updated in place; a step
+    touches only the fired units' pre- and post-sets. Each unit counts its
+    input variables still unassigned (as in Kahn's topological sort), seeded
+    once in O(|flows|); after a step only the consumers of variables that
+    entered or left the domain are updated. The trace's O(|state|) snapshot
+    of the assignment is the only per-step cost in the size of the state.
     """
     if init.time != 0 or init.domain != c.invars:
         raise StructureError("run() needs an initial state (time 0, exactly the invars)")
@@ -277,7 +269,8 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     rng = SplitMix64(cfg.seed)
     steps: list[TraceStep] = []
     st = init
-    missing = {u: sum(v not in st.values for v in c.pre_set(u)) for u in c.units}
+    values = dict(init.values)
+    missing = {u: sum(v not in values for v in c.pre_set(u)) for u in c.units}
     enabled_set = {u for u, n in missing.items() if not n}
     while True:
         if is_final(c, st):
@@ -291,20 +284,16 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
             steps.append(TraceStep(st.time, st, enabled, (), {}))
             return Trace(tuple(steps), Outcome.STEP_LIMIT)
         ready = tuple(sorted(_pick_ready(c, enabled, rng)))
-        results, nxt, touched, conflict = _fire(c, st, ready)
+        results, changed, conflict = _fire(c, st, ready, values)
         steps.append(TraceStep(st.time, st, enabled, ready, results))
         if conflict:
             return Trace(tuple(steps), Outcome.WRITE_CONFLICT, conflict=conflict[1])
-        for v in touched:
-            had = v in st.values
-            if had == (v in nxt):
-                continue
-            delta = 1 if had else -1
+        for v, delta in changed:
             for u in c.consumers(v):
-                n = missing[u] + delta
+                n = missing[u] - delta
                 missing[u] = n
                 if n:
                     enabled_set.discard(u)
                 else:
                     enabled_set.add(u)
-        st = State(st.time + 1, nxt)
+        st = State(st.time + 1, dict(values))

@@ -387,25 +387,23 @@ def relabel(c: Circuit, var_names: Mapping[str, str] | None = None, interior_pre
     flows ``i1..``/``o1..`` (sorted by renamed endpoints). Returns the new
     circuit together with the renaming morphism (old -> new).
     """
-    from .morphisms import validate_morphism  # local import to avoid a cycle
+    from .morphisms import CircuitMorphism  # local import to avoid a cycle
 
-    var_names = dict(var_names or {})
-    unknown = set(var_names) - c.vars
+    v_map = dict(var_names or {})
+    unknown = set(v_map) - c.vars
     if unknown:
         raise StructureError(f"relabel names unknown variables: {sorted(unknown)}")
-    if len(set(var_names.values())) != len(var_names):
+    taken = set(v_map.values())
+    if len(taken) != len(v_map):
         raise StructureError("relabel target names must be distinct")
-    v_map = dict(var_names)
     counter = 0
     for v in c.sorted_vars():
         if v in v_map:
             continue
         counter += 1
-        while f"{interior_prefix}{counter}" in var_names.values():
+        while f"{interior_prefix}{counter}" in taken:
             counter += 1
         v_map[v] = f"{interior_prefix}{counter}"
-    if len(set(v_map.values())) != len(v_map):
-        raise StructureError("relabel produced colliding variable names")
     u_map = {u: f"u{i + 1}" for i, u in enumerate(c.sorted_units())}
     in_order = sorted(c.in_flows, key=lambda fid: (v_map[c.in_flows[fid].src], u_map[c.in_flows[fid].dst], fid))
     i_map = {fid: f"i{k + 1}" for k, fid in enumerate(in_order)}
@@ -420,5 +418,5 @@ def relabel(c: Circuit, var_names: Mapping[str, str] | None = None, interior_pre
         sigma=c.sigma,
     )
     revalidate(new)
-    ren = validate_morphism(c, new, v_map, u_map, i_map, o_map)
-    return new, ren
+    # a bijection carrying every flow to its renamed flow: a morphism by construction
+    return new, CircuitMorphism(c, new, v_map, u_map, i_map, o_map)

@@ -428,8 +428,9 @@ def synth_family(tables: Mapping[int, Sequence[int]]) -> CircuitFamily:
     members: dict[int, FamilyMember] = {}
     for k, table in sorted(tables.items()):
         table = [1 if b else 0 for b in table]
-        if len(table) != 2**k:
-            raise StructureError(f"truth table for k={k} must have {2 ** k} entries, got {len(table)}")
+        n = len(table)
+        if not 0 <= k < n.bit_length() or n != 1 << k:  # never builds 2**k for a huge k
+            raise StructureError(f"truth table for k={k} must have 2**{k} entries, got {n}")
         if k == 0:
             const_one = mk_primitive(1, 0, 1, 1)
             if table[0]:

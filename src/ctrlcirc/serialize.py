@@ -1,4 +1,4 @@
-"""JSON file formats for circuits, netlists, morphisms, input assignments and traces.
+"""JSON file formats for circuits, netlists, truth tables, morphisms, input assignments and traces.
 
 All writers emit sorted keys so any given object serialises to exactly one
 byte sequence; readers reject unknown keys.
@@ -7,6 +7,7 @@ byte sequence; readers reject unknown keys.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Mapping
 
 from .errors import StructureError
@@ -99,6 +100,30 @@ def dumps_dag(d: NandDag) -> str:
 
 def loads_dag(text: str) -> NandDag:
     return dag_from_dict(json.loads(text))
+
+
+# -- truth tables ----------------------------------------------------------
+
+
+# A canonical decimal input length; 18 digits keep ``int`` cheap, and no
+# table of 2**k entries fits in memory for such a k anyway.
+_INPUT_LENGTH = re.compile(r"0|[1-9][0-9]{0,17}")
+
+
+def truth_tables_from_dict(d: Mapping[str, Any]) -> dict[int, list[int]]:
+    """Read a truth-table document: input length ``k`` (decimal) -> list of 0/1 outputs.
+
+    Only the shape is checked; :func:`synth_family` checks each length.
+    """
+    _require_object(d, "truth-table document")
+    tables = {}
+    for k, table in d.items():
+        if not (isinstance(k, str) and _INPUT_LENGTH.fullmatch(k)):
+            raise StructureError(f"truth-table key {k!r} must be an input length k >= 0 in decimal")
+        if not (isinstance(table, list) and all(type(b) is int and b in (0, 1) for b in table)):
+            raise StructureError(f"truth table for k={k} must be a JSON list of 0/1 entries")
+        tables[int(k)] = table
+    return tables
 
 
 # -- morphisms --------------------------------------------------------------

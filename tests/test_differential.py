@@ -330,6 +330,52 @@ def test_run_matches_reference_when_an_input_arrives_late_or_never():
     assert tr.final_state.time == 1
 
 
+def test_run_matches_reference_when_two_presets_consume_one_variable():
+    # u1 and u2 (different pre-sets) both consume x at step 1; x must leave
+    # the domain once, so u3 is enabled when u6 produces x again at step 2
+    c = validate_circuit(
+        {v: CTRL for v in ("a", "b", "s", "x", "f", "e", "p", "q", "r")},
+        ["us", "u0", "u1", "u2", "u3", "u6"],
+        {
+            "i1": Flow("a", "u1"), "i2": Flow("x", "u1"), "i3": Flow("b", "u2"), "i4": Flow("x", "u2"),
+            "i5": Flow("s", "us"), "i6": Flow("f", "u0"), "i7": Flow("e", "u6"), "i8": Flow("x", "u3"),
+            "i9": Flow("p", "u3"),
+        },
+        {
+            "o1": Flow("us", "x"), "o2": Flow("us", "f"), "o3": Flow("u1", "p"), "o4": Flow("u2", "q"),
+            "o5": Flow("u0", "e"), "o6": Flow("u6", "x"), "o7": Flow("u3", "r"),
+        },
+    )
+    tr = assert_same_run(c, {"a": S, "b": S, "s": S}, 0)
+    assert tr.steps[1].ready == ("u0", "u1", "u2") and "x" not in tr.steps[2].state.values
+    assert tr.steps[3].ready == ("u3",) and tr.outcome is Outcome.FINAL
+
+
+def test_run_matches_reference_when_a_firing_unit_refills_a_consumed_variable():
+    # at step 1 u1 consumes the Boolean m while u2 writes a new m into it;
+    # m keeps u2's value and u3 reads it at step 2
+    c = validate_circuit(
+        {"a": CTRL, "y": CTRL, "g": BOOL, "k": CTRL, "m": BOOL, "y2": CTRL, "h": BOOL,
+         "z1": BOOL, "w": CTRL, "z2": CTRL, "out": BOOL, "c": CTRL},
+        ["u0", "up", "u1", "u2", "u3"],
+        {
+            "i1": Flow("a", "u0"), "i2": Flow("y", "up"), "i3": Flow("g", "up"), "i4": Flow("k", "u1"),
+            "i5": Flow("m", "u1"), "i6": Flow("y2", "u2"), "i7": Flow("h", "u2"), "i8": Flow("m", "u3"),
+            "i9": Flow("z2", "u3"),
+        },
+        {
+            "o1": Flow("u0", "k"), "o2": Flow("u0", "m"), "o3": Flow("up", "y2"), "o4": Flow("up", "h"),
+            "o5": Flow("u1", "z1"), "o6": Flow("u2", "m"), "o7": Flow("u2", "z2"), "o8": Flow("u3", "out"),
+            "o9": Flow("u3", "c"), "o10": Flow("u1", "w"),
+        },
+    )
+    for inputs in all_inputs(c):
+        tr = assert_same_run(c, inputs, 0)
+        assert tr.steps[1].ready == ("u1", "u2")
+        assert tr.steps[2].state.values["m"] is inputs["g"]
+        assert tr.outcome is Outcome.FINAL
+
+
 @pytest.mark.parametrize("max_steps", [1, 5])
 def test_run_matches_reference_on_step_limit(max_steps):
     c = fixture("flipflop")

@@ -130,14 +130,18 @@ def test_deadlocked_unsound_circuit_with_inoutvar():
     assert tr.outcome is Outcome.DEADLOCK
 
 
-def test_write_conflict_detected():
-    # two units with distinct pre-sets produce different Booleans into one var
-    c = validate_circuit(
+def conflict_circuit():
+    # two units with distinct pre-sets produce Booleans into one var
+    return validate_circuit(
         {"c1": CTRL, "c2": CTRL, "b1": BOOL, "b2": BOOL, "t": BOOL, "z1": CTRL, "z2": CTRL},
         ["u1", "u2"],
         {"i1": Flow("c1", "u1"), "i2": Flow("b1", "u1"), "i3": Flow("c2", "u2"), "i4": Flow("b2", "u2")},
         {"o1": Flow("u1", "t"), "o2": Flow("u1", "z1"), "o3": Flow("u2", "t"), "o4": Flow("u2", "z2")},
     )
+
+
+def test_write_conflict_detected():
+    c = conflict_circuit()
     init = initial_state(c, {"c1": S, "c2": S, "b1": B1, "b2": B0})
     tr = run(c, init, ExecConfig())
     assert tr.outcome is Outcome.WRITE_CONFLICT
@@ -178,6 +182,29 @@ def test_produced_value_wins_over_consumption():
     st2 = step(c, st1, rng)
     assert st2.values.get("m") is S  # refilled by u2, not dropped by u1
     assert {"z1", "z2"} <= st2.domain
+
+
+def test_firing_in_place_never_leaks_into_a_callers_state(rnd):
+    # run and step fire into one assignment updated in place; the caller's
+    # states and every recorded snapshot must stay as they were
+    c = conflict_circuit()
+    st = initial_state(c, {"c1": S, "c2": S, "b1": B1, "b2": B0})
+    before = dict(st.values)
+    with pytest.raises(WriteConflictError):
+        step(c, st, SplitMix64(0))
+    assert st.values == before
+    circuits = [random_circuit(rnd, 4) for _ in range(10)] + [build_p53().circuit, c]
+    for c in circuits:
+        inputs = {v: S if c.var_types[v] is CTRL else Value.from_bit(rnd.randint(0, 1)) for v in c.invars}
+        init = initial_state(c, inputs)
+        tr = run(c, init, ExecConfig(seed=3, max_steps=50))
+        assert init.values == inputs
+        assert len({id(s.state.values) for s in tr.steps}) == len(tr.steps)
+        rng = SplitMix64(3)
+        for prev, rec in zip(tr.steps, tr.steps[1:]):
+            before = dict(prev.state.values)
+            assert step(c, prev.state, rng) == rec.state
+            assert prev.state.values == before
 
 
 def test_step_limit_is_an_ordinary_outcome():

@@ -138,6 +138,7 @@ EXEC = ["exec", "{dir}/and.circuit", "--inputs", "{doc}"]
 SEQ = ["compose", "--op", "seq", "{dir}/nand2.circuit", "{dir}/not.circuit", "--wiring", "{doc}", "--out", "{dir}/o.circuit"]
 BRANCH = ["compose", "--op", "branch", "{dir}/buffer.circuit", "{dir}/buffer.circuit", "--wiring", "{doc}", "--out", "{dir}/o.circuit"]
 ITER = ["compose", "--op", "iter-tail"] + ["{dir}/buffer.circuit"] * 4 + ["--wiring", "{doc}", "--out", "{dir}/o.circuit"]
+SYNTH = ["synth-family", "{doc}", "--out-dir", "{dir}/family"]
 SPAN_SEQ = ["compose", "--op", "seq", "{dir}/nand2.circuit", "{dir}/not.circuit", "--span", "{doc}", "--out", "{dir}/o.circuit"]
 
 # The documented exit code of each failure, by the prefix main() prints.
@@ -154,8 +155,15 @@ def assert_documented(code: int, err: str) -> None:
 
 @pytest.mark.parametrize(
     "argv_of, base",
-    [(EXEC, INPUTS), (SEQ, SEQ_WIRING), (BRANCH, BRANCH_WIRING), (ITER, {"head": [], "tail": []}), (SPAN_SEQ, SPAN)],
-    ids=["exec-inputs", "seq-wiring", "branch-wiring", "iter-wiring", "seq-span"],
+    [
+        (EXEC, INPUTS),
+        (SEQ, SEQ_WIRING),
+        (BRANCH, BRANCH_WIRING),
+        (ITER, {"head": [], "tail": []}),
+        (SPAN_SEQ, SPAN),
+        (SYNTH, {"0": [1], "1": [0, 1]}),
+    ],
+    ids=["exec-inputs", "seq-wiring", "branch-wiring", "iter-wiring", "seq-span", "synth-tables"],
 )
 def test_main_maps_malformed_documents_to_documented_exits(files, argv_of, base):
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -184,11 +192,23 @@ def test_main_maps_malformed_documents_to_documented_exits(files, argv_of, base)
         (SPAN_SEQ, {**SPAN, "left": []}),
         (SPAN_SEQ, {**SPAN, "right": {"f_v": {"p1": ["v1"], "p2": "v2"}}}),
         (SPAN_SEQ, {**SPAN, "left": {**SPAN["left"], "f_x": {}}}),
+        (SYNTH, ["x"]),
+        (SYNTH, {"a": [1, 0]}),
+        (SYNTH, {"1": 5}),
+        (SYNTH, {"1000000000": [1]}),
+        (SYNTH, {"1": "10"}),
+        (SYNTH, {"1": [1, "x"]}),
+        (SYNTH, {"-1": []}),
+        (SYNTH, {"01": [1, 0]}),
+        (SYNTH, {"1": [True, False]}),
+        (SYNTH, {"2": [0, 1]}),
     ],
     ids=[
         "inputs-list", "inputs-string", "pair-of-one", "pair-of-three", "pair-of-int", "pairs-int",
         "unknown-key", "wiring-list", "branch-row-of-ints", "head-row-int", "apex-int", "apex-missing",
-        "leg-list", "leg-map-of-list", "leg-unknown-key",
+        "leg-list", "leg-map-of-list", "leg-unknown-key", "tables-list", "table-key-not-a-number",
+        "table-int", "table-huge-k", "table-string", "table-entry-string", "table-negative-k",
+        "table-key-leading-zero", "table-booleans", "table-too-short",
     ],
 )
 def test_malformed_cli_documents_exit_2(files, argv_of, doc):
@@ -196,7 +216,14 @@ def test_malformed_cli_documents_exit_2(files, argv_of, doc):
     assert code == 2 and err.startswith("malformed input: "), err
 
 
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_exec_runs_below_one_exits_2(files, runs):
+    code, err = main_on(files, EXEC + ["--runs", runs], INPUTS)
+    assert code == 2 and err.startswith("malformed input: --runs must be at least 1"), err
+
+
 def test_well_formed_wiring_still_composes(files):
     assert main_on(files, SEQ, SEQ_WIRING) == (0, "")
     assert main_on(files, BRANCH, BRANCH_WIRING) == (0, "")
     assert main_on(files, SPAN_SEQ, SPAN) == (0, "")
+    assert main_on(files, SYNTH, {"0": [1], "2": [0, 1, 1, 0]}) == (0, "")

@@ -170,6 +170,27 @@ def test_relabel_round_trip_preserves_structure(rnd):
         assert {new.var_types[ren.f_v[v]] for v in c.vars} == set(c.var_types.values())
 
 
+def test_relabel_morphism_equals_the_validated_one(rnd):
+    # relabel builds its renaming without validate_morphism; the full check
+    # must accept it and give the same morphism, with or without var_names
+    from conftest import random_circuit
+    from ctrlcirc import validate_morphism
+    from ctrlcirc.fixtures import REGISTRY, fixture
+
+    circuits = [fixture(name) for name in sorted(REGISTRY)] + [random_circuit(rnd, 4) for _ in range(30)]
+    for c in circuits:
+        picked = rnd.sample(c.sorted_vars(), rnd.randint(1, len(c.vars)))
+        # targets such as "w1" and "w3" push interior names past them
+        pool = [f"w{k}" for k in range(1, 4)] + [f"x{k}" for k in range(len(picked))]
+        names = dict(zip(picked, rnd.sample(pool, len(picked))))
+        for var_names in (None, names):
+            new, ren = relabel(c, var_names)
+            assert ren.src is c and ren.dst is new
+            assert ren == validate_morphism(c, new, ren.f_v, ren.f_u, ren.f_i, ren.f_o)
+            assert all(ren.f_v[v] == n for v, n in (var_names or {}).items())
+            assert len(new.vars) == len(c.vars)
+
+
 def test_relabel_rejects_collisions():
     c = mk_trivial([CTRL, CTRL])
     with pytest.raises(StructureError):

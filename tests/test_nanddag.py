@@ -264,6 +264,11 @@ def test_family_size_is_k_times_2_to_the_k():
 def test_family_rejects_bad_table():
     with pytest.raises(StructureError):
         synth_family({2: [0, 1]})
+    # a huge k is refused without building 2**k
+    with pytest.raises(StructureError, match=r"2\*\*1000000000 entries, got 1"):
+        synth_family({10**9: [1]})
+    with pytest.raises(StructureError):
+        synth_family({-1: []})
 
 
 def test_random_dag_is_always_valid(rnd):
