@@ -427,6 +427,9 @@ def synth_family(tables: Mapping[int, Sequence[int]]) -> CircuitFamily:
     """
     members: dict[int, FamilyMember] = {}
     for k, table in sorted(tables.items()):
+        # a string table fails too: its entries are strings
+        if not (isinstance(table, Sequence) and all(b in (0, 1) for b in table)):
+            raise StructureError(f"truth table for k={k} must be a sequence of 0/1 entries")
         table = [1 if b else 0 for b in table]
         n = len(table)
         if not 0 <= k < n.bit_length() or n != 1 << k:  # never builds 2**k for a huge k

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import compress
+from operator import is_not
 from typing import Any, Mapping
 
 from .errors import StructureError
@@ -167,9 +169,10 @@ def value_to_json(v: Value):
 
 
 def value_from_json(x) -> Value:
+    """Read ``"*"``, ``0``, ``1``, ``"0"`` or ``"1"``; JSON booleans and other numbers are refused."""
     if x == "*":
         return Value.SIGNAL
-    if x in (0, 1):
+    if type(x) is int and x in (0, 1):
         return Value(x)
     if x in ("0", "1"):
         return Value(int(x))
@@ -181,26 +184,38 @@ def assignments_from_dict(d: Mapping[str, Any]) -> dict[str, Value]:
     return {str(v): value_from_json(x) for v, x in d.items()}
 
 
-# ``json.dumps(obj, sort_keys=True)`` with the encoder built once; sorting
-# the keys orders every dict, so trace records are built unsorted.
+# ``json.dumps(obj, sort_keys=True)`` with the encoder built once. A trace
+# record is assembled by hand and must equal this encoder's output for the
+# record dict: keys in sorted order (enabled, ready, results, state, time),
+# ", " between items, ": " after keys, and every id escaped by ``encode``.
 _SORTED_JSON = json.JSONEncoder(sort_keys=True)
+_VALUE_TEXT = {v: _SORTED_JSON.encode(v.value) for v in Value}
 
 
 def trace_to_jsonl(trace: Trace) -> str:
-    """One record per step plus a final outcome line, byte-stable."""
+    """One record per step plus a final outcome line, byte-stable.
+
+    A state entry's ``"id": value`` text is encoded only when the entry
+    differs from the previous step's (an identity test, as ``Value``
+    members are singletons); each step then costs one comparison per state
+    entry, one sort of the state's ids and one join.
+    """
     encode = _SORTED_JSON.encode
-    lines = [
-        encode(
-            {
-                "time": s.time,
-                "state": {v: _VALUE_JSON[x] for v, x in s.state.values.items()},
-                "enabled": s.enabled,
-                "ready": s.ready,
-                "results": {u: _VALUE_JSON[x] for u, x in s.results.items()},
-            }
+    text: dict[str, str] = {}
+    prev: Mapping[str, Value] = {}
+    lines = []
+    for s in trace.steps:
+        cur = s.state.values
+        # the ids v with prev.get(v) is not cur[v], found without a Python loop
+        for v in compress(cur, map(is_not, map(prev.get, cur), cur.values())):
+            text[v] = f"{encode(v)}: {_VALUE_TEXT[cur[v]]}"
+        prev = cur
+        results = encode({u: _VALUE_JSON[x] for u, x in s.results.items()})
+        state = ", ".join(map(text.__getitem__, sorted(cur)))
+        lines.append(
+            f'{{"enabled": {encode(s.enabled)}, "ready": {encode(s.ready)}, '
+            f'"results": {results}, "state": {{{state}}}, "time": {encode(s.time)}}}'
         )
-        for s in trace.steps
-    ]
     tail: dict[str, Any] = {"outcome": trace.outcome.value}
     if trace.conflict:
         tail["conflict"] = trace.conflict

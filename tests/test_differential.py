@@ -5,9 +5,10 @@ are the first, direct implementations: the run rescans every unit for
 enabledness on every step, soundness runs one forward search per start
 variable, and the trace writer sorts each state by hand before
 ``json.dumps`` sorts it again. The library keeps the enabled set
-incrementally, decides soundness in one reverse pass and encodes each
-record once; all must agree with these references exactly (JSONL trace
-bytes, and the Boolean verdict).
+incrementally, decides soundness in one reverse pass and encodes a state
+entry only when its value changes; all must agree with these references
+exactly (JSONL trace bytes, and the Boolean verdict). The writer is also
+checked on hand-built traces, which no run produces.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import random
 from typing import Iterable, Optional
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from ctrlcirc import (
     BOOL,
@@ -416,6 +418,75 @@ def test_step_replays_run(rnd):
                 st = step(c, st, rng)
                 assert st == rec.state
             assert is_final(c, st) == (tr.outcome is Outcome.FINAL)
+
+
+# -- the trace writer --------------------------------------------------------
+
+
+def hand_trace(states, outcome=Outcome.FINAL, conflict=None, enabled=(), ready=(), results=None) -> Trace:
+    """One step per state (a ``State`` is used as given, a dict is wrapped)."""
+    steps = [
+        TraceStep(t, s if isinstance(s, State) else State(t, s), enabled, ready, dict(results or {}))
+        for t, s in enumerate(states)
+    ]
+    return Trace(tuple(steps), outcome, conflict)
+
+
+REUSED = State(0, {"a": B0, "b": S})
+ODD_IDS = {'q"uote': B1, "back\\slash": S, "caf\u00e9": B0, "new\nline": B1, "plain": S}
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        hand_trace([{"a": B0}, {"a": B1}, {"a": S}, {"a": B0}]),
+        hand_trace([{"a": B0, "b": S}, {"b": S}, {"a": B1, "b": S}, {}, {"a": S}]),
+        hand_trace([REUSED, REUSED, {"a": B1, "b": S}, REUSED]),
+        hand_trace([{}]),
+        hand_trace([{}, {"a": B0}, {}]),
+        hand_trace([{"x": B0}, {"y": S}], ready=("u1", "u2", "u3"), results={"u3": S, "u1": B1, "u2": B0}),
+        hand_trace([{"x": S}, {"y": S, "x": S}], Outcome.STEP_LIMIT, enabled=("u1", "u2")),
+        hand_trace([{"t": B0}], Outcome.WRITE_CONFLICT, "units 'u1' and 'u2' write different Booleans into 't'",
+                   ("u1", "u2"), ("u1", "u2"), {"u1": B0, "u2": B1}),
+        hand_trace([ODD_IDS, {**ODD_IDS, 'q"uote': B0}, {}], Outcome.DEADLOCK, enabled=('e"1', "\u00e9"),
+                   ready=("\n",), results={"\n": B1, 'q"': S}),
+    ],
+    ids=[
+        "value-changes-in-domain", "leaves-and-reenters", "reused-state-object", "empty-state",
+        "empty-between-entries", "multi-unit-results", "step-limit-no-ready", "conflict-tail", "escaped-ids",
+    ],
+)
+def test_trace_writer_matches_reference_on_hand_built_traces(trace):
+    assert trace_to_jsonl(trace) == reference_trace_to_jsonl(trace)
+
+
+WRITER_IDS = hs.sampled_from(["a", "b", "c", "u1", "u2", 'q"', "b\\s", "\u00e9", "n\nl"])
+WRITER_VALUES = hs.sampled_from([S, B0, B1])
+
+
+@hs.composite
+def random_traces(draw) -> Trace:
+    """Random state sequences: entries change, leave, re-enter, or whole states repeat."""
+    states: list[State] = []
+    for t in range(draw(hs.integers(1, 8))):
+        if states and draw(hs.booleans()):
+            states.append(states[-1] if draw(hs.booleans()) else draw(hs.sampled_from(states)))
+        else:
+            states.append(State(t, draw(hs.dictionaries(WRITER_IDS, WRITER_VALUES, max_size=6))))
+    ids = hs.lists(WRITER_IDS, unique=True, max_size=3).map(lambda xs: tuple(sorted(xs)))
+    steps = tuple(
+        TraceStep(t, s, draw(ids), draw(ids), draw(hs.dictionaries(WRITER_IDS, WRITER_VALUES, max_size=3)))
+        for t, s in enumerate(states)
+    )
+    outcome = draw(hs.sampled_from(list(Outcome)))
+    conflict = draw(hs.sampled_from([None, 'units "u1" and "u2" clash on \u00e9']))
+    return Trace(steps, outcome, conflict)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_traces())
+def test_trace_writer_matches_reference_on_random_state_sequences(trace):
+    assert trace_to_jsonl(trace) == reference_trace_to_jsonl(trace)
 
 
 # -- soundness ---------------------------------------------------------------

@@ -65,8 +65,9 @@ def test_value_json_mapping():
     assert value_from_json("*") is Value.SIGNAL
     assert value_from_json(1) is Value.ONE
     assert value_from_json("0") is Value.ZERO
-    with pytest.raises(StructureError):
-        value_from_json("x")
+    for bad in ("x", True, False, 0.0, 1.0, 2, None):
+        with pytest.raises(StructureError):
+            value_from_json(bad)
     assert assignments_from_dict({"a": "*", "b": 1}) == {"a": Value.SIGNAL, "b": Value.ONE}
 
 

@@ -179,6 +179,8 @@ def test_main_maps_malformed_documents_to_documented_exits(files, argv_of, base)
     [
         (EXEC, ["x"]),
         (EXEC, "x"),
+        (EXEC, {**INPUTS, "v2": True}),
+        (EXEC, {**INPUTS, "v3": 0.0}),
         (SEQ, {"pairs": [["v4"]]}),
         (SEQ, {"pairs": [["v4", "v1", "v2"]]}),
         (SEQ, {"pairs": [[4, "v1"]]}),
@@ -204,7 +206,7 @@ def test_main_maps_malformed_documents_to_documented_exits(files, argv_of, base)
         (SYNTH, {"2": [0, 1]}),
     ],
     ids=[
-        "inputs-list", "inputs-string", "pair-of-one", "pair-of-three", "pair-of-int", "pairs-int",
+        "inputs-list", "inputs-string", "inputs-boolean", "inputs-float", "pair-of-one", "pair-of-three", "pair-of-int", "pairs-int",
         "unknown-key", "wiring-list", "branch-row-of-ints", "head-row-int", "apex-int", "apex-missing",
         "leg-list", "leg-map-of-list", "leg-unknown-key", "tables-list", "table-key-not-a-number",
         "table-int", "table-huge-k", "table-string", "table-entry-string", "table-negative-k",

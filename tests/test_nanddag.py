@@ -271,6 +271,20 @@ def test_family_rejects_bad_table():
         synth_family({-1: []})
 
 
+@pytest.mark.parametrize(
+    "table", ["10", "", [2, "x"], [1, "1"], [0, 0.5], [None, 1], 5, {0: 1, 1: 0}],
+    ids=["string", "empty-string", "two-and-string", "string-entry", "fraction", "none", "int", "dict"],
+)
+def test_family_rejects_entries_other_than_0_or_1(table):
+    with pytest.raises(StructureError):
+        synth_family({1: table})
+
+
+def test_family_reads_boolean_entries_as_bits():
+    for k, table in ((0, [True]), (1, [False, True]), (2, [False, True, True, False])):
+        assert synth_family({k: table}) == synth_family({k: [int(b) for b in table]})
+
+
 def test_random_dag_is_always_valid(rnd):
     for _ in range(50):
         d = random_dag(rnd)
