@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 from .errors import CircuitError, CompositionError, StructureError, ValidationError
-from .model import classify, interface, is_sound
+from .model import classify, is_sound
 from .colimits import Span, coproduct, is_isomorphic
 from .operators import IterationWiring, auto_pairing, branch, iterate_head, iterate_tail, sequence, sequence_span
 from .dynamics import ExecConfig, Outcome, initial_state, run

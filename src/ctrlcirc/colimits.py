@@ -11,10 +11,10 @@ The glued circuit gets the full model check; the rest is checked only where
 a gluing can break it. Away from the seeds the renaming is injective and
 carries every flow with its endpoints, so the legs are morphisms by
 construction except for the boundary condition at seeded variables off an
-operand's interface, and flow images can only clash where flows are
-seeded. ``pushout`` scans an operand for variables that gain flows only
-when the other leg sends an apex variable off its operand's interface. A
-gluing costs O(|left| + |right|) for the renaming and the model check, plus
+operand's interface, and two flow images can only meet at a seeded flow.
+``pushout`` scans an operand for variables that gain flows only when the
+other leg sends an apex variable off its operand's interface. A gluing
+costs O(|left| + |right|) for the renaming and the model check, plus
 near-linear work in the seeds.
 
 Isomorphism is decided on the var/unit graph whose edges carry flow
@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CompositionError, StructureError, ValidationError
 from .model import Circuit, Flow, TypeTag, circuit_violations
-from .morphisms import CircuitMorphism, boundary_sets, is_mono, validate_morphism
+from .morphisms import CircuitMorphism, _boundary_gains, boundary_sets, is_mono, validate_morphism
 
 
 @dataclass(frozen=True)
@@ -81,44 +81,20 @@ def _seed_classes(pairs: Iterable[tuple[str, str]], tag: str) -> dict[str, str]:
     return {x: find(x) for x in parent}
 
 
-def _glue_flows(kind: str, sides, seeded: bool) -> dict[str, Flow]:
+def _glue_flows(kind: str, sides) -> dict[str, Flow]:
     """Image of both operands' flows; identified flows must agree on endpoints.
 
-    Without seeded flows every flow keeps a name of its own, so no two
-    images can meet and the images are built without comparing them.
+    Two images are compared only when they land on one name, which happens
+    only at seeded flows.
     """
-    if not seeded:
-        return {
-            f_flow[x]: Flow(f_src[fl.src], f_dst[fl.dst])
-            for flows, f_flow, f_src, f_dst in sides
-            for x, fl in flows.items()
-        }
     out: dict[str, Flow] = {}
     for flows, f_flow, f_src, f_dst in sides:
         for x, fl in flows.items():
-            image = Flow(f_src[fl.src], f_dst[fl.dst])
-            if out.setdefault(f_flow[x], image) != image:
-                raise AssertionError(f"gluing produced an ill-defined {kind}-flow map at {f_flow[x]!r}")
+            name, image = f_flow[x], Flow(f_src[fl.src], f_dst[fl.dst])
+            if name in out and out[name] != image:
+                raise AssertionError(f"gluing produced an ill-defined {kind}-flow map at {name!r}")
+            out[name] = image
     return out
-
-
-def _check_boundary(
-    base: Circuit, result: Circuit, f_v: Mapping[str, str], f_u: Mapping[str, str], seeded: Iterable[str]
-) -> None:
-    """The boundary condition of a leg ``base -> result``, tested where it can fail.
-
-    An unseeded variable's image receives flows only from its own operand,
-    so only a seeded variable off ``base``'s interface can gain producers or
-    consumers. Raises the error ``validate_morphism`` raises for the leg.
-    """
-    for v in seeded:
-        if v in base.invars or v in base.outvars:
-            continue
-        img = f_v[v]
-        gains_in = result.producers(img) - {f_u[u] for u in base.producers(v)}
-        gains_out = result.consumers(img) - {f_u[u] for u in base.consumers(v)}
-        if gains_in or gains_out:
-            raise ValidationError(["boundary-condition-violated"], subject="morphism")
 
 
 def _glue(
@@ -134,21 +110,19 @@ def _glue(
     The result gets the full model check; the legs are checked only where
     a gluing can break them. Their maps are total and land in the result by
     construction, the type check below keeps types, and the flow images keep
-    the four squares (they are compared where flows are seeded, and cannot
-    meet where none are). The boundary condition can fail only at a seeded
-    variable (see ``_check_boundary``). Cost: O(|left| + |right|) plus
-    near-linear work in the seeds.
+    the four squares (two images that meet are compared). An unseeded
+    variable's image receives flows only from its own operand, so the
+    boundary condition is tested only at seeded variables off an operand's
+    interface. Cost: O(|left| + |right|) plus near-linear work in the seeds.
     """
     left_maps: list[dict[str, str]] = []
     right_maps: list[dict[str, str]] = []
-    seeded: list[bool] = []
     for pairs, l_ids, r_ids in zip(
         seeds,
         (left.var_types, left.units, left.in_flows, left.out_flows),
         (right.var_types, right.units, right.in_flows, right.out_flows),
     ):
         rep = _seed_classes(pairs, tag)
-        seeded.append(bool(rep))
         for maps, side, ids in ((left_maps, "L", l_ids), (right_maps, "R", r_ids)):
             names = {x: f"{tag}/{side}/{x}" for x in ids}
             maps.append({x: rep.get(n, n) for x, n in names.items()} if rep else names)
@@ -163,15 +137,17 @@ def _glue(
     result = Circuit(
         var_types=var_types,
         units=frozenset([*lu.values(), *ru.values()]),
-        in_flows=_glue_flows("input", ((left.in_flows, li, lv, lu), (right.in_flows, ri, rv, ru)), seeded[2]),
-        out_flows=_glue_flows("output", ((left.out_flows, lo, lu, lv), (right.out_flows, ro, ru, rv)), seeded[3]),
+        in_flows=_glue_flows("input", ((left.in_flows, li, lv, lu), (right.in_flows, ri, rv, ru))),
+        out_flows=_glue_flows("output", ((left.out_flows, lo, lu, lv), (right.out_flows, ro, ru, rv))),
         sigma=left.sigma | right.sigma,
     )
     bad = circuit_violations(result)
     if bad:  # a coproduct of valid circuits never gets here; a pushout can
         raise CompositionError("pushout-does-not-exist", f"the glued structure is not a valid circuit: {bad}")
-    _check_boundary(left, result, lv, lu, {lx for lx, _ in seeds[0]})
-    _check_boundary(right, result, rv, ru, {rx for _, rx in seeds[0]})
+    for base, f_v, f_u, vs in ((left, lv, lu, {x for x, _ in seeds[0]}), (right, rv, ru, {x for _, x in seeds[0]})):
+        off = [v for v in vs if v not in base.invars and v not in base.outvars]
+        if off and any(_boundary_gains(base, result, f_v, f_u, off)):
+            raise ValidationError(["boundary-condition-violated"], subject="morphism")
     return result, CircuitMorphism(left, result, lv, lu, li, lo), CircuitMorphism(right, result, rv, ru, ri, ro)
 
 
@@ -199,11 +175,9 @@ def pushout(span: Span, tag: str = "po") -> Cospan:
             )
 
     comps = ((alpha.f_v, beta.f_v), (alpha.f_u, beta.f_u), (alpha.f_i, beta.f_i), (alpha.f_o, beta.f_o))
-    cs = Cospan(*_glue(alpha.dst, beta.dst, [[(fa[x], fb[x]) for x in fa] for fa, fb in comps], tag))
-    for v in span.apex.var_types:
-        if cs.left_leg.f_v[alpha.f_v[v]] != cs.right_leg.f_v[beta.f_v[v]]:
-            raise AssertionError("pushout square does not commute")
-    return cs
+    # Both images of each apex element are seeded together, so they get one
+    # root: the square commutes by construction.
+    return Cospan(*_glue(alpha.dst, beta.dst, [[(fa[x], fb[x]) for x in fa] for fa, fb in comps], tag))
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +227,12 @@ def copair(f: CircuitMorphism, g: CircuitMorphism, cp: CoproductResult) -> Circu
 _REFINE_ROUNDS = 4
 
 
-def _flow_multiplicities(c: Circuit):
-    in_mult: dict[tuple[str, str], int] = {}
-    for f in c.in_flows.values():
-        in_mult[(f.src, f.dst)] = in_mult.get((f.src, f.dst), 0) + 1
-    out_mult: dict[tuple[str, str], int] = {}
-    for f in c.out_flows.values():
-        out_mult[(f.src, f.dst)] = out_mult.get((f.src, f.dst), 0) + 1
-    return in_mult, out_mult
+def _flow_groups(flows: Mapping[str, Flow]) -> dict[tuple[str, str], list[str]]:
+    """Flow ids grouped by their (src, dst) endpoints."""
+    groups: dict[tuple[str, str], list[str]] = {}
+    for fid, f in flows.items():
+        groups.setdefault((f.src, f.dst), []).append(fid)
+    return groups
 
 
 def _var_unit_graph(c: Circuit):
@@ -275,15 +247,14 @@ def _var_unit_graph(c: Circuit):
     vi = {v: i for i, v in enumerate(names[:n_vars])}
     ui = {u: n_vars + i for i, u in enumerate(names[n_vars:])}
     adj: list[dict[int, tuple[int, int]]] = [{} for _ in names]
-    in_mult, out_mult = _flow_multiplicities(c)
-    for (v, u), m in in_mult.items():
-        back = out_mult.get((u, v), 0)
-        adj[vi[v]][ui[u]] = (m, back)
-        adj[ui[u]][vi[v]] = (back, m)
-    for (u, v), m in out_mult.items():
-        if (v, u) not in in_mult:
-            adj[vi[v]][ui[u]] = (0, m)
-            adj[ui[u]][vi[v]] = (m, 0)
+    in_groups, out_groups = _flow_groups(c.in_flows), _flow_groups(c.out_flows)
+    for (v, u), ids in in_groups.items():
+        adj[vi[v]][ui[u]] = (len(ids), 0)
+        adj[ui[u]][vi[v]] = (0, len(ids))
+    for (u, v), ids in out_groups.items():
+        m = adj[vi[v]].get(ui[u], (0, 0))[0]
+        adj[vi[v]][ui[u]] = (m, len(ids))
+        adj[ui[u]][vi[v]] = (len(ids), m)
     colours = [("v", c.var_types[v].value) for v in names[:n_vars]] + [("u",)] * len(c.units)
     return names, colours, adj
 
@@ -445,28 +416,18 @@ def is_isomorphic(a: Circuit, b: Circuit) -> Optional[CircuitMorphism]:
     u_map = {names_a[x]: names_b[core[x]] for x in range(n_vars, len(names_a))}
 
     # Flows carry no data beyond their endpoints, so any endpoint-respecting
-    # bijection works; pair them off in sorted order per endpoint group.
-    def flow_bijection(flows_a: Mapping[str, Flow], flows_b: Mapping[str, Flow], ends) -> Optional[dict[str, str]]:
-        groups_a: dict[tuple[str, str], list[str]] = {}
-        for fid in sorted(flows_a):
-            f = flows_a[fid]
-            groups_a.setdefault(ends(f), []).append(fid)
-        groups_b: dict[tuple[str, str], list[str]] = {}
-        for fid in sorted(flows_b):
-            f = flows_b[fid]
-            groups_b.setdefault((f.src, f.dst), []).append(fid)
-        out: dict[str, str] = {}
-        for key, ids in groups_a.items():
-            target = groups_b.get(key)
-            if target is None or len(target) != len(ids):
-                return None
-            out.update(zip(ids, target))
-        return out
+    # bijection works. The search kept every multiplicity, so each endpoint
+    # group of ``a`` has a group of ``b`` of its size; pair them off sorted.
+    def flow_bijection(flows_a: Mapping[str, Flow], flows_b: Mapping[str, Flow], src_map, dst_map) -> dict[str, str]:
+        groups_b = _flow_groups(flows_b)
+        return {
+            x: y
+            for (src, dst), ids in _flow_groups(flows_a).items()
+            for x, y in zip(sorted(ids), sorted(groups_b[(src_map[src], dst_map[dst])]))
+        }
 
-    f_i = flow_bijection(a.in_flows, b.in_flows, lambda f: (v_map[f.src], u_map[f.dst]))
-    f_o = flow_bijection(a.out_flows, b.out_flows, lambda f: (u_map[f.src], v_map[f.dst]))
-    if f_i is None or f_o is None:
-        return None
+    f_i = flow_bijection(a.in_flows, b.in_flows, v_map, u_map)
+    f_o = flow_bijection(a.out_flows, b.out_flows, u_map, v_map)
     m = validate_morphism(a, b, v_map, u_map, f_i, f_o)
     if not is_mono(m):
         raise AssertionError("isomorphism witness must be mono")

@@ -152,10 +152,12 @@ def initial_state(c: Circuit, inputs: Mapping[str, Value]) -> State:
 
 def _check_tags(c: Circuit, values: Mapping[str, Value]) -> None:
     for v, val in values.items():
+        if type(val) is not Value:
+            raise StructureError(f"variable {v!r} must hold a Value, got {val!r}")
         tag = c.var_types[v]
-        if tag is CTRL and val.is_bool:
+        if tag is CTRL and val is not Value.SIGNAL:
             raise StructureError(f"control variable {v!r} cannot hold a Boolean")
-        if tag is BOOL and not val.is_bool:
+        if tag is BOOL and val is Value.SIGNAL:
             raise StructureError(f"Boolean variable {v!r} cannot hold a bare signal")
 
 

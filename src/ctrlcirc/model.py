@@ -346,30 +346,15 @@ def mk_primitive(n_ctrl_in: int, n_bool_in: int, n_ctrl_out: int, n_bool_out: in
     """A single-unit circuit with disjoint invars and outvars.
 
     Control in/out counts must be at least 1 (units always synchronise on
-    control). Variables are numbered invars first (control before Boolean),
-    then outvars, as ``v1..vn``; the unit is ``u1``; flows ``i1..``/``o1..``
-    in variable order.
+    control; validation reports a zero count). Variables are numbered invars
+    first (control before Boolean), then outvars, as ``v1..vn``; the unit is
+    ``u1``; flows ``i1..``/``o1..`` in variable order.
     """
-    if n_ctrl_in < 1 or n_ctrl_out < 1:
-        raise ValidationError(
-            ["tau-ctrl-restriction-not-surjective"] if n_ctrl_in < 1
-            else ["sigma-ctrl-restriction-not-surjective"]
-        )
-    if n_bool_in < 0 or n_bool_out < 0:
+    if min(n_ctrl_in, n_bool_in, n_ctrl_out, n_bool_out) < 0:
         raise StructureError("negative variable count")
-    vt: dict[str, TypeTag] = {}
-    order: list[str] = []
-    for _ in range(n_ctrl_in):
-        order.append(CTRL)
-    for _ in range(n_bool_in):
-        order.append(BOOL)
-    n_in = len(order)
-    for _ in range(n_ctrl_out):
-        order.append(CTRL)
-    for _ in range(n_bool_out):
-        order.append(BOOL)
-    for i, t in enumerate(order):
-        vt[f"v{i + 1}"] = t
+    order = [CTRL] * n_ctrl_in + [BOOL] * n_bool_in + [CTRL] * n_ctrl_out + [BOOL] * n_bool_out
+    n_in = n_ctrl_in + n_bool_in
+    vt = {f"v{i + 1}": t for i, t in enumerate(order)}
     ins = {f"i{k + 1}": Flow(f"v{k + 1}", "u1") for k in range(n_in)}
     outs = {f"o{k + 1}": Flow("u1", f"v{n_in + k + 1}") for k in range(len(order) - n_in)}
     return validate_circuit(vt, ["u1"], ins, outs)
@@ -379,7 +364,7 @@ def mk_primitive(n_ctrl_in: int, n_bool_in: int, n_ctrl_out: int, n_bool_out: in
 # relabelling
 
 
-def relabel(c: Circuit, var_names: Mapping[str, str] | None = None, interior_prefix: str = "w"):
+def relabel(c: Circuit, var_names: Mapping[str, str] | None = None):
     """Rename a circuit's elements to a readable, canonical scheme.
 
     Variables listed in ``var_names`` take the given names; remaining
@@ -401,9 +386,9 @@ def relabel(c: Circuit, var_names: Mapping[str, str] | None = None, interior_pre
         if v in v_map:
             continue
         counter += 1
-        while f"{interior_prefix}{counter}" in taken:
+        while f"w{counter}" in taken:
             counter += 1
-        v_map[v] = f"{interior_prefix}{counter}"
+        v_map[v] = f"w{counter}"
     u_map = {u: f"u{i + 1}" for i, u in enumerate(c.sorted_units())}
     in_order = sorted(c.in_flows, key=lambda fid: (v_map[c.in_flows[fid].src], u_map[c.in_flows[fid].dst], fid))
     i_map = {fid: f"i{k + 1}" for k, fid in enumerate(in_order)}

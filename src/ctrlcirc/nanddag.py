@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import StructureError, ValidationError
 from .model import BOOL, CTRL, Circuit, Flow, TypeTag, circuit_violations, is_sound, mk_primitive
-from .dynamics import ExecConfig, State, Trace, Value, initial_state, run
+from .dynamics import ExecConfig, Outcome, State, Trace, Value, initial_state, run
 
 
 class NodeKind(enum.Enum):
@@ -273,8 +273,6 @@ def read_outputs(d: NandDag, trace: Trace) -> dict[str, int]:
     Requires a final outcome; replicated outvars mapped to one output node
     must agree (a disagreement would be an engine bug).
     """
-    from .dynamics import Outcome
-
     if trace.outcome is not Outcome.FINAL:
         raise StructureError(f"cannot read outputs from a {trace.outcome.value} trace")
     final = trace.final_state.values
@@ -425,6 +423,9 @@ def synth_family(tables: Mapping[int, Sequence[int]]) -> CircuitFamily:
     NANDs it with a constant one instead of copying it, so member size is
     O(k * 2**k) gates. No minimisation is attempted.
     """
+    for k in tables:
+        if type(k) is not int or k < 0:  # bool is an int subclass, so it fails too
+            raise StructureError(f"truth table keys must be non-negative ints, got {k!r}")
     members: dict[int, FamilyMember] = {}
     for k, table in sorted(tables.items()):
         # a string table fails too: its entries are strings
@@ -432,7 +433,7 @@ def synth_family(tables: Mapping[int, Sequence[int]]) -> CircuitFamily:
             raise StructureError(f"truth table for k={k} must be a sequence of 0/1 entries")
         table = [1 if b else 0 for b in table]
         n = len(table)
-        if not 0 <= k < n.bit_length() or n != 1 << k:  # never builds 2**k for a huge k
+        if not k < n.bit_length() or n != 1 << k:  # never builds 2**k for a huge k
             raise StructureError(f"truth table for k={k} must have 2**{k} entries, got {n}")
         if k == 0:
             const_one = mk_primitive(1, 0, 1, 1)

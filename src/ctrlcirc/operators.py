@@ -13,20 +13,26 @@ the composite.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import CompositionError, ValidationError
+from .errors import CompositionError, StructureError, ValidationError
 from .model import Circuit, CircuitClass, TypeTag, classify, is_sound, mk_trivial
-from .morphisms import CircuitMorphism, compose_morphisms, is_mono, validate_morphism
+from .morphisms import CircuitMorphism, compose_morphisms, is_mono
 from .colimits import Cospan, Span, copair, coproduct, pushout
 
 Pairing = Sequence[tuple[str, str]]
 
 
+def _check_rows(pairs: Pairing) -> None:
+    if not all(isinstance(row, Sequence) and len(row) == 2 for row in pairs):
+        raise StructureError("every pairing row must be a (left, right) pair")
+
+
 def _check_pairing(left: Circuit, right: Circuit, pairs: Pairing) -> None:
     if not pairs:
         raise CompositionError("empty-pairing", "a pairing must identify at least one variable")
+    _check_rows(pairs)
     if any(len(set(side)) != len(pairs) for side in zip(*pairs)):
         raise CompositionError("pairing-not-injective")
     for l, r in pairs:
@@ -48,8 +54,9 @@ def _apex(
         apex = mk_trivial([targets[0].var_types[row[0]] for row in rows], prefix)
     except ValidationError as e:
         raise CompositionError("pairing-needs-control", f"synthesised apex is invalid: {e.violations}") from None
+    # callers checked that each column names distinct variables and each row one type: monos
     names = [f"{prefix}{i + 1}" for i in range(len(rows))]
-    return apex, [validate_morphism(apex, c, dict(zip(names, col)), {}, {}, {}) for c, col in zip(targets, zip(*rows))]
+    return apex, [CircuitMorphism(apex, c, dict(zip(names, col)), {}, {}, {}) for c, col in zip(targets, zip(*rows))]
 
 
 def span_from_pairing(left: Circuit, right: Circuit, pairs: Pairing, prefix: str = "p") -> Span:
@@ -159,6 +166,7 @@ def branch(a: Circuit, b: Circuit, in_pairs: Pairing, out_pairs: Pairing, tag: s
         (in_pairs, a.invars, b.invars, "invars", "p"),
         (out_pairs, a.outvars, b.outvars, "outvars", "q"),
     ):
+        _check_rows(pairs)
         if {l for l, _ in pairs} != avs or {r for _, r in pairs} != bvs:
             raise CompositionError("branch-interface-mismatch", f"{side} not covered bijectively")
         try:

@@ -27,6 +27,17 @@ from ctrlcirc import (
 )
 
 
+def flow_multiplicities(c: Circuit):
+    """Count the in- and out-flows per (src, dst) pair, for isomorphism oracles."""
+    in_mult: dict[tuple[str, str], int] = {}
+    for f in c.in_flows.values():
+        in_mult[(f.src, f.dst)] = in_mult.get((f.src, f.dst), 0) + 1
+    out_mult: dict[tuple[str, str], int] = {}
+    for f in c.out_flows.values():
+        out_mult[(f.src, f.dst)] = out_mult.get((f.src, f.dst), 0) + 1
+    return in_mult, out_mult
+
+
 def random_primitive(rnd: random.Random) -> Circuit:
     return mk_primitive(rnd.randint(1, 2), rnd.randint(0, 2), rnd.randint(1, 2), rnd.randint(0, 2))
 

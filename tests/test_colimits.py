@@ -21,7 +21,7 @@ from ctrlcirc import (
     validate_morphism,
 )
 from ctrlcirc.operators import span_from_pairing
-from conftest import random_circuit, random_pairing, random_primitive
+from conftest import flow_multiplicities, random_circuit, random_pairing, random_primitive
 
 
 def test_unit_sequencing_span_pushout_is_identity_up_to_iso(rnd):
@@ -188,10 +188,8 @@ def _brute_force_iso(a, b) -> bool:
     if len(a.vars) != len(b.vars) or len(a.units) != len(b.units):
         return False
     avs, auts = a.sorted_vars(), a.sorted_units()
-    from ctrlcirc.colimits import _flow_multiplicities
-
-    am_in, am_out = _flow_multiplicities(a)
-    bm_in, bm_out = _flow_multiplicities(b)
+    am_in, am_out = flow_multiplicities(a)
+    bm_in, bm_out = flow_multiplicities(b)
     for vperm in itertools.permutations(b.sorted_vars()):
         v_map = dict(zip(avs, vperm))
         if any(a.var_types[v] is not b.var_types[w] for v, w in v_map.items()):

@@ -8,6 +8,7 @@ from ctrlcirc import (
     ExecConfig,
     Outcome,
     SplitMix64,
+    State,
     StructureError,
     Value,
     enabled_units,
@@ -45,6 +46,12 @@ def test_initial_state_validates_domain_and_tags(and_c):
         initial_state(and_c, {"v1": B1, "v2": B1, "v3": B0})  # bit on a control var
     with pytest.raises(StructureError):
         initial_state(and_c, {"v1": S, "v2": S, "v3": B0})  # signal on a Boolean var
+    for raw in ("*", 1, True, None):  # not a Value at all, on either kind of variable
+        for values in ({"v1": raw, "v2": B1, "v3": B0}, {"v1": S, "v2": raw, "v3": B0}):
+            with pytest.raises(StructureError):
+                initial_state(and_c, values)
+            with pytest.raises(StructureError):
+                run(and_c, State(0, values), ExecConfig(seed=0))
 
 
 def test_worked_example_states(and_c):

@@ -17,12 +17,12 @@ from typing import Mapping, Optional
 
 from ctrlcirc import BOOL, CTRL, invert_iso, is_isomorphic, is_mono, relabel, validate_morphism
 from ctrlcirc import colimits
-from ctrlcirc.colimits import _flow_multiplicities, _refine, _var_unit_graph
+from ctrlcirc.colimits import _refine, _var_unit_graph
 from ctrlcirc.fixtures import REGISTRY
 from ctrlcirc.model import Circuit, Flow
 from ctrlcirc.morphisms import CircuitMorphism
 from ctrlcirc.nanddag import random_dag, to_control, validate_dag
-from conftest import random_circuit, random_primitive
+from conftest import flow_multiplicities, random_circuit, random_primitive
 
 
 # -- reference implementation ------------------------------------------------
@@ -62,8 +62,8 @@ def reference_is_isomorphic(a: Circuit, b: Circuit) -> Optional[CircuitMorphism]
     if sorted(usig_a.values()) != sorted(usig_b.values()):
         return None
 
-    in_mult_a, out_mult_a = _flow_multiplicities(a)
-    in_mult_b, out_mult_b = _flow_multiplicities(b)
+    in_mult_a, out_mult_a = flow_multiplicities(a)
+    in_mult_b, out_mult_b = flow_multiplicities(b)
 
     nodes: list[tuple[str, str]] = [("v", v) for v in a.sorted_vars()] + [("u", u) for u in a.sorted_units()]
     freq: dict = {}

@@ -91,10 +91,17 @@ def test_mk_trivial_requires_a_control_tag():
 
 
 def test_mk_primitive_requires_control_in_and_out():
-    with pytest.raises(ValidationError):
-        mk_primitive(0, 1, 1, 1)
-    with pytest.raises(ValidationError):
-        mk_primitive(1, 1, 0, 1)
+    for counts in ((0, 1, 1, 1), (1, 1, 0, 1), (0, 0, 1, 1), (1, 1, 0, 0), (0, 0, 0, 0)):
+        with pytest.raises(ValidationError):
+            mk_primitive(*counts)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_mk_primitive_rejects_a_negative_count(position):
+    counts = [1, 1, 1, 1]
+    counts[position] = -1
+    with pytest.raises(StructureError):
+        mk_primitive(*counts)
 
 
 def test_mk_primitive_shape_and_class():

@@ -143,6 +143,31 @@ def test_adjoints_are_canonical_monos(rnd):
             assert {adj.domain.var_types[v] for v in adj.domain.vars} == {c.var_types[v] for v in vs}
 
 
+def test_direct_built_morphisms_equal_the_validated_ones(rnd):
+    # adjoints and the legs of span_from_pairing are built without
+    # validate_morphism; the full check must accept each and give it back
+    from ctrlcirc.fixtures import REGISTRY, fixture
+    from ctrlcirc.operators import span_from_pairing
+
+    def same_type_sample(c, tag, n):
+        return rnd.sample([v for v in c.sorted_vars() if c.var_types[v] is tag], n)
+
+    circuits = [fixture(name) for name in sorted(REGISTRY)] + [random_circuit(rnd, 4) for _ in range(30)]
+    for c in circuits:
+        for adj in (in_adjoint(c), out_adjoint(c)):
+            m = adj.morphism
+            assert m == validate_morphism(m.src, m.dst, m.f_v, m.f_u, m.f_i, m.f_o)
+        other = rnd.choice(circuits)
+        pairs = []
+        for tag in (CTRL, BOOL):
+            most = min(sum(t is tag for t in c.var_types.values()), sum(t is tag for t in other.var_types.values()))
+            n = rnd.randint(1 if tag is CTRL else 0, most)
+            pairs.extend(zip(same_type_sample(c, tag, n), same_type_sample(other, tag, n)))
+        span = span_from_pairing(c, other, pairs)
+        for leg in (span.left, span.right):
+            assert leg == validate_morphism(leg.src, leg.dst, leg.f_v, leg.f_u, leg.f_i, leg.f_o)
+
+
 def test_adjoint_of_unit_circuit_is_singleton():
     from ctrlcirc import unit_circuit
 

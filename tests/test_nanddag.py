@@ -271,6 +271,14 @@ def test_family_rejects_bad_table():
         synth_family({-1: []})
 
 
+@pytest.mark.parametrize("key", ["1", 1.0, True, False, -2, None, (1,)])
+def test_family_rejects_keys_other_than_non_negative_ints(key):
+    with pytest.raises(StructureError, match="keys must be non-negative ints"):
+        synth_family({key: [0, 1]})
+    with pytest.raises(StructureError):
+        synth_family({2: [0, 1, 1, 0], key: [0, 1]})
+
+
 @pytest.mark.parametrize(
     "table", ["10", "", [2, "x"], [1, "1"], [0, 0.5], [None, 1], 5, {0: 1, 1: 0}],
     ids=["string", "empty-string", "two-and-string", "string-entry", "fraction", "none", "int", "dict"],

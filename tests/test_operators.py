@@ -6,6 +6,7 @@ from ctrlcirc import (
     CTRL,
     CompositionError,
     IterationWiring,
+    StructureError,
     branch,
     in_adjoint,
     is_isomorphic,
@@ -51,6 +52,19 @@ def test_sequence_rejects_bad_pairings():
         sequence(a, b, [("v4", "v2")])  # no control pair: apex has no control variable
     with pytest.raises(CompositionError):
         sequence(a, b, [])
+
+
+@pytest.mark.parametrize("row", [("v3",), (), ("v3", "v1", "v2"), 7], ids=["one", "empty", "three", "int"])
+def test_pairing_rows_must_be_pairs(row):
+    a, b = build_not(), build_not()
+    with pytest.raises(StructureError):
+        sequence(a, b, [row])
+    with pytest.raises(StructureError):
+        sequence(a, b, [("v3", "v1"), row])
+    with pytest.raises(StructureError):
+        branch(a, b, [("v1", "v1"), row], [("v3", "v3"), ("v4", "v4")])
+    with pytest.raises(StructureError):
+        branch(a, b, [("v1", "v1"), ("v2", "v2")], [row])
 
 
 def test_unit_is_left_and_right_identity(rnd):
