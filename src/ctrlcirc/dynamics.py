@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import StructureError
-from .model import BOOL, CTRL, Circuit
+from .model import BOOL, CTRL, Circuit, _ExecTables
 
 
 class Value(enum.Enum):
@@ -61,6 +61,10 @@ class ExecConfig:
     max_steps: int = 10_000
 
     def __post_init__(self):
+        for name in ("seed", "max_steps"):
+            val = getattr(self, name)
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise StructureError(f"{name} must be an int, got {val!r}")
         if self.max_steps < 1:
             raise StructureError("max_steps must be at least 1")
 
@@ -85,6 +89,10 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
+
+
+# the members as module constants: each ``Value.ONE`` lookup goes through the enum class machinery
+_SIGNAL, _ZERO, _ONE = Value.SIGNAL, Value.ZERO, Value.ONE
 
 
 class Outcome(enum.Enum):
@@ -151,13 +159,17 @@ def initial_state(c: Circuit, inputs: Mapping[str, Value]) -> State:
 
 
 def _check_tags(c: Circuit, values: Mapping[str, Value]) -> None:
+    """Every id must be a variable of ``c`` holding a ``Value`` of its type."""
+    vt = c.var_types
     for v, val in values.items():
+        tag = vt.get(v)
+        if tag is None:
+            raise StructureError(f"{v!r} is not a variable of the circuit")
         if type(val) is not Value:
             raise StructureError(f"variable {v!r} must hold a Value, got {val!r}")
-        tag = c.var_types[v]
-        if tag is CTRL and val is not Value.SIGNAL:
+        if tag is CTRL and val is not _SIGNAL:
             raise StructureError(f"control variable {v!r} cannot hold a Boolean")
-        if tag is BOOL and val is Value.SIGNAL:
+        if tag is BOOL and val is _SIGNAL:
             raise StructureError(f"Boolean variable {v!r} cannot hold a bare signal")
 
 
@@ -168,7 +180,7 @@ def is_final(c: Circuit, st: State) -> bool:
 def enabled_units(c: Circuit, st: State) -> frozenset[str]:
     """Units whose full input variable set is assigned."""
     dom = st.values
-    return frozenset(u for u in c.units if all(v in dom for v in c.pre_set(u)))
+    return frozenset(u for u, vs in c._exec_tables.pre.items() if all(v in dom for v in vs))
 
 
 def ready_units(c: Circuit, st: State, rng: SplitMix64) -> frozenset[str]:
@@ -177,21 +189,29 @@ def ready_units(c: Circuit, st: State, rng: SplitMix64) -> frozenset[str]:
     Groups are visited sorted by their least member so draws are
     reproducible; singleton groups do not consume randomness.
     """
-    return frozenset(_pick_ready(c, enabled_units(c, st), rng))
+    return frozenset(_pick_ready(c._exec_tables.group, sorted(enabled_units(c, st)), rng))
 
 
-def _pick_ready(c: Circuit, enabled: Iterable[str], rng: SplitMix64) -> list[str]:
-    """The ready picks of :func:`ready_units` for a given enabled set."""
-    groups: dict[frozenset[str], list[str]] = {}
-    for u in enabled:
-        groups.setdefault(c.pre_set(u), []).append(u)
+def _pick_ready(group: Mapping[str, tuple[str, ...]], enabled: Iterable[str], rng: SplitMix64) -> list[str]:
+    """The ready picks among the sorted ``enabled`` units, given each unit's competing group.
+
+    Members of a group share their input variables, so a group is enabled
+    whole or not at all: its one draw is made at its least member.
+    """
     picks = []
-    for members in sorted((sorted(g) for g in groups.values()), key=lambda g: g[0]):
-        if len(members) == 1:
-            picks.append(members[0])
-        else:
-            picks.append(members[rng.below(len(members))])
+    for u in enabled:
+        g = group[u]
+        if g[0] == u:
+            picks.append(g[rng.below(len(g))] if len(g) > 1 else u)
     return picks
+
+
+def _reduce(bool_in: tuple[str, ...], values: Mapping[str, Value]) -> Value:
+    """``ZERO`` exactly when there are Boolean inputs and all of them hold ``ONE``."""
+    for v in bool_in:
+        if values[v] is not _ONE:
+            return _ONE
+    return _ZERO if bool_in else _ONE
 
 
 def reduce_unit(c: Circuit, u: str, st: State) -> Value:
@@ -199,53 +219,56 @@ def reduce_unit(c: Circuit, u: str, st: State) -> Value:
 
     With no Boolean inputs the unit is the constant 1; otherwise it negates
     the conjunction of all assigned Boolean inputs (order-independent).
+    Raises :class:`StructureError` when ``st`` is not a state of ``c``.
     """
-    bits = [st.values[v].bit for v in c.pre_set(u) if c.var_types[v] is BOOL]
-    if not bits:
-        return Value.ONE
-    return Value.ZERO if all(bits) else Value.ONE
+    _check_tags(c, st.values)
+    return _reduce(c._exec_tables.bool_in[u], st.values)
 
 
 def _fire(
-    c: Circuit, st: State, ready: Sequence[str], values: dict[str, Value]
-) -> tuple[dict[str, Value], list[tuple[str, int]], Optional[tuple[str, str]]]:
-    """Fire the sorted ``ready`` units out of ``st`` into ``values``, in place.
+    t: _ExecTables, ready: Sequence[str], values: dict[str, Value]
+) -> tuple[dict[str, Value], list[str], list[str], Optional[tuple[str, str]]]:
+    """Fire the sorted ``ready`` units into the assignment ``values``, in place.
 
-    ``values`` holds ``st``'s assignment and becomes the next one. Each
-    ready unit is reduced once; a produced variable takes its value even if
-    another firing unit consumes it, and consumed-only variables leave the
-    domain. Returns the results, the variables that entered (+1) or left
-    (-1) the domain, and an optional ``(variable, detail)`` conflict, which
-    is found before ``values`` changes.
+    ``values`` becomes the next assignment. Each ready unit is reduced once;
+    a produced variable takes its value even if another firing unit
+    consumes it, and consumed-only variables leave the domain. Returns the
+    results, the variables that left and that entered the domain, and an
+    optional ``(variable, detail)`` conflict, which is found before
+    ``values`` changes.
     """
-    results = {u: reduce_unit(c, u, st) for u in ready}
+    bool_in, post, pre = t.bool_in, t.post, t.pre
+    results = {u: _reduce(bool_in[u], values) for u in ready}
     produced: dict[str, Value] = {}
     producer: dict[str, str] = {}
     for u in ready:
-        for v in sorted(c.post_set(u)):
-            val = Value.SIGNAL if c.var_types[v] is CTRL else results[u]
-            if v in produced and produced[v] != val:
-                return results, [], (v, f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}")
-            produced[v] = val
+        res = results[u]
+        for v, is_ctrl in post[u]:
+            val = _SIGNAL if is_ctrl else res
+            if produced.setdefault(v, val) is not val:
+                return results, [], [], (v, f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}")
             producer[v] = u
-    changed = []
+    left = []
     for u in ready:
-        for v in c.pre_set(u):
-            if v not in produced and v in values:
+        for v in pre[u]:
+            if v in values and v not in produced:
                 del values[v]
-                changed.append((v, -1))
-    changed.extend((v, 1) for v in produced if v not in values)
+                left.append(v)
+    entered = [v for v in produced if v not in values]
     values.update(produced)
-    return results, changed, None
+    return results, left, entered, None
 
 
 def step(c: Circuit, st: State, rng: SplitMix64) -> State:
     """One transition, fired like :func:`run` into a copy of ``st.values``.
 
-    Raises :class:`WriteConflictError` on conflicting writes.
+    Raises :class:`StructureError` when ``st`` assigns an id that is not a
+    variable of ``c`` or a value of the wrong type, and
+    :class:`WriteConflictError` on conflicting writes.
     """
+    _check_tags(c, st.values)
     values = dict(st.values)
-    _, _, conflict = _fire(c, st, sorted(ready_units(c, st, rng)), values)
+    conflict = _fire(c._exec_tables, sorted(ready_units(c, st, rng)), values)[3]
     if conflict:
         raise WriteConflictError(*conflict)
     return State(st.time + 1, values)
@@ -259,20 +282,27 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     reported through the outcome, never raised.
 
     One assignment, copied once from ``init``, is updated in place; a step
-    touches only the fired units' pre- and post-sets. Each unit counts its
-    input variables still unassigned (as in Kahn's topological sort), seeded
-    once in O(|flows|); after a step only the consumers of variables that
-    entered or left the domain are updated. The trace's O(|state|) snapshot
-    of the assignment is the only per-step cost in the size of the state.
+    touches only the fired units' pre- and post-sets. The circuit's
+    execution tables (pre- and post-sets, Boolean inputs, consumers and
+    competing groups, which are static because units compete exactly when
+    their input variable sets coincide) are built once per circuit and
+    reused by every run. Each unit counts its input variables still
+    unassigned (as in Kahn's topological sort), copied from a template of
+    the initial counts; after a step only the consumers of variables that
+    entered or left the domain are updated. A step costs O(firing units'
+    flows + changed variables x their consumers), plus the trace's
+    O(|state|) snapshot of the assignment.
     """
     if init.time != 0 or init.domain != c.invars:
         raise StructureError("run() needs an initial state (time 0, exactly the invars)")
     _check_tags(c, init.values)
+    t = c._exec_tables
+    group, consumers = t.group, t.consumers
     rng = SplitMix64(cfg.seed)
     steps: list[TraceStep] = []
     st = init
     values = dict(init.values)
-    missing = {u: sum(v not in values for v in c.pre_set(u)) for u in c.units}
+    missing = dict(t.missing)
     enabled_set = {u for u, n in missing.items() if not n}
     while True:
         if is_final(c, st):
@@ -285,17 +315,19 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
         if st.time >= cfg.max_steps:
             steps.append(TraceStep(st.time, st, enabled, (), {}))
             return Trace(tuple(steps), Outcome.STEP_LIMIT)
-        ready = tuple(sorted(_pick_ready(c, enabled, rng)))
-        results, changed, conflict = _fire(c, st, ready, values)
+        ready = tuple(sorted(_pick_ready(group, enabled, rng)))
+        results, left, entered, conflict = _fire(t, ready, values)
         steps.append(TraceStep(st.time, st, enabled, ready, results))
         if conflict:
             return Trace(tuple(steps), Outcome.WRITE_CONFLICT, conflict=conflict[1])
-        for v, delta in changed:
-            for u in c.consumers(v):
-                n = missing[u] - delta
+        for v in left:
+            for u in consumers[v]:
+                missing[u] += 1
+                enabled_set.discard(u)
+        for v in entered:
+            for u in consumers[v]:
+                n = missing[u] - 1
                 missing[u] = n
-                if n:
-                    enabled_set.discard(u)
-                else:
+                if not n:
                     enabled_set.add(u)
         st = State(st.time + 1, dict(values))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import StructureError, ValidationError
 
@@ -46,6 +46,27 @@ class Flow:
 
     src: str
     dst: str
+
+
+class _ExecTables(NamedTuple):
+    """What execution reads of a circuit, keyed by unit or by variable.
+
+    ``pre`` holds a unit's input variables, sorted, and ``bool_in`` the
+    Boolean ones among them; ``post`` holds its output variables, sorted,
+    each with whether it is a control variable; ``group`` holds the sorted
+    units that share its input variable set (the units it competes with,
+    itself included). ``consumers`` holds the units a variable feeds, and
+    ``missing`` each unit's count of input variables that are unassigned
+    when exactly the invars hold values. Repeated flows between one
+    variable and one unit count once everywhere.
+    """
+
+    pre: dict[str, tuple[str, ...]]
+    bool_in: dict[str, tuple[str, ...]]
+    post: dict[str, tuple[tuple[str, bool], ...]]
+    group: dict[str, tuple[str, ...]]
+    consumers: dict[str, tuple[str, ...]]
+    missing: dict[str, int]
 
 
 @dataclass(frozen=True, eq=True)
@@ -127,6 +148,32 @@ class Circuit:
         for f in self.out_flows.values():
             prod[f.dst].add(f.src)
         return {v: frozenset(us) for v, us in prod.items()}
+
+    @cached_property
+    def _exec_tables(self) -> _ExecTables:
+        # built from the flows, not from the frozenset views, which would stay cached too
+        vt = self.var_types
+        pre: dict[str, list[str]] = {u: [] for u in self.units}
+        post: dict[str, list[str]] = {u: [] for u in self.units}
+        cons: dict[str, list[str]] = {v: [] for v in vt}
+        for f in self.in_flows.values():
+            pre[f.dst].append(f.src)
+            cons[f.src].append(f.dst)
+        for f in self.out_flows.values():
+            post[f.src].append(f.dst)
+        pre_sets = {u: tuple(sorted(set(vs))) for u, vs in pre.items()}
+        groups: dict[tuple[str, ...], list[str]] = {}
+        for u in sorted(self.units):
+            groups.setdefault(pre_sets[u], []).append(u)
+        invars = self.invars
+        return _ExecTables(
+            pre=pre_sets,
+            bool_in={u: tuple(v for v in vs if vt[v] is BOOL) for u, vs in pre_sets.items()},
+            post={u: tuple((v, vt[v] is CTRL) for v in sorted(set(vs))) for u, vs in post.items()},
+            group={u: g for g in map(tuple, groups.values()) for u in g},
+            consumers={v: tuple(dict.fromkeys(us)) for v, us in cons.items()},
+            missing={u: sum(v not in invars for v in vs) for u, vs in pre_sets.items()},
+        )
 
     def pre_set(self, unit: str) -> frozenset[str]:
         """Variables connected into ``unit``."""

@@ -24,15 +24,18 @@ from .colimits import Cospan, Span, copair, coproduct, pushout
 Pairing = Sequence[tuple[str, str]]
 
 
-def _check_rows(pairs: Pairing) -> None:
-    if not all(isinstance(row, Sequence) and len(row) == 2 for row in pairs):
-        raise StructureError("every pairing row must be a (left, right) pair")
+def _check_rows(rows: Sequence[Sequence[str]], width: int | None = None) -> None:
+    """Every row must be a sequence of string ids, ``width`` of them when given."""
+    for row in rows:
+        if not (isinstance(row, Sequence) and width in (None, len(row)) and all(isinstance(v, str) for v in row)):
+            shape = "a (left, right) pair" if width == 2 else "a sequence"
+            raise StructureError(f"every row must be {shape} of variable ids, got {row!r}")
 
 
 def _check_pairing(left: Circuit, right: Circuit, pairs: Pairing) -> None:
     if not pairs:
         raise CompositionError("empty-pairing", "a pairing must identify at least one variable")
-    _check_rows(pairs)
+    _check_rows(pairs, 2)
     if any(len(set(side)) != len(pairs) for side in zip(*pairs)):
         raise CompositionError("pairing-not-injective")
     for l, r in pairs:
@@ -166,7 +169,7 @@ def branch(a: Circuit, b: Circuit, in_pairs: Pairing, out_pairs: Pairing, tag: s
         (in_pairs, a.invars, b.invars, "invars", "p"),
         (out_pairs, a.outvars, b.outvars, "outvars", "q"),
     ):
-        _check_rows(pairs)
+        _check_rows(pairs, 2)
         if {l for l, _ in pairs} != avs or {r for _, r in pairs} != bvs:
             raise CompositionError("branch-interface-mismatch", f"{side} not covered bijectively")
         try:
@@ -230,6 +233,7 @@ def _shared_domain(
     ``columns`` lists, per row position, the target circuit, the interface
     set the column must cover, and a label for error messages.
     """
+    _check_rows(rows)
     if any(len(row) != len(columns) for row in rows):
         raise CompositionError("iteration-wiring-mismatch", f"{what} rows must have {len(columns)} entries")
     for k, (_, iface, label) in enumerate(columns):

@@ -2,13 +2,15 @@
 
 ``reference_run``, ``reference_is_sound`` and ``reference_trace_to_jsonl``
 are the first, direct implementations: the run rescans every unit for
-enabledness on every step, soundness runs one forward search per start
-variable, and the trace writer sorts each state by hand before
-``json.dumps`` sorts it again. The library keeps the enabled set
-incrementally, decides soundness in one reverse pass and encodes a state
-entry only when its value changes; all must agree with these references
-exactly (JSONL trace bytes, and the Boolean verdict). The writer is also
-checked on hand-built traces, which no run produces.
+enabledness and regroups the enabled units by pre-set on every step,
+soundness runs one forward search per start variable, and the trace writer
+sorts each state by hand before ``json.dumps`` sorts it again. The library
+reads per-circuit execution tables built once (static competing groups,
+de-duplicated pre- and post-sets), keeps the enabled set incrementally,
+decides soundness in one reverse pass and encodes a state entry only when
+its value changes; all must agree with these references exactly (JSONL
+trace bytes, and the Boolean verdict). The writer is also checked on
+hand-built traces, which no run produces.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ from ctrlcirc import (
     initial_state,
     is_sound,
     parallel,
+    ready_units,
+    reduce_unit,
+    relabel,
     run,
     step,
     unit_circuit,
     validate_circuit,
 )
-from ctrlcirc.dynamics import State, Trace, TraceStep, is_final
+from ctrlcirc.dynamics import State, Trace, TraceStep, WriteConflictError, is_final
 from ctrlcirc.fixtures import (
     REGISTRY,
     build_action,
@@ -51,7 +56,7 @@ from ctrlcirc.fixtures import (
 )
 from ctrlcirc.model import Circuit, Flow
 from ctrlcirc.operators import IterationWiring, iterate_head
-from ctrlcirc.serialize import trace_to_jsonl
+from ctrlcirc.serialize import dumps_circuit, loads_circuit, morphism_to_dict, trace_to_jsonl
 from conftest import random_circuit
 
 S, B0, B1 = Value.SIGNAL, Value.ZERO, Value.ONE
@@ -418,6 +423,156 @@ def test_step_replays_run(rnd):
                 st = step(c, st, rng)
                 assert st == rec.state
             assert is_final(c, st) == (tr.outcome is Outcome.FINAL)
+
+
+def with_doubled_flows(c: Circuit, rnd: random.Random) -> Circuit:
+    """``c`` with some flows repeated under fresh ids: pre- and post-sets are unchanged."""
+    ins, outs = dict(c.in_flows), dict(c.out_flows)
+    for flows, prefix in ((ins, "di"), (outs, "do")):
+        for k, f in enumerate(list(flows.values())):
+            for j in range(rnd.choice((0, 0, 1, 2))):
+                flows[f"{prefix}{k}.{j}"] = f
+    return validate_circuit(c.var_types, c.units, ins, outs)
+
+
+def doubled_flow_circuit() -> Circuit:
+    """Units reading one variable through two in-flows and writing one through two out-flows.
+
+    ``u1`` and ``u3`` share the pre-set {a, b} through different flow
+    counts, so they compete; ``u2`` reads m twice and writes out twice.
+    """
+    return validate_circuit(
+        {"a": CTRL, "b": BOOL, "m": CTRL, "n": BOOL, "z": CTRL, "out": BOOL},
+        ["u1", "u2", "u3"],
+        {
+            "i1": Flow("a", "u1"), "i2": Flow("a", "u1"), "i3": Flow("b", "u1"), "i4": Flow("b", "u1"),
+            "i5": Flow("a", "u3"), "i6": Flow("b", "u3"),
+            "i7": Flow("m", "u2"), "i8": Flow("m", "u2"), "i9": Flow("n", "u2"),
+        },
+        {
+            "o1": Flow("u1", "m"), "o2": Flow("u1", "m"), "o3": Flow("u1", "n"), "o4": Flow("u1", "n"),
+            "o5": Flow("u3", "m"), "o6": Flow("u3", "n"),
+            "o7": Flow("u2", "z"), "o8": Flow("u2", "out"), "o9": Flow("u2", "out"),
+        },
+    )
+
+
+def test_run_matches_reference_with_repeated_flows():
+    c = doubled_flow_circuit()
+    picks = set()
+    for inputs in all_inputs(c):
+        for seed in range(16):
+            tr = assert_same_run(c, inputs, seed)
+            assert tr.outcome is Outcome.FINAL and tr.final_state.time == 2
+            assert tr.final_state.values["out"] is inputs["b"]  # NOT of NOT b
+            picks.add(tr.steps[0].ready)
+    assert picks == {("u1",), ("u3",)}
+    rnd = random.Random(0xD0B)
+    for name in sorted(REGISTRY):
+        d = with_doubled_flows(fixture(name), rnd)
+        for inputs in all_inputs(d):
+            for seed in range(3):
+                assert_same_run(d, inputs, seed, max_steps=300)
+    runs = 0
+    while runs < 150:
+        c = random_flow_graph(rnd)
+        if c is None:
+            continue
+        d = with_doubled_flows(c, rnd)
+        for seed in range(3):
+            assert_same_run(d, random_inputs(rnd, d), seed, max_steps=40)
+            runs += 1
+
+
+def ordered_conflict() -> Circuit:
+    """Three pre-sets write the Boolean t; ``ub`` competes with ``ub2``, which leaves t alone.
+
+    Each unit negates its one Boolean input. When the writers disagree the
+    conflict names the last earlier writer of t in firing order, so the
+    text depends on the draw between ``ub`` and ``ub2``.
+    """
+    units = {"ua": ("c1", "b1"), "ub": ("c2", "b2"), "ub2": ("c2", "b2"), "uc": ("c3", "b3")}
+    ins = {f"i{u}{k}": Flow(v, u) for u, vs in units.items() for k, v in enumerate(vs)}
+    outs = {f"o{u}": Flow(u, f"z{u}") for u in units}
+    outs.update({f"t{u}": Flow(u, "t") for u in ("ua", "ub", "uc")})
+    names = sorted({"t", *(f.src for f in ins.values()), *(f.dst for f in outs.values())})
+    tags = {v: CTRL if v[0] in "cz" else BOOL for v in names}
+    return validate_circuit(tags, units, ins, outs)
+
+
+def test_run_matches_reference_on_order_dependent_conflict_text():
+    c = ordered_conflict()
+    texts = set()
+    for inputs in all_inputs(c):
+        for seed in range(12):
+            tr = assert_same_run(c, inputs, seed)
+            if tr.outcome is Outcome.WRITE_CONFLICT:
+                texts.add(tr.conflict)
+    assert texts == {
+        f"units {a!r} and {b!r} write different Booleans into 't'"
+        for a, b in (("ua", "ub"), ("ua", "uc"), ("ub", "uc"))
+    }
+    # with ua and ub agreeing and uc disagreeing, the draw decides who uc clashes with
+    inputs = {"c1": S, "c2": S, "c3": S, "b1": B0, "b2": B0, "b3": B1}
+    by_pick = {}
+    for seed in range(12):
+        tr = run(c, initial_state(c, inputs), ExecConfig(seed=seed))
+        by_pick[tr.steps[0].ready] = tr.conflict
+        with pytest.raises(WriteConflictError) as exc:
+            step(c, initial_state(c, inputs), SplitMix64(seed))
+        assert str(exc.value) == tr.conflict and exc.value.var == "t"
+    assert by_pick == {
+        ("ua", "ub", "uc"): "units 'ub' and 'uc' write different Booleans into 't'",
+        ("ua", "ub2", "uc"): "units 'ua' and 'uc' write different Booleans into 't'",
+    }
+    # two clashing outputs of one unit: the first in sorted order is named,
+    # whatever the order of the flows
+    two = validate_circuit(
+        {"c1": CTRL, "c2": CTRL, "b1": BOOL, "b2": BOOL, "t1": BOOL, "t2": BOOL, "z1": CTRL, "z2": CTRL},
+        ["u1", "u2"],
+        {"i1": Flow("c1", "u1"), "i2": Flow("b1", "u1"), "i3": Flow("c2", "u2"), "i4": Flow("b2", "u2")},
+        {"o1": Flow("u1", "t2"), "o2": Flow("u1", "t1"), "o3": Flow("u1", "z1"),
+         "o4": Flow("u2", "t2"), "o5": Flow("u2", "t1"), "o6": Flow("u2", "z2")},
+    )
+    tr = assert_same_run(two, {"c1": S, "c2": S, "b1": B0, "b2": B1}, 0)
+    assert tr.conflict == "units 'u1' and 'u2' write different Booleans into 't1'"
+
+
+def test_one_circuit_serves_interleaved_runs_steps_and_queries(rnd):
+    # every call reads the circuit's one set of execution tables; the calls
+    # are interleaved across seeds and circuits, and the tables stay invisible
+    circuits = [fixture("p53"), fixture("flipflop"), toggle_loop(), doubled_flow_circuit(), ordered_conflict()]
+    circuits += [random_circuit(rnd, 4) for _ in range(6)]
+    fresh = [loads_circuit(dumps_circuit(c)) for c in circuits]
+    docs = [dumps_circuit(c) for c in circuits]
+
+    def relabelled(c):
+        new, m = relabel(c)
+        return dumps_circuit(new), morphism_to_dict(m)
+
+    renamed = [relabelled(c) for c in circuits]
+    for seed in range(10):
+        for c in circuits:
+            inputs = random_inputs(rnd, c)
+            tr = assert_same_run(c, inputs, seed, max_steps=60)
+            rng_query, rng_step, rng_ref = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+            fired = tr.steps if tr.outcome is Outcome.WRITE_CONFLICT else tr.steps[:-1]
+            for i, rec in enumerate(fired):
+                st = rec.state
+                ready = ready_units(c, st, rng_query)
+                assert ready == _ref_ready(c, st, rng_ref) == frozenset(rec.ready)
+                assert {u: reduce_unit(c, u, st) for u in ready} == rec.results
+                assert all(reduce_unit(c, u, st) is _ref_reduce(c, u, st) for u in ready)
+                if rec is tr.steps[-1]:
+                    with pytest.raises(WriteConflictError) as exc:
+                        step(c, st, rng_step)
+                    assert str(exc.value) == tr.conflict
+                else:
+                    assert step(c, st, rng_step) == tr.steps[i + 1].state
+    for c, f, doc, names in zip(circuits, fresh, docs, renamed):
+        assert c == f and f == c
+        assert dumps_circuit(c) == doc
+        assert relabelled(c) == names
 
 
 # -- the trace writer --------------------------------------------------------

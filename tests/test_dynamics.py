@@ -25,7 +25,7 @@ from ctrlcirc import (
 from ctrlcirc.dynamics import WriteConflictError
 from ctrlcirc.model import Flow
 from ctrlcirc.serialize import trace_to_jsonl
-from ctrlcirc.fixtures import build_and, build_eater, build_fork, build_p53
+from ctrlcirc.fixtures import build_and, build_eater, build_fork, build_not, build_p53
 from conftest import random_circuit
 
 
@@ -52,6 +52,48 @@ def test_initial_state_validates_domain_and_tags(and_c):
                 initial_state(and_c, values)
             with pytest.raises(StructureError):
                 run(and_c, State(0, values), ExecConfig(seed=0))
+
+
+def test_step_validates_its_state():
+    inv = build_not()  # v1 ctrl, v2 bool in; v3 ctrl, v4 bool out
+    rng = SplitMix64(0)
+    for values in (
+        {"v1": "*", "v2": 1},  # raw values, not Values
+        {"v1": S, "v2": S},  # bare signal on a Boolean variable
+        {"v1": B1, "v2": B1},  # Boolean on a control variable
+        {"zz": S},  # not a variable of the circuit
+        {"v1": S, "v2": B1, "zz": S},
+    ):
+        with pytest.raises(StructureError):
+            step(inv, State(0, values), rng)
+    assert rng.next_u64() == SplitMix64(0).next_u64()  # refused before any draw
+    assert step(inv, State(0, {"v1": S, "v2": B1}), rng).values == {"v3": S, "v4": B0}
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_steps": "5"},
+        {"max_steps": 1.5},
+        {"max_steps": True},
+        {"max_steps": None},
+        {"seed": "x"},
+        {"seed": 2.0},
+        {"seed": False},
+        {"max_steps": 0},
+        {"max_steps": -3},
+    ],
+    ids=["steps-str", "steps-float", "steps-bool", "steps-none", "seed-str", "seed-float", "seed-bool", "steps-zero",
+         "steps-negative"],
+)
+def test_exec_config_checks_its_fields(kwargs):
+    with pytest.raises(StructureError):
+        ExecConfig(**kwargs)
+
+
+def test_exec_config_accepts_ints():
+    assert ExecConfig(seed=-1, max_steps=1) == ExecConfig(-1, 1)
+    assert ExecConfig(seed=2**70).seed == 2**70  # the generator keeps the low 64 bits
 
 
 def test_worked_example_states(and_c):

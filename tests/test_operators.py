@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -65,6 +66,37 @@ def test_pairing_rows_must_be_pairs(row):
         branch(a, b, [("v1", "v1"), row], [("v3", "v3"), ("v4", "v4")])
     with pytest.raises(StructureError):
         branch(a, b, [("v1", "v1"), ("v2", "v2")], [row])
+
+
+@pytest.mark.parametrize("bad", [["v3"], {"v3": 1}, 3, None, b"v3"], ids=["list", "dict", "int", "none", "bytes"])
+def test_rows_must_hold_string_ids(bad):
+    # unhashable ids used to escape as a raw TypeError from the set checks
+    a, b = build_not(), build_not()
+    with pytest.raises(StructureError):
+        sequence(a, b, [(bad, "v1")])
+    with pytest.raises(StructureError):
+        sequence(a, b, [("v3", "v1"), ("v4", bad)])
+    with pytest.raises(StructureError):
+        branch(a, b, [("v1", "v1"), (bad, "v2")], [("v3", "v3"), ("v4", "v4")])
+    with pytest.raises(StructureError):
+        branch(a, b, [("v1", "v1"), ("v2", "v2")], [("v3", bad), ("v4", "v4")])
+    toggle = IterationWiring(
+        entry=build_buffer(),
+        body=build_not(),
+        end=build_buffer(),
+        exit=build_eater(1),
+        head=(("c_out", "c_out", "v1", "v1"), ("b_out", "b_out", "v2", "v2")),
+        tail=(("v3", "c_in"), ("v4", "b_in")),
+    )
+    iterate_head(toggle)  # well formed
+    with pytest.raises(StructureError):
+        iterate_head(replace(toggle, head=(("c_out", "c_out", bad, "v1"), ("b_out", "b_out", "v2", "v2"))))
+    with pytest.raises(StructureError):
+        iterate_head(replace(toggle, tail=(("v3", "c_in"), (bad, "b_in"))))
+    w = _flipflop_wiring()
+    iterate_tail(w)
+    with pytest.raises(StructureError):
+        iterate_tail(replace(w, tail=(("ctrl_out", "ctrl_in", "v1"), ("q_next_out", bad, "v2"))))
 
 
 def test_unit_is_left_and_right_identity(rnd):
