@@ -44,6 +44,8 @@ def _load_json(path: str):
         return json.loads(_read(path))
     except json.JSONDecodeError as e:
         raise SystemExit(f"io error: {path}: {e}")
+    except RecursionError:
+        raise SystemExit(f"io error: {path}: JSON nested too deeply") from None
 
 
 def _load_circuit(path: str):

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import compress
+from operator import is_not
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import StructureError
 from .model import BOOL, CTRL, Circuit, _ExecTables
@@ -102,19 +104,83 @@ class Outcome(enum.Enum):
     WRITE_CONFLICT = "write-conflict"
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    """One observation: the state at ``time`` plus what fired out of it."""
+    """One observation: the state at ``time`` plus what fired out of it. Treat as immutable.
 
-    time: int
-    state: State
-    enabled: tuple[str, ...]
-    ready: tuple[str, ...]
-    results: Mapping[str, Value]
+    Built by hand, a step holds its ``state``. A step that :func:`run`
+    recorded may hold only its change from the previous step (that step,
+    the entries assigned and the ids that left); its ``state`` is then
+    replayed on first read from the nearest earlier step holding a state,
+    and cached. Equality compares the five fields, as for a dataclass.
+    """
+
+    __slots__ = ("time", "_state", "enabled", "ready", "results", "_change")
+    __match_args__ = ("time", "state", "enabled", "ready", "results")
+
+    def __init__(
+        self,
+        time: int,
+        state: Optional[State],
+        enabled: tuple[str, ...],
+        ready: tuple[str, ...],
+        results: Mapping[str, Value],
+    ):
+        self.time = time
+        self._state = state
+        self.enabled = enabled
+        self.ready = ready
+        self.results = results
+        self._change: Optional[tuple[TraceStep, dict[str, Value], list[str]]] = None
+
+    @property
+    def state(self) -> State:
+        st = self._state
+        if st is None and self._change is not None:
+            st = self._state = self._replay()
+        return st
+
+    def _replay(self) -> State:
+        changes = []
+        s = self
+        while s._state is None:
+            changes.append(s._change)
+            s = s._change[0]
+        values = dict(s._state.values)
+        for _, assigned, left in reversed(changes):
+            for v in left:
+                del values[v]
+            values.update(assigned)
+        return State(self.time, values)
+
+    def _fields(self) -> tuple:
+        return self.time, self.state, self.enabled, self.ready, self.results
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = "time={!r}, state={!r}, enabled={!r}, ready={!r}, results={!r}".format(*self._fields())
+        return f"TraceStep({fields})"
 
 
 @dataclass(frozen=True)
 class Trace:
+    """The steps of one run and how it ended.
+
+    A trace that :func:`run` made keeps the initial state, each step's
+    change and a few checkpoint states: O(|init| + sum of changes +
+    checkpoints) memory, where a checkpoint is taken once the changes since
+    the last one reach the state's size, and at least
+    ``_MIN_CHECKPOINT_GAP``. The last step's state, and so
+    ``final_state``, is always held. Reading another step's ``state``
+    replays at most the changes since the nearest earlier checkpoint or
+    already-read state, O(|state| + changes), and keeps the result.
+    """
+
     steps: tuple[TraceStep, ...]
     outcome: Outcome
     conflict: Optional[str] = None
@@ -129,13 +195,38 @@ class Trace:
     def assignment_history(self, var: str) -> list[tuple[int, Value]]:
         """Times at which ``var`` (re)acquired a value, with the value."""
         events = []
-        previous_had = False
-        for s in self.steps:
-            has = var in s.state.values
-            if has and not previous_had:
-                events.append((s.time, s.state.values[var]))
-            previous_had = has
+        had = False
+        for s, assigned, left in self._changes():
+            if var in left:
+                had = False
+            elif not had and var in assigned:
+                events.append((s.time, assigned[var]))
+                had = True
         return events
+
+    def _changes(self) -> Iterator[tuple[TraceStep, Mapping[str, Value], Collection[str]]]:
+        """Each step with its change from the previous step's state: ``(step, assigned, left)``.
+
+        ``assigned`` holds every entry that is new or holds a different
+        value (a recorded change may also repeat unchanged ones); ``left``
+        lists the ids that left the domain. The first step assigns its whole
+        state. A step that :func:`run` recorded right after the previous
+        step gives its recorded change; any other step (hand-built, or
+        placed after a different step) is diffed against the previous
+        state, by identity, as ``Value`` members are singletons.
+        """
+        prev: Optional[TraceStep] = None
+        for s in self.steps:
+            change = s._change
+            if change is not None and change[0] is prev:
+                yield s, change[1], change[2]
+            else:
+                old = prev.state.values if prev is not None else {}
+                cur = s.state.values
+                # the ids v with old.get(v) is not cur[v], found without a Python loop
+                changed = compress(cur, map(is_not, map(old.get, cur), cur.values()))
+                yield s, {v: cur[v] for v in changed}, old.keys() - cur.keys()
+            prev = s
 
 
 class WriteConflictError(Exception):
@@ -227,15 +318,15 @@ def reduce_unit(c: Circuit, u: str, st: State) -> Value:
 
 def _fire(
     t: _ExecTables, ready: Sequence[str], values: dict[str, Value]
-) -> tuple[dict[str, Value], list[str], list[str], Optional[tuple[str, str]]]:
+) -> tuple[dict[str, Value], dict[str, Value], list[str], list[str], Optional[tuple[str, str]]]:
     """Fire the sorted ``ready`` units into the assignment ``values``, in place.
 
     ``values`` becomes the next assignment. Each ready unit is reduced once;
     a produced variable takes its value even if another firing unit
     consumes it, and consumed-only variables leave the domain. Returns the
-    results, the variables that left and that entered the domain, and an
-    optional ``(variable, detail)`` conflict, which is found before
-    ``values`` changes.
+    results, the produced entries, the variables that left and that entered
+    the domain, and an optional ``(variable, detail)`` conflict, which is
+    found before ``values`` changes.
     """
     bool_in, post, pre = t.bool_in, t.post, t.pre
     results = {u: _reduce(bool_in[u], values) for u in ready}
@@ -246,7 +337,8 @@ def _fire(
         for v, is_ctrl in post[u]:
             val = _SIGNAL if is_ctrl else res
             if produced.setdefault(v, val) is not val:
-                return results, [], [], (v, f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}")
+                detail = f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}"
+                return results, produced, [], [], (v, detail)
             producer[v] = u
     left = []
     for u in ready:
@@ -256,7 +348,7 @@ def _fire(
                 left.append(v)
     entered = [v for v in produced if v not in values]
     values.update(produced)
-    return results, left, entered, None
+    return results, produced, left, entered, None
 
 
 def step(c: Circuit, st: State, rng: SplitMix64) -> State:
@@ -268,10 +360,15 @@ def step(c: Circuit, st: State, rng: SplitMix64) -> State:
     """
     _check_tags(c, st.values)
     values = dict(st.values)
-    conflict = _fire(c._exec_tables, sorted(ready_units(c, st, rng)), values)[3]
+    conflict = _fire(c._exec_tables, sorted(ready_units(c, st, rng)), values)[4]
     if conflict:
         raise WriteConflictError(*conflict)
     return State(st.time + 1, values)
+
+
+# A run keeps a copy of its assignment once the changes since the last copy
+# reach the assignment's size, and at least this many.
+_MIN_CHECKPOINT_GAP = 32
 
 
 def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
@@ -290,36 +387,48 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     unassigned (as in Kahn's topological sort), copied from a template of
     the initial counts; after a step only the consumers of variables that
     entered or left the domain are updated. A step costs O(firing units'
-    flows + changed variables x their consumers), plus the trace's
-    O(|state|) snapshot of the assignment.
+    flows + changed variables x their consumers). The trace records each
+    step's change, not its state (see :class:`Trace`): the first step holds
+    ``init``, the last a state of its own, and a checkpoint copy of the
+    assignment is taken once the changes since the last one reach its size,
+    which adds O(1) amortised per change.
     """
-    if init.time != 0 or init.domain != c.invars:
+    if init.time != 0 or init.values.keys() != c.invars:
         raise StructureError("run() needs an initial state (time 0, exactly the invars)")
     _check_tags(c, init.values)
     t = c._exec_tables
-    group, consumers = t.group, t.consumers
+    group, consumers, outvars = t.group, t.consumers, c.outvars
     rng = SplitMix64(cfg.seed)
+    max_steps = cfg.max_steps
     steps: list[TraceStep] = []
-    st = init
     values = dict(init.values)
     missing = dict(t.missing)
     enabled_set = {u for u, n in missing.items() if not n}
+    peak = len(enabled_set)
+    time = 0
+    state: Optional[State] = init  # the state this step holds, or None when only its change is kept
+    change = None
+    budget = max(len(values), _MIN_CHECKPOINT_GAP)  # changes left before the next checkpoint
+    conflict = None
     while True:
-        if is_final(c, st):
-            steps.append(TraceStep(st.time, st, (), (), {}))
-            return Trace(tuple(steps), Outcome.FINAL)
+        if values.keys() == outvars:
+            outcome, last = Outcome.FINAL, ((), (), {})
+            break
         enabled = tuple(sorted(enabled_set))
         if not enabled:
-            steps.append(TraceStep(st.time, st, (), (), {}))
-            return Trace(tuple(steps), Outcome.DEADLOCK)
-        if st.time >= cfg.max_steps:
-            steps.append(TraceStep(st.time, st, enabled, (), {}))
-            return Trace(tuple(steps), Outcome.STEP_LIMIT)
+            outcome, last = Outcome.DEADLOCK, ((), (), {})
+            break
+        if time >= max_steps:
+            outcome, last = Outcome.STEP_LIMIT, (enabled, (), {})
+            break
         ready = tuple(sorted(_pick_ready(group, enabled, rng)))
-        results, left, entered, conflict = _fire(t, ready, values)
-        steps.append(TraceStep(st.time, st, enabled, ready, results))
+        results, produced, left, entered, conflict = _fire(t, ready, values)
         if conflict:
-            return Trace(tuple(steps), Outcome.WRITE_CONFLICT, conflict=conflict[1])
+            outcome, last = Outcome.WRITE_CONFLICT, (enabled, ready, results)
+            break
+        rec = TraceStep(time, state, enabled, ready, results)
+        rec._change = change
+        steps.append(rec)
         for v in left:
             for u in consumers[v]:
                 missing[u] += 1
@@ -330,4 +439,23 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
                 missing[u] = n
                 if not n:
                     enabled_set.add(u)
-        st = State(st.time + 1, dict(values))
+        n = len(enabled_set)
+        if n > peak:
+            peak = n
+        elif n * 8 < peak:
+            # a set keeps its table when it shrinks, and sorting it visits every slot
+            enabled_set = set(enabled_set)
+            peak = n
+        time += 1
+        change = (rec, produced, left)
+        budget -= len(produced) + len(left)
+        if budget > 0:
+            state = None
+        else:
+            state = State(time, dict(values))
+            budget = max(len(values), _MIN_CHECKPOINT_GAP)
+    # the last step holds its state; ``values`` changes no more, so it is not copied
+    rec = TraceStep(time, State(time, values) if state is None else state, *last)
+    rec._change = change
+    steps.append(rec)
+    return Trace(tuple(steps), outcome, conflict[1] if conflict else None)

@@ -54,6 +54,16 @@ class NandDag:
             table[e[0]].append(e)
         return table
 
+    @cached_property
+    def _input_vars(self) -> tuple[tuple[str, tuple[tuple[str, str], ...]], ...]:
+        """Per input node, in sorted order: its (control, Boolean) invar pair per outgoing edge."""
+        return tuple((n, tuple((ctrl_var(e), bool_var(e)) for e in self.out_edges[n])) for n in self.inputs())
+
+    @cached_property
+    def _output_vars(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """Per output node, in sorted order: the Boolean outvar of each incoming edge."""
+        return tuple((n, tuple(bool_var(e) for e in self.in_edges[n])) for n in self.outputs())
+
     def kind(self, n: str) -> NodeKind:
         return self.nodes[n]
 
@@ -236,16 +246,12 @@ def to_control(d: NandDag) -> TransformResult:
     if not is_sound(circuit):
         raise AssertionError("netlist transformation produced an unsound circuit")
 
-    input_bindings = {
-        n: tuple((ctrl_var(e), bool_var(e)) for e in d.out_edges[n]) for n in d.inputs()
-    }
-    output_bindings = {n: tuple(bool_var(e) for e in d.in_edges[n]) for n in d.outputs()}
     return TransformResult(
         circuit=circuit,
         var_origin=var_origin,
         unit_origin={g: g for g in sorted(gates)},
-        input_bindings=input_bindings,
-        output_bindings=output_bindings,
+        input_bindings=dict(d._input_vars),
+        output_bindings=dict(d._output_vars),
     )
 
 
@@ -254,16 +260,19 @@ def lift_inputs(d: NandDag, bits: Mapping[str, int]) -> State:
 
     Every control invar receives a signal; every Boolean invar receives its
     source input's bit, replicated once per outgoing edge (invars are never
-    shared).
+    shared). The invar ids are derived once per netlist.
     """
-    missing = set(d.inputs()) - set(bits)
+    ins = d._input_vars
+    missing = [n for n, _ in ins if n not in bits]
     if missing:
-        raise StructureError(f"missing input bits for {sorted(missing)}")
+        raise StructureError(f"missing input bits for {missing}")
+    signal = Value.SIGNAL
     values: dict[str, Value] = {}
-    for n in d.inputs():
-        for e in d.out_edges[n]:
-            values[ctrl_var(e)] = Value.SIGNAL
-            values[bool_var(e)] = Value.from_bit(bits[n])
+    for n, pairs in ins:
+        bit = Value.from_bit(bits[n])
+        for cv, bv in pairs:
+            values[cv] = signal
+            values[bv] = bit
     return State(0, values)
 
 
@@ -277,8 +286,8 @@ def read_outputs(d: NandDag, trace: Trace) -> dict[str, int]:
         raise StructureError(f"cannot read outputs from a {trace.outcome.value} trace")
     final = trace.final_state.values
     out: dict[str, int] = {}
-    for n in d.outputs():
-        vals = {final[v].bit for v in (bool_var(e) for e in d.in_edges[n])}
+    for n, vs in d._output_vars:
+        vals = {final[v].bit for v in vs}
         if len(vals) != 1:
             raise AssertionError(f"replicated outvars for {n!r} disagree")
         out[n] = vals.pop()
@@ -383,28 +392,36 @@ def _table_expr(k: int, table: Sequence[int]):
 
 
 def _expr_to_dag(expr, k: int) -> tuple[NandDag, tuple[tuple[str, ...], ...], str]:
+    """Emit an expression tree as a netlist, from an explicit stack (trees nest about 2**k deep).
+
+    Nodes are named in pre-order (a gate before its operands, the left
+    operand first); a gate enters the netlist once both operands have.
+    """
     nodes: dict[str, NodeKind] = {}
     edges: set[tuple[str, str]] = set()
     groups: list[list[str]] = [[] for _ in range(k)]
-    counter = {"leaf": 0, "gate": 0}
-
-    def emit(node) -> str:
-        if node[0] == "leaf":
-            counter["leaf"] += 1
-            name = f"x{node[1]}_{counter['leaf']}"
+    n_leaves = n_gates = 0
+    emitted: list[str] = []  # names of emitted operands not yet wired into their gate
+    stack = [expr]  # trees still to emit, and names of gates to close
+    while stack:
+        node = stack.pop()
+        if type(node) is str:  # both operands of gate ``node`` are emitted
+            right = emitted.pop()
+            left = emitted.pop()
+            nodes[node] = NodeKind.GATE
+            edges.add((left, node))
+            edges.add((right, node))
+            emitted.append(node)
+        elif node[0] == "leaf":
+            n_leaves += 1
+            name = f"x{node[1]}_{n_leaves}"
             nodes[name] = NodeKind.INPUT
             groups[node[1]].append(name)
-            return name
-        counter["gate"] += 1
-        name = f"g{counter['gate']}"
-        left = emit(node[1])
-        right = emit(node[2])
-        nodes[name] = NodeKind.GATE
-        edges.add((left, name))
-        edges.add((right, name))
-        return name
-
-    root = emit(expr)
+            emitted.append(name)
+        else:
+            n_gates += 1
+            stack += (f"g{n_gates}", node[2], node[1])
+    root = emitted.pop()
     if nodes[root] is not NodeKind.GATE:
         raise AssertionError("expression root must be a gate")
     nodes["out"] = NodeKind.OUTPUT

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import compress
-from operator import is_not
+from bisect import bisect_left
 from typing import Any, Mapping
 
 from .errors import StructureError
@@ -195,26 +194,45 @@ _VALUE_TEXT = {v: _SORTED_JSON.encode(v.value) for v in Value}
 def trace_to_jsonl(trace: Trace) -> str:
     """One record per step plus a final outcome line, byte-stable.
 
-    A state entry's ``"id": value`` text is encoded only when the entry
-    differs from the previous step's (an identity test, as ``Value``
-    members are singletons); each step then costs one comparison per state
-    entry, one sort of the state's ids and one join.
+    The writer walks each step's changes (recorded by ``run``, or diffed
+    for a hand-built trace) and keeps the state's ids sorted, with each
+    entry's ``"id": value`` text beside its id: a change costs one encode
+    and one ``bisect`` into that list, and a record one join of the texts.
+    A step that changes more than an eighth of the state (the first step
+    among them) sorts the state afresh instead, as so many list inserts and
+    deletes would cost O(changes x |state|). Writing costs O(output bytes +
+    sum of changes x log |state|) and reads no step's ``state`` that ``run``
+    did not keep.
     """
     encode = _SORTED_JSON.encode
-    text: dict[str, str] = {}
-    prev: Mapping[str, Value] = {}
+    ids: list[str] = []  # the current state's ids, sorted
+    texts: list[str] = []  # their '"id": value' texts, in the same order
     lines = []
-    for s in trace.steps:
-        cur = s.state.values
-        # the ids v with prev.get(v) is not cur[v], found without a Python loop
-        for v in compress(cur, map(is_not, map(prev.get, cur), cur.values())):
-            text[v] = f"{encode(v)}: {_VALUE_TEXT[cur[v]]}"
-        prev = cur
+    for s, assigned, left in trace._changes():
+        if 8 * (len(assigned) + len(left)) > len(ids):
+            entries = dict(zip(ids, texts))
+            for v in left:
+                del entries[v]
+            for v, val in assigned.items():
+                entries[v] = f"{encode(v)}: {_VALUE_TEXT[val]}"
+            ids = sorted(entries)
+            texts = list(map(entries.__getitem__, ids))
+        else:
+            for v in left:
+                i = bisect_left(ids, v)
+                del ids[i], texts[i]
+            for v, val in assigned.items():
+                i = bisect_left(ids, v)
+                entry = f"{encode(v)}: {_VALUE_TEXT[val]}"
+                if i < len(ids) and ids[i] == v:
+                    texts[i] = entry
+                else:
+                    ids.insert(i, v)
+                    texts.insert(i, entry)
         results = encode({u: _VALUE_JSON[x] for u, x in s.results.items()})
-        state = ", ".join(map(text.__getitem__, sorted(cur)))
         lines.append(
             f'{{"enabled": {encode(s.enabled)}, "ready": {encode(s.ready)}, '
-            f'"results": {results}, "state": {{{state}}}, "time": {encode(s.time)}}}'
+            f'"results": {results}, "state": {{{", ".join(texts)}}}, "time": {encode(s.time)}}}'
         )
     tail: dict[str, Any] = {"outcome": trace.outcome.value}
     if trace.conflict:

@@ -7,10 +7,11 @@ soundness runs one forward search per start variable, and the trace writer
 sorts each state by hand before ``json.dumps`` sorts it again. The library
 reads per-circuit execution tables built once (static competing groups,
 de-duplicated pre- and post-sets), keeps the enabled set incrementally,
-decides soundness in one reverse pass and encodes a state entry only when
-its value changes; all must agree with these references exactly (JSONL
-trace bytes, and the Boolean verdict). The writer is also checked on
-hand-built traces, which no run produces.
+decides soundness in one reverse pass, records each step's change rather
+than its state, and writes JSONL from those changes; all must agree with
+these references exactly (JSONL trace bytes, every replayed state, and the
+Boolean verdict). The writer is also checked on hand-built traces, which no
+run produces.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import tracemalloc
 from typing import Iterable, Optional
 
 import pytest
@@ -55,6 +57,7 @@ from ctrlcirc.fixtures import (
     fixture,
 )
 from ctrlcirc.model import Circuit, Flow
+from ctrlcirc.nanddag import NandDag, lift_inputs, to_control, validate_dag
 from ctrlcirc.operators import IterationWiring, iterate_head
 from ctrlcirc.serialize import dumps_circuit, loads_circuit, morphism_to_dict, trace_to_jsonl
 from conftest import random_circuit
@@ -588,6 +591,13 @@ def hand_trace(states, outcome=Outcome.FINAL, conflict=None, enabled=(), ready=(
 
 
 REUSED = State(0, {"a": B0, "b": S})
+BIG = {f"v{i:02d}": S for i in range(40)}
+BIG_SMALL_CHANGES = [
+    BIG,
+    {**BIG, "v07": B1},
+    {v: x for v, x in BIG.items() if v != "v12"} | {"v07": B1},
+    {v: x for v, x in BIG.items() if v != "v12"} | {"v07": B0, "v12a": B1, "a": S, "zz": B0},
+]
 ODD_IDS = {'q"uote': B1, "back\\slash": S, "caf\u00e9": B0, "new\nline": B1, "plain": S}
 
 
@@ -605,10 +615,12 @@ ODD_IDS = {'q"uote': B1, "back\\slash": S, "caf\u00e9": B0, "new\nline": B1, "pl
                    ("u1", "u2"), ("u1", "u2"), {"u1": B0, "u2": B1}),
         hand_trace([ODD_IDS, {**ODD_IDS, 'q"uote': B0}, {}], Outcome.DEADLOCK, enabled=('e"1', "\u00e9"),
                    ready=("\n",), results={"\n": B1, 'q"': S}),
+        hand_trace(BIG_SMALL_CHANGES),
     ],
     ids=[
         "value-changes-in-domain", "leaves-and-reenters", "reused-state-object", "empty-state",
         "empty-between-entries", "multi-unit-results", "step-limit-no-ready", "conflict-tail", "escaped-ids",
+        "large-state-small-changes",
     ],
 )
 def test_trace_writer_matches_reference_on_hand_built_traces(trace):
@@ -642,6 +654,194 @@ def random_traces(draw) -> Trace:
 @given(random_traces())
 def test_trace_writer_matches_reference_on_random_state_sequences(trace):
     assert trace_to_jsonl(trace) == reference_trace_to_jsonl(trace)
+
+
+# -- delta-backed traces -----------------------------------------------------
+
+
+def spine_netlist(n_gates: int, n_inputs: int, rnd: random.Random) -> NandDag:
+    """A spine of gates, each also fed by a side gate of two inputs; depth about ``n_gates / 2``.
+
+    Every side gate fires at step 0, after which the state holds O(n)
+    variables for O(n) steps: the shape where a snapshot per step is
+    quadratic.
+    """
+    inputs = [f"x{i}" for i in range(n_inputs)]
+    nodes = {x: "input" for x in inputs}
+    edges = [("x0", "g0"), ("x1", "g0")]
+    nodes["g0"] = "gate"
+    spine, k = "g0", 1
+    while k + 2 <= n_gates:
+        side, nxt = f"g{k}", f"g{k + 1}"
+        a, b = rnd.sample(inputs, 2)
+        nodes[side] = nodes[nxt] = "gate"
+        edges += [(a, side), (b, side), (spine, nxt), (side, nxt)]
+        spine, k = nxt, k + 2
+    nodes["y0"] = "output"
+    edges.append((spine, "y0"))
+    return validate_dag(nodes, edges)
+
+
+def chains_into(n: int, tail: str) -> Circuit:
+    """Two control chains of ``n`` units, then a tail that decides the outcome.
+
+    Chain x carries a Boolean p that each unit negates; chain y is bare. With
+    tail ``race`` the chain ends write NOT p and NOT b into t at step n, a
+    write conflict exactly when they differ; with tail ``stuck`` the end
+    waits on c, which only a unit waiting on its own output produces, so the
+    run deadlocks at step n.
+    """
+    tags = {**{f"x{i}": CTRL for i in range(n + 1)}, **{f"y{i}": CTRL for i in range(n + 1)}}
+    tags.update({f"p{i}": BOOL for i in range(n + 1)})
+    pre = {f"kx{i}": (f"x{i}", f"p{i}") for i in range(n)}
+    post = {f"kx{i}": (f"x{i + 1}", f"p{i + 1}") for i in range(n)}
+    pre.update({f"ky{i}": (f"y{i}",) for i in range(n)})
+    post.update({f"ky{i}": (f"y{i + 1}",) for i in range(n)})
+    end = (f"x{n}", f"p{n}")
+    if tail == "race":
+        tags.update({"b": BOOL, "t": BOOL, "z1": CTRL, "z2": CTRL})
+        pre.update({"u1": end, "u2": (f"y{n}", "b")})
+        post.update({"u1": ("t", "z1"), "u2": ("t", "z2")})
+    else:
+        tags.update({"c": CTRL, "e": CTRL, "d": CTRL})
+        pre.update({"u1": (*end, f"y{n}", "c"), "u2": ("e",)})
+        post.update({"u1": ("e",), "u2": ("c", "d")})
+    ins = {f"i:{u}:{v}": Flow(v, u) for u, vs in pre.items() for v in vs}
+    outs = {f"o:{u}:{v}": Flow(u, v) for u, vs in post.items() for v in vs}
+    return validate_circuit(tags, sorted(pre), ins, outs)
+
+
+def long_runs() -> list[tuple[Circuit, State, ExecConfig]]:
+    """Runs that pass several checkpoints, covering every outcome."""
+    rnd = random.Random(0xDE17A)
+    d = spine_netlist(120, 5, rnd)
+    spine = to_control(d).circuit
+    race, stuck = chains_into(60, "race"), chains_into(60, "stuck")
+    cases = [(spine, lift_inputs(d, {x: rnd.randint(0, 1) for x in d.inputs()}), ExecConfig(seed=0)) for _ in range(2)]
+    for b in (B0, B1):
+        cases.append((race, initial_state(race, {"x0": S, "p0": B1, "y0": S, "b": b}), ExecConfig(seed=1)))
+    cases.append((stuck, initial_state(stuck, {"x0": S, "p0": B0, "y0": S}), ExecConfig(seed=2)))
+    cases.append((stuck, initial_state(stuck, {"x0": S, "p0": B0, "y0": S}), ExecConfig(seed=2, max_steps=45)))
+    for c in (toggle_loop(), flipflop_head_loop()):
+        for inputs in all_inputs(c):
+            cases += [(c, initial_state(c, inputs), ExecConfig(seed=seed, max_steps=120)) for seed in range(0, 40, 3)]
+    return cases
+
+
+def reference_assignment_history(trace: Trace, var: str) -> list[tuple[int, Value]]:
+    """The snapshot reading: times at which ``var`` (re)entered the domain."""
+    events, had = [], False
+    for s in trace.steps:
+        has = var in s.state.values
+        if has and not had:
+            events.append((s.time, s.state.values[var]))
+        had = has
+    return events
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse", "random"])
+def test_replayed_states_match_reference_snapshots(order):
+    rnd = random.Random(0x0DE7)
+    outcomes, crossed = set(), 0
+    for c, init, cfg in long_runs():
+        tr, want = run(c, init, cfg), reference_run(c, init, cfg)
+        held = [s._state is not None for s in tr.steps]
+        assert held[0] and held[-1]  # the initial and the last state are kept
+        crossed += any(held[1:-1]) and not all(held)
+        positions = list(range(len(tr.steps)))
+        if order == "reverse":
+            positions.reverse()
+        elif order == "random":
+            rnd.shuffle(positions)
+        for i in positions:
+            assert tr.steps[i].state == want.steps[i].state, (i, tr.outcome)
+            assert tr.steps[i].state is tr.steps[i].state  # a replayed state is kept
+        assert tr == want and tr.conflict == want.conflict
+        outcomes.add(tr.outcome)
+    assert outcomes == set(Outcome)
+    assert crossed >= 6
+
+
+def test_counts_reads_and_the_writer_replay_no_state():
+    for c, init, cfg in long_runs()[:6]:
+        tr = run(c, init, cfg)
+        held = [s._state for s in tr.steps]
+        assert len(tr.steps) > 40 and None in held
+        sum(len(s.ready) for s in tr.steps)
+        tr.fired_units()
+        tr.final_state
+        trace_to_jsonl(tr)
+        for v in c.var_types:
+            tr.assignment_history(v)
+        assert all(s._state is h for s, h in zip(tr.steps, held))
+
+
+def test_assignment_history_matches_the_snapshot_reading():
+    for c, init, cfg in long_runs()[:8]:
+        tr, want = run(c, init, cfg), reference_run(c, init, cfg)
+        for v in sorted(c.var_types):
+            assert tr.assignment_history(v) == reference_assignment_history(want, v), v
+    hand = hand_trace([{"a": B0}, {"a": B1}, {}, {"a": S, "b": B0}, {"b": B0}])
+    assert hand.assignment_history("a") == [(0, B0), (3, S)]
+    assert hand.assignment_history("b") == [(3, B0)]
+
+
+def test_rewrapped_sliced_and_mixed_run_steps_write_the_reference_bytes():
+    rnd = random.Random(0x5EED)
+    for c, init, cfg in long_runs()[:10]:
+        tr, want = run(c, init, cfg), reference_run(c, init, cfg)
+
+        def same(steps, ref_steps):
+            got = trace_to_jsonl(Trace(steps=tuple(steps), outcome=tr.outcome, conflict=tr.conflict))
+            assert got == reference_trace_to_jsonl(Trace(tuple(ref_steps), want.outcome, want.conflict))
+
+        same(tr.steps, want.steps)
+        k = rnd.randrange(1, len(tr.steps))
+        same(tr.steps[k:], want.steps[k:])
+        same(tr.steps[::-1], want.steps[::-1])
+        # a hand-built step in place of a recorded one: its neighbours are diffed
+        mixed = list(tr.steps)
+        ref = want.steps[k]
+        mixed[k] = TraceStep(ref.time, ref.state, ref.enabled, ref.ready, ref.results)
+        same(mixed, want.steps)
+        # states already read, in any order, change nothing
+        for i in rnd.sample(range(len(tr.steps)), min(5, len(tr.steps))):
+            tr.steps[i].state
+        same(tr.steps, want.steps)
+
+
+def test_trace_steps_keep_dataclass_equality_and_repr():
+    st = State(0, {"a": B0})
+    a = TraceStep(0, st, ("u",), ("u",), {"u": B1})
+    assert a == TraceStep(0, State(0, {"a": B0}), ("u",), ("u",), {"u": B1})
+    assert a != TraceStep(1, st, ("u",), ("u",), {"u": B1})
+    assert a != (0, st, ("u",), ("u",), {"u": B1})
+    assert repr(a) == f"TraceStep(time=0, state={st!r}, enabled=('u',), ready=('u',), results={{'u': {B1!r}}})"
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def retained_trace_bytes(n_gates: int) -> int:
+    d = spine_netlist(n_gates, 8, random.Random(0))
+    c = to_control(d).circuit
+    init = lift_inputs(d, {x: i % 2 for i, x in enumerate(d.inputs())})
+    run(c, init, ExecConfig())  # builds the circuit's execution tables outside the measurement
+    tracemalloc.start()
+    try:
+        tr = run(c, init, ExecConfig())
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tr.outcome is Outcome.FINAL
+    return size
+
+
+def test_trace_memory_grows_with_the_changes_not_with_steps_x_state():
+    # a snapshot per step kept about 4.7 MB at 800 gates and 69 MB at 3,200
+    # (15x for 4x the gates); the changes and checkpoints grow linearly
+    small, large = retained_trace_bytes(800), retained_trace_bytes(3200)
+    assert large * 5 <= 69e6, large
+    assert large <= 8 * small, (small, large)
 
 
 # -- soundness ---------------------------------------------------------------

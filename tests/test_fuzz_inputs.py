@@ -126,8 +126,12 @@ def files(tmp_path_factory):
 
 def main_on(files, argv_of, doc) -> tuple[int, str]:
     """Run ``main`` on ``doc`` written to a file; returns exit code and stderr."""
+    return main_on_text(files, argv_of, json.dumps(doc))
+
+
+def main_on_text(files, argv_of, text: str) -> tuple[int, str]:
     doc_file = files / "doc.json"
-    doc_file.write_text(json.dumps(doc))
+    doc_file.write_text(text)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main([str(a).format(dir=files, doc=doc_file) for a in argv_of])
@@ -216,6 +220,26 @@ def test_main_maps_malformed_documents_to_documented_exits(files, argv_of, base)
 def test_malformed_cli_documents_exit_2(files, argv_of, doc):
     code, err = main_on(files, argv_of, doc)
     assert code == 2 and err.startswith("malformed input: "), err
+
+
+@pytest.mark.parametrize(
+    "argv_of",
+    [
+        ["validate", "{doc}"],
+        ["exec", "{doc}", "--inputs", "{dir}/inputs.json"],
+        EXEC,
+        ["iso", "{dir}/and.circuit", "{doc}"],
+        ["import-nand", "{doc}", "--out", "{dir}/o.circuit"],
+        SYNTH,
+        SEQ,
+    ],
+    ids=["validate", "exec-circuit", "exec-inputs", "iso", "import-nand", "synth-tables", "seq-wiring"],
+)
+def test_documents_nested_too_deeply_for_the_json_reader_exit_2(files, argv_of):
+    # 200,000 nested lists make json.loads raise RecursionError, not JSONDecodeError
+    (files / "inputs.json").write_text(json.dumps(INPUTS))
+    code, err = main_on_text(files, argv_of, "[" * 200_000)
+    assert code == 2 and err.startswith("io error: ") and "nested too deeply" in err, err
 
 
 @pytest.mark.parametrize("runs", ["0", "-3"])

@@ -5,6 +5,9 @@ import pytest
 from ctrlcirc import CTRL, BOOL, ExecConfig, Outcome, StructureError, ValidationError, circuit_violations, is_sound, run
 from ctrlcirc.nanddag import (
     NandDag,
+    NodeKind,
+    _expr_to_dag,
+    _table_expr,
     bool_var,
     eval_dag,
     lift_inputs,
@@ -15,6 +18,7 @@ from ctrlcirc.nanddag import (
     to_control,
     validate_dag,
 )
+from ctrlcirc.serialize import dumps_dag
 
 
 def single_gate():
@@ -299,3 +303,50 @@ def test_random_dag_is_always_valid(rnd):
         assert isinstance(d, NandDag)
         assert 1 <= len(d.gates()) <= 15
         assert 2 <= len(d.inputs()) <= 6
+
+
+def recursive_expr_to_dag(expr, k: int):
+    """The first, recursive emitter: a gate is named before its operands and added after them."""
+    nodes, edges, groups = {}, set(), [[] for _ in range(k)]
+    counter = {"leaf": 0, "gate": 0}
+
+    def emit(node) -> str:
+        if node[0] == "leaf":
+            counter["leaf"] += 1
+            name = f"x{node[1]}_{counter['leaf']}"
+            nodes[name] = NodeKind.INPUT
+            groups[node[1]].append(name)
+            return name
+        counter["gate"] += 1
+        name = f"g{counter['gate']}"
+        left = emit(node[1])
+        right = emit(node[2])
+        nodes[name] = NodeKind.GATE
+        edges.add((left, name))
+        edges.add((right, name))
+        return name
+
+    root = emit(expr)
+    nodes["out"] = NodeKind.OUTPUT
+    edges.add((root, "out"))
+    return validate_dag(nodes, edges), tuple(tuple(g) for g in groups), "out"
+
+
+def test_stack_emitter_matches_the_recursive_one():
+    rng = random.Random(0xE817)
+    tables = [(k, [(t >> row) & 1 for row in range(2**k)]) for k in (1, 2, 3) for t in range(2 ** 2**k)]
+    tables += [(k, [rng.randint(0, 1) for _ in range(2**k)]) for k in range(4, 9) for _ in range(3)]
+    for k, table in tables:
+        expr = _table_expr(k, table)
+        got, want = _expr_to_dag(expr, k), recursive_expr_to_dag(expr, k)
+        assert dumps_dag(got[0]) == dumps_dag(want[0]), (k, table)
+        assert list(got[0].nodes) == list(want[0].nodes) and got[1:] == want[1:]
+
+
+def test_family_member_for_k10_builds_and_matches_its_table():
+    # its sum of minterms nests about 2**10 deep, past the interpreter's recursion limit
+    rng = random.Random(5)
+    table = [rng.randint(0, 1) for _ in range(2**10)]
+    member = synth_family({10: table}).members[10]
+    for row in rng.sample(range(2**10), 3):
+        assert member.evaluate([(row >> i) & 1 for i in range(10)]) == table[row]
