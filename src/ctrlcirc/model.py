@@ -122,36 +122,7 @@ class Circuit:
         return self.invars & self.outvars
 
     @cached_property
-    def _unit_pre(self) -> dict[str, frozenset[str]]:
-        pre: dict[str, set[str]] = {u: set() for u in self.units}
-        for f in self.in_flows.values():
-            pre[f.dst].add(f.src)
-        return {u: frozenset(vs) for u, vs in pre.items()}
-
-    @cached_property
-    def _unit_post(self) -> dict[str, frozenset[str]]:
-        post: dict[str, set[str]] = {u: set() for u in self.units}
-        for f in self.out_flows.values():
-            post[f.src].add(f.dst)
-        return {u: frozenset(vs) for u, vs in post.items()}
-
-    @cached_property
-    def _var_consumers(self) -> dict[str, frozenset[str]]:
-        cons: dict[str, set[str]] = {v: set() for v in self.var_types}
-        for f in self.in_flows.values():
-            cons[f.src].add(f.dst)
-        return {v: frozenset(us) for v, us in cons.items()}
-
-    @cached_property
-    def _var_producers(self) -> dict[str, frozenset[str]]:
-        prod: dict[str, set[str]] = {v: set() for v in self.var_types}
-        for f in self.out_flows.values():
-            prod[f.dst].add(f.src)
-        return {v: frozenset(us) for v, us in prod.items()}
-
-    @cached_property
     def _exec_tables(self) -> _ExecTables:
-        # built from the flows, not from the frozenset views, which would stay cached too
         vt = self.var_types
         pre: dict[str, list[str]] = {u: [] for u in self.units}
         post: dict[str, list[str]] = {u: [] for u in self.units}
@@ -176,20 +147,26 @@ class Circuit:
         )
 
     def pre_set(self, unit: str) -> frozenset[str]:
-        """Variables connected into ``unit``."""
-        return self._unit_pre[unit]
+        """Variables connected into ``unit``: a copy of its execution-table row, O(|pre-set|).
+
+        The execution tables are the circuit's one cached adjacency; the first
+        query that reads them builds them, O(V + E).
+        """
+        return frozenset(self._exec_tables.pre[unit])
 
     def post_set(self, unit: str) -> frozenset[str]:
-        """Variables connected from ``unit``."""
-        return self._unit_post[unit]
+        """Variables connected from ``unit``: a copy of its execution-table row, O(|post-set|)."""
+        return frozenset(v for v, _ in self._exec_tables.post[unit])
 
     def consumers(self, var: str) -> frozenset[str]:
-        """Units fed by ``var``."""
-        return self._var_consumers[var]
+        """Units fed by ``var``: a copy of its execution-table row, O(|consumers|)."""
+        return frozenset(self._exec_tables.consumers[var])
 
     def producers(self, var: str) -> frozenset[str]:
-        """Units feeding ``var``."""
-        return self._var_producers[var]
+        """Units feeding ``var``: one pass over the out-flows, O(E), and nothing is cached."""
+        if var not in self.var_types:
+            raise KeyError(var)
+        return frozenset(f.src for f in self.out_flows.values() if f.dst == var)
 
     def sorted_vars(self) -> list[str]:
         return sorted(self.var_types)
@@ -341,8 +318,13 @@ def is_sound(c: Circuit) -> bool:
     least one unit, so an inoutvar (no flows at all) never satisfies it.
     Circuits may be cyclic. One reverse pass from the outvars marks the good
     units (those producing an outvar or a variable that feeds a good unit);
-    a variable is sound iff it feeds a good unit. That is O(V + E).
+    a variable is sound iff it feeds a good unit. That is O(V + E): one pass
+    over each flow map builds the pre-lists and producer lists it walks, and
+    nothing is kept on the circuit.
     """
+    pre: dict[str, list[str]] = {}
+    for f in c.in_flows.values():
+        pre.setdefault(f.dst, []).append(f.src)
     producers: dict[str, list[str]] = {}
     for f in c.out_flows.values():
         producers.setdefault(f.dst, []).append(f.src)
@@ -354,7 +336,7 @@ def is_sound(c: Circuit) -> bool:
         if u in good:
             continue
         good.add(u)
-        for v in c.pre_set(u):
+        for v in pre.get(u, ()):
             if v not in sound:
                 sound.add(v)
                 frontier.extend(producers.get(v, ()))
@@ -417,11 +399,15 @@ def relabel(c: Circuit, var_names: Mapping[str, str] | None = None):
     Variables listed in ``var_names`` take the given names; remaining
     variables become ``w1..wn`` in sorted order. Units become ``u1..``,
     flows ``i1..``/``o1..`` (sorted by renamed endpoints). Returns the new
-    circuit together with the renaming morphism (old -> new).
+    circuit together with the renaming morphism (old -> new). A key or new
+    name that is not a string raises :class:`StructureError`.
     """
     from .morphisms import CircuitMorphism  # local import to avoid a cycle
 
     v_map = dict(var_names or {})
+    for name in (*v_map, *v_map.values()):
+        if not isinstance(name, str):
+            raise StructureError(f"relabel names must be strings, got {name!r}")
     unknown = set(v_map) - c.vars
     if unknown:
         raise StructureError(f"relabel names unknown variables: {sorted(unknown)}")

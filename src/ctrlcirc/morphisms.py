@@ -47,17 +47,31 @@ def _check_total(name: str, mapping: Mapping[str, str], domain: AbstractSet[str]
         raise StructureError(f"{name} maps into undeclared elements: {bad}")
 
 
+def _neighbours(c: Circuit, vs: Collection[str]) -> dict[str, tuple[set[str], set[str]]]:
+    """Each of ``vs``'s producer and consumer units, from one pass over each of ``c``'s flow maps."""
+    near = {v: (set(), set()) for v in vs}
+    if not near.keys() <= c.var_types.keys():
+        raise KeyError(min(near.keys() - c.var_types.keys()))
+    for f in c.out_flows.values():
+        if f.dst in near:
+            near[f.dst][0].add(f.src)
+    for f in c.in_flows.values():
+        if f.src in near:
+            near[f.src][1].add(f.dst)
+    return near
+
+
 def _boundary_gains(src: Circuit, dst: Circuit, f_v: Mapping[str, str], f_u: Mapping[str, str], vs: Iterable[str]):
-    """Those of ``vs`` whose image gains producers (resp. consumers) not in the image."""
-    gain_in = set()
-    gain_out = set()
-    for v in vs:
-        img = f_v[v]
-        if dst.producers(img) - {f_u[u] for u in src.producers(v)}:
-            gain_in.add(v)
-        if dst.consumers(img) - {f_u[u] for u in src.consumers(v)}:
-            gain_out.add(v)
-    return frozenset(gain_in), frozenset(gain_out)
+    """Those of ``vs`` whose image gains producers (resp. consumers) not in the image.
+
+    Walks the flows of ``src`` and ``dst`` once each and keeps nothing:
+    O(|src| + |dst|). An image outside ``dst`` raises ``KeyError``.
+    """
+    img = {v: f_v[v] for v in vs}
+    here, there = _neighbours(src, img), _neighbours(dst, set(img.values()))
+    gain_in = frozenset(v for v, w in img.items() if there[w][0] - {f_u[u] for u in here[v][0]})
+    gain_out = frozenset(v for v, w in img.items() if there[w][1] - {f_u[u] for u in here[v][1]})
+    return gain_in, gain_out
 
 
 def boundary_sets(src: Circuit, dst: Circuit, f_v: Mapping[str, str], f_u: Mapping[str, str]):

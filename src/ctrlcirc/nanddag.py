@@ -64,6 +64,16 @@ class NandDag:
         """Per output node, in sorted order: the Boolean outvar of each incoming edge."""
         return tuple((n, tuple(bool_var(e) for e in self.in_edges[n])) for n in self.outputs())
 
+    @cached_property
+    def _oracle_order(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """What the ``eval_dag`` oracle reads: the topological order, then the sorted input and output nodes."""
+        ts = TopologicalSorter()
+        for n in sorted(self.nodes):
+            ts.add(n)
+        for a, b in sorted(self.edges):
+            ts.add(b, a)
+        return tuple(ts.static_order()), tuple(self.inputs()), tuple(self.outputs())
+
     def kind(self, n: str) -> NodeKind:
         return self.nodes[n]
 
@@ -136,21 +146,20 @@ def validate_dag(nodes: Mapping[str, NodeKind | str], edges) -> NandDag:
 
 
 def topo_order(d: NandDag) -> list[str]:
-    ts = TopologicalSorter()
-    for n in sorted(d.nodes):
-        ts.add(n)
-    for a, b in sorted(d.edges):
-        ts.add(b, a)
-    return list(ts.static_order())
+    return list(d._oracle_order[0])
 
 
 def eval_dag(d: NandDag, bits: Mapping[str, int]) -> dict[str, int]:
-    """Topological evaluation; each gate outputs the negated conjunction."""
-    missing = set(d.inputs()) - set(bits)
+    """Topological evaluation; each gate outputs the negated conjunction.
+
+    The order and the input and output nodes are derived once per netlist.
+    """
+    order, inputs, outputs = d._oracle_order
+    missing = [n for n in inputs if n not in bits]
     if missing:
-        raise StructureError(f"missing input bits for {sorted(missing)}")
+        raise StructureError(f"missing input bits for {missing}")
     value: dict[str, int] = {}
-    for n in topo_order(d):
+    for n in order:
         kind = d.kind(n)
         if kind is NodeKind.INPUT:
             value[n] = 1 if bits[n] else 0
@@ -162,13 +171,13 @@ def eval_dag(d: NandDag, bits: Mapping[str, int]) -> dict[str, int]:
             if len(sources) != 1:
                 raise StructureError(f"output node {n!r} receives disagreeing values")
             value[n] = sources.pop()
-    return {n: value[n] for n in d.outputs()}
+    return {n: value[n] for n in outputs}
 
 
 def longest_gate_path(d: NandDag) -> int:
     depth: dict[str, int] = {}
     best = 0
-    for n in topo_order(d):
+    for n in d._oracle_order[0]:
         if d.kind(n) is NodeKind.GATE:
             depth[n] = 1 + max((depth.get(src, 0) for src, _ in d.in_edges[n]), default=0)
             best = max(best, depth[n])

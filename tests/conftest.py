@@ -8,6 +8,7 @@ the acceptance suite, so everything stays reproducible from one seed.
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -36,6 +37,35 @@ def flow_multiplicities(c: Circuit):
     for f in c.out_flows.values():
         out_mult[(f.src, f.dst)] = out_mult.get((f.src, f.dst), 0) + 1
     return in_mult, out_mult
+
+
+class FlowAdjacency(NamedTuple):
+    """Each unit's pre- and post-set and each variable's consumers and producers."""
+
+    pre: dict[str, frozenset[str]]
+    post: dict[str, frozenset[str]]
+    consumers: dict[str, frozenset[str]]
+    producers: dict[str, frozenset[str]]
+
+
+def flow_adjacency(c: Circuit) -> FlowAdjacency:
+    """The adjacency read straight off the flows, for reference implementations.
+
+    The circuit's own queries read the execution tables that ``run`` reads
+    too, so a reference built on them would share a table bug with the
+    code it checks.
+    """
+    pre: dict[str, set[str]] = {u: set() for u in c.units}
+    post: dict[str, set[str]] = {u: set() for u in c.units}
+    cons: dict[str, set[str]] = {v: set() for v in c.var_types}
+    prod: dict[str, set[str]] = {v: set() for v in c.var_types}
+    for f in c.in_flows.values():
+        pre[f.dst].add(f.src)
+        cons[f.src].add(f.dst)
+    for f in c.out_flows.values():
+        post[f.src].add(f.dst)
+        prod[f.dst].add(f.src)
+    return FlowAdjacency(*({k: frozenset(x) for k, x in m.items()} for m in (pre, post, cons, prod)))
 
 
 def random_primitive(rnd: random.Random) -> Circuit:

@@ -11,7 +11,9 @@ decides soundness in one reverse pass, records each step's change rather
 than its state, and writes JSONL from those changes; all must agree with
 these references exactly (JSONL trace bytes, every replayed state, and the
 Boolean verdict). The writer is also checked on hand-built traces, which no
-run produces.
+run produces. The references read pre-sets, post-sets and consumers straight
+off the flows (``conftest.flow_adjacency``), not through the circuit's
+queries, which read the same execution tables as ``run``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from ctrlcirc.model import Circuit, Flow
 from ctrlcirc.nanddag import NandDag, lift_inputs, to_control, validate_dag
 from ctrlcirc.operators import IterationWiring, iterate_head
 from ctrlcirc.serialize import dumps_circuit, loads_circuit, morphism_to_dict, trace_to_jsonl
-from conftest import random_circuit
+from conftest import FlowAdjacency, flow_adjacency, random_circuit
 
 S, B0, B1 = Value.SIGNAL, Value.ZERO, Value.ONE
 
@@ -68,15 +70,15 @@ S, B0, B1 = Value.SIGNAL, Value.ZERO, Value.ONE
 # -- reference implementations ----------------------------------------------
 
 
-def _ref_enabled(c: Circuit, st: State) -> frozenset[str]:
+def _ref_enabled(adj: FlowAdjacency, st: State) -> frozenset[str]:
     dom = st.values
-    return frozenset(u for u in c.units if all(v in dom for v in c.pre_set(u)))
+    return frozenset(u for u, pre in adj.pre.items() if all(v in dom for v in pre))
 
 
-def _ref_ready(c: Circuit, st: State, rng: SplitMix64) -> frozenset[str]:
+def _ref_ready(adj: FlowAdjacency, st: State, rng: SplitMix64) -> frozenset[str]:
     groups: dict[frozenset[str], list[str]] = {}
-    for u in _ref_enabled(c, st):
-        groups.setdefault(c.pre_set(u), []).append(u)
+    for u in _ref_enabled(adj, st):
+        groups.setdefault(adj.pre[u], []).append(u)
     picks = []
     for members in sorted((sorted(g) for g in groups.values()), key=lambda g: g[0]):
         if len(members) == 1:
@@ -86,21 +88,23 @@ def _ref_ready(c: Circuit, st: State, rng: SplitMix64) -> frozenset[str]:
     return frozenset(picks)
 
 
-def _ref_reduce(c: Circuit, u: str, st: State) -> Value:
-    bits = [st.values[v].bit for v in c.pre_set(u) if c.var_types[v] is BOOL]
+def _ref_reduce(c: Circuit, adj: FlowAdjacency, u: str, st: State) -> Value:
+    bits = [st.values[v].bit for v in adj.pre[u] if c.var_types[v] is BOOL]
     if not bits:
         return Value.ONE
     return Value.ZERO if all(bits) else Value.ONE
 
 
-def _ref_transition(c: Circuit, st: State, ready: Iterable[str]) -> tuple[dict, Optional[tuple[str, str]]]:
+def _ref_transition(
+    c: Circuit, adj: FlowAdjacency, st: State, ready: Iterable[str]
+) -> tuple[dict, Optional[tuple[str, str]]]:
     produced: dict[str, Value] = {}
     producer: dict[str, str] = {}
     touched: set[str] = set()
     for u in sorted(ready):
-        result = _ref_reduce(c, u, st)
-        touched |= c.pre_set(u) | c.post_set(u)
-        for v in sorted(c.post_set(u)):
+        result = _ref_reduce(c, adj, u, st)
+        touched |= adj.pre[u] | adj.post[u]
+        for v in sorted(adj.post[u]):
             val = Value.SIGNAL if c.var_types[v] is CTRL else result
             if v in produced and produced[v] != val:
                 return {}, (v, f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}")
@@ -114,6 +118,7 @@ def _ref_transition(c: Circuit, st: State, ready: Iterable[str]) -> tuple[dict, 
 
 
 def reference_run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
+    adj = flow_adjacency(c)
     rng = SplitMix64(cfg.seed)
     steps: list[TraceStep] = []
     st = init
@@ -121,16 +126,16 @@ def reference_run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
         if st.domain == c.outvars:
             steps.append(TraceStep(st.time, st, (), (), {}))
             return Trace(tuple(steps), Outcome.FINAL)
-        enabled = tuple(sorted(_ref_enabled(c, st)))
+        enabled = tuple(sorted(_ref_enabled(adj, st)))
         if not enabled:
             steps.append(TraceStep(st.time, st, (), (), {}))
             return Trace(tuple(steps), Outcome.DEADLOCK)
         if st.time >= cfg.max_steps:
             steps.append(TraceStep(st.time, st, enabled, (), {}))
             return Trace(tuple(steps), Outcome.STEP_LIMIT)
-        ready = tuple(sorted(_ref_ready(c, st, rng)))
-        results = {u: _ref_reduce(c, u, st) for u in ready}
-        nxt, conflict = _ref_transition(c, st, ready)
+        ready = tuple(sorted(_ref_ready(adj, st, rng)))
+        results = {u: _ref_reduce(c, adj, u, st) for u in ready}
+        nxt, conflict = _ref_transition(c, adj, st, ready)
         steps.append(TraceStep(st.time, st, enabled, ready, results))
         if conflict:
             return Trace(tuple(steps), Outcome.WRITE_CONFLICT, conflict=conflict[1])
@@ -160,21 +165,22 @@ def reference_trace_to_jsonl(trace: Trace) -> str:
 
 
 def reference_is_sound(c: Circuit) -> bool:
+    adj = flow_adjacency(c)
     for v in c.flow_sources | c.invars:
         seen_units: set[str] = set()
-        frontier = list(c.consumers(v))
+        frontier = list(adj.consumers[v])
         reached_out = False
         while frontier:
             u = frontier.pop()
             if u in seen_units:
                 continue
             seen_units.add(u)
-            for w in c.post_set(u):
+            for w in adj.post[u]:
                 if w in c.outvars:
                     reached_out = True
                     frontier = []
                     break
-                frontier.extend(c.consumers(w))
+                frontier.extend(adj.consumers[w])
         if not reached_out:
             return False
     return True
@@ -556,6 +562,7 @@ def test_one_circuit_serves_interleaved_runs_steps_and_queries(rnd):
     renamed = [relabelled(c) for c in circuits]
     for seed in range(10):
         for c in circuits:
+            adj = flow_adjacency(c)
             inputs = random_inputs(rnd, c)
             tr = assert_same_run(c, inputs, seed, max_steps=60)
             rng_query, rng_step, rng_ref = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
@@ -563,9 +570,9 @@ def test_one_circuit_serves_interleaved_runs_steps_and_queries(rnd):
             for i, rec in enumerate(fired):
                 st = rec.state
                 ready = ready_units(c, st, rng_query)
-                assert ready == _ref_ready(c, st, rng_ref) == frozenset(rec.ready)
+                assert ready == _ref_ready(adj, st, rng_ref) == frozenset(rec.ready)
                 assert {u: reduce_unit(c, u, st) for u in ready} == rec.results
-                assert all(reduce_unit(c, u, st) is _ref_reduce(c, u, st) for u in ready)
+                assert all(reduce_unit(c, u, st) is _ref_reduce(c, adj, u, st) for u in ready)
                 if rec is tr.steps[-1]:
                     with pytest.raises(WriteConflictError) as exc:
                         step(c, st, rng_step)

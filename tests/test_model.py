@@ -206,6 +206,16 @@ def test_relabel_rejects_collisions():
         relabel(c, {"nope": "x"})
 
 
+@pytest.mark.parametrize(
+    "var_names",
+    [{"v1": 5}, {"v1": None}, {"v1": ("x",)}, {"v1": ["x"]}, {"v1": "x", "v2": 5}, {5: "x"}, {("v1",): "x"}, {None: "x", "v1": "y"}],
+)
+def test_relabel_rejects_names_that_are_not_strings(var_names):
+    c = mk_primitive(1, 1, 1, 1)
+    with pytest.raises(StructureError, match="must be strings"):
+        relabel(c, var_names)
+
+
 def test_circuits_compare_by_value_but_are_unhashable():
     a, b = mk_primitive(1, 1, 1, 1), mk_primitive(1, 1, 1, 1)
     assert a == b

@@ -18,6 +18,7 @@ from ctrlcirc.nanddag import (
     to_control,
     validate_dag,
 )
+from ctrlcirc import nanddag
 from ctrlcirc.serialize import dumps_dag
 
 
@@ -143,6 +144,30 @@ def test_eval_three_gate_fixture_by_hand():
 def test_eval_missing_bit():
     with pytest.raises(StructureError):
         eval_dag(single_gate(), {"a": 1})
+
+
+def test_oracle_derives_the_order_once_per_netlist(rnd, monkeypatch):
+    # eval_dag, longest_gate_path and topo_order read one cached order
+    built = []
+
+    class CountingSorter(nanddag.TopologicalSorter):
+        def static_order(self):
+            built.append(1)
+            return super().static_order()
+
+    monkeypatch.setattr(nanddag, "TopologicalSorter", CountingSorter)
+    d = random_dag(rnd, 4, 12)
+    fresh = validate_dag(dict(d.nodes), d.edges)  # validation sorts once more
+    built.clear()
+    want = [eval_dag(fresh, {n: (k >> i) & 1 for i, n in enumerate(d.inputs())}) for k in range(16)]
+    order = nanddag.topo_order(fresh)
+    depth = longest_gate_path(fresh)
+    assert built == [1]
+    assert want == [eval_dag(d, {n: (k >> i) & 1 for i, n in enumerate(d.inputs())}) for k in range(16)]
+    assert order == nanddag.topo_order(d) and depth == longest_gate_path(d)
+    assert sorted(order) == sorted(d.nodes)
+    with pytest.raises(StructureError, match=r"missing input bits for \['x0'\]"):
+        eval_dag(fresh, {n: 0 for n in d.inputs()[1:]})
 
 
 def test_to_control_single_gate_counts():
