@@ -128,6 +128,9 @@ def _load_span(path: str, left, right) -> Span:
 
 
 def cmd_compose(args) -> int:
+    for option, given in (("--span", args.span), ("--auto-pair", args.auto_pair)):
+        if given and args.op != "seq":
+            raise StructureError(f"{option} applies to --op seq only, not --op {args.op}")
     wiring = _load_wiring(args.wiring)
     prov: dict = {"op": args.op}
 
@@ -189,6 +192,8 @@ def cmd_compose(args) -> int:
 def cmd_exec(args) -> int:
     if args.runs < 1:
         raise StructureError(f"--runs must be at least 1, got {args.runs}")
+    if args.trace and args.runs > 1:
+        raise StructureError(f"--trace writes the trace of one run; it cannot be combined with --runs {args.runs}")
     c = _load_circuit(args.circuit)
     inputs = ser.assignments_from_dict(_load_json(args.inputs))
     init = initial_state(c, inputs)

@@ -19,6 +19,7 @@ Structural rules enforced by :func:`validate_circuit`:
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -214,31 +215,38 @@ def _assemble(
     out_flows: Mapping[str, Flow | tuple[str, str]],
     sigma: Optional[Iterable[TypeTag | str]],
 ) -> Circuit:
-    """Build a Circuit, raising StructureError on dangling references."""
+    """Build a Circuit, raising StructureError on non-string or repeated ids and on dangling references.
+
+    Ids are type-checked before anything hashes them, so an unhashable id
+    raises StructureError too.
+    """
     if not isinstance(var_types, Mapping):
         raise StructureError(f"variables must map ids to type tags, got {type(var_types).__name__}")
-    vt = {str(v): _as_tag(t) for v, t in var_types.items()}
-    us = frozenset(str(u) for u in units)
+    units = list(units)
+    for what, ids in (("variable", var_types), ("unit", units), ("in-flow", in_flows), ("out-flow", out_flows)):
+        for x in ids:
+            if not isinstance(x, str):
+                raise StructureError(f"{what} id {x!r} must be a string")
+    vt = {v: _as_tag(t) for v, t in var_types.items()}
+    us = frozenset(units)
+    if len(us) != len(units):
+        raise StructureError(f"repeated unit ids: {sorted(u for u, n in Counter(units).items() if n > 1)}")
 
     def norm(flows) -> dict[str, Flow]:
-        out = {}
-        for fid, f in flows.items():
-            if not isinstance(f, Flow):
-                f = Flow(*f)
-            out[str(fid)] = f
-        return out
+        return {fid: f if isinstance(f, Flow) else Flow(*f) for fid, f in flows.items()}
 
     ins = norm(in_flows)
     outs = norm(out_flows)
+    # every declared id is a string, so an endpoint that is not one is undeclared (and is never hashed)
     for fid, f in ins.items():
-        if f.src not in vt:
+        if not isinstance(f.src, str) or f.src not in vt:
             raise StructureError(f"in-flow {fid!r} has undeclared source variable {f.src!r}")
-        if f.dst not in us:
+        if not isinstance(f.dst, str) or f.dst not in us:
             raise StructureError(f"in-flow {fid!r} has undeclared target unit {f.dst!r}")
     for fid, f in outs.items():
-        if f.src not in us:
+        if not isinstance(f.src, str) or f.src not in us:
             raise StructureError(f"out-flow {fid!r} has undeclared source unit {f.src!r}")
-        if f.dst not in vt:
+        if not isinstance(f.dst, str) or f.dst not in vt:
             raise StructureError(f"out-flow {fid!r} has undeclared target variable {f.dst!r}")
     if sigma is None:
         sig = frozenset(vt.values())

@@ -19,11 +19,10 @@ import enum
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from graphlib import CycleError, TopologicalSorter
 from typing import Mapping, Optional, Sequence
 
 from .errors import StructureError, ValidationError
-from .model import BOOL, CTRL, Circuit, Flow, TypeTag, circuit_violations, is_sound, mk_primitive
+from .model import BOOL, CTRL, Circuit, Flow, circuit_violations, is_sound, mk_primitive
 from .dynamics import ExecConfig, Outcome, State, Trace, Value, initial_state, run
 
 
@@ -66,16 +65,19 @@ class NandDag:
 
     @cached_property
     def _oracle_order(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-        """What the ``eval_dag`` oracle reads: the topological order, then the sorted input and output nodes."""
-        ts = TopologicalSorter()
-        for n in sorted(self.nodes):
-            ts.add(n)
-        for a, b in sorted(self.edges):
-            ts.add(b, a)
-        return tuple(ts.static_order()), tuple(self.inputs()), tuple(self.outputs())
+        """What the ``eval_dag`` oracle reads: the topological order, then the sorted input and output nodes.
 
-    def kind(self, n: str) -> NodeKind:
-        return self.nodes[n]
+        The order is Kahn's over the edge tables, sources in name order. It
+        leaves out exactly the nodes on or after a cycle.
+        """
+        indeg = {n: len(es) for n, es in self.in_edges.items()}
+        order = [n for n in sorted(self.nodes) if not indeg[n]]
+        for n in order:  # a queue: the loop reaches the nodes appended below
+            for _, m in self.out_edges[n]:
+                indeg[m] -= 1
+                if not indeg[m]:
+                    order.append(m)
+        return tuple(order), tuple(self.inputs()), tuple(self.outputs())
 
     def inputs(self) -> list[str]:
         return sorted(n for n, k in self.nodes.items() if k is NodeKind.INPUT)
@@ -87,48 +89,42 @@ class NandDag:
         return sorted(n for n, k in self.nodes.items() if k is NodeKind.GATE)
 
 
-def dag_violations(nodes: Mapping[str, NodeKind], edges: frozenset[tuple[str, str]]) -> list[str]:
-    bad: list[str] = []
-    if not edges:
-        bad.append("no-edges")
-    indeg = {n: 0 for n in nodes}
-    outdeg = {n: 0 for n in nodes}
-    for a, b in edges:
-        outdeg[a] += 1
-        indeg[b] += 1
+def dag_violations(d: NandDag) -> list[str]:
+    """Names of every netlist rule ``d`` breaks (empty means valid).
+
+    Degrees are read off the edge tables; ``cyclic`` means the Kahn order leaves a node out.
+    """
+    nodes, ins, outs = d.nodes, d.in_edges, d.out_edges
+    bad = [] if d.edges else ["no-edges"]
     for n, k in sorted(nodes.items()):
-        if indeg[n] + outdeg[n] == 0:
+        indeg, outdeg = len(ins[n]), len(outs[n])
+        if indeg + outdeg == 0:
             bad.append(f"isolated-node:{n}")
-        elif k is NodeKind.INPUT and indeg[n] != 0:
+        elif k is NodeKind.INPUT and indeg != 0:
             bad.append(f"input-degree:{n}")
-        elif k is NodeKind.OUTPUT and outdeg[n] != 0:
+        elif k is NodeKind.OUTPUT and outdeg != 0:
             bad.append(f"output-degree:{n}")
-        elif k is NodeKind.GATE and (indeg[n] != 2 or outdeg[n] != 1):
+        elif k is NodeKind.GATE and (indeg != 2 or outdeg != 1):
             bad.append(f"gate-degree:{n}")
-    for a, b in sorted(edges):
+    for a, b in sorted(d.edges):
         ka, kb = nodes[a], nodes[b]
         if ka is NodeKind.OUTPUT or kb is NodeKind.INPUT or (ka is NodeKind.INPUT and kb is NodeKind.OUTPUT):
             bad.append(f"bad-edge:{a}->{b}")
-    ts = TopologicalSorter()
-    for n in nodes:
-        ts.add(n)
-    for a, b in edges:
-        ts.add(b, a)
-    try:
-        list(ts.static_order())
-    except CycleError:
+    if len(d._oracle_order[0]) < len(nodes):
         bad.append("cyclic")
     return bad
 
 
 def validate_dag(nodes: Mapping[str, NodeKind | str], edges) -> NandDag:
-    """Validate raw netlist data; raises listing every violated rule."""
+    """Validate raw netlist data; raises listing every violated rule, else returns the netlist it checked."""
     if not isinstance(nodes, Mapping):
         raise StructureError(f"netlist nodes must map node names to kinds, got {type(nodes).__name__}")
     nk: dict[str, NodeKind] = {}
     for n, k in nodes.items():
+        if not isinstance(n, str):
+            raise StructureError(f"node name {n!r} must be a string")
         try:
-            nk[str(n)] = k if isinstance(k, NodeKind) else NodeKind(k)
+            nk[n] = k if isinstance(k, NodeKind) else NodeKind(k)
         except ValueError:
             raise StructureError(f"node {n!r} has unknown kind {k!r}") from None
     es = set()
@@ -139,13 +135,15 @@ def validate_dag(nodes: Mapping[str, NodeKind | str], edges) -> NandDag:
         if not (isinstance(a, str) and isinstance(b, str)) or a not in nk or b not in nk:
             raise StructureError(f"edge ({a!r}, {b!r}) references an undeclared node")
         es.add((a, b))
-    bad = dag_violations(nk, frozenset(es))
+    d = NandDag(nk, frozenset(es))
+    bad = dag_violations(d)
     if bad:
         raise ValidationError(bad, subject="nand-dag")
-    return NandDag(nk, frozenset(es))
+    return d
 
 
 def topo_order(d: NandDag) -> list[str]:
+    """Kahn's topological order: the sources in name order, then each node after its last predecessor."""
     return list(d._oracle_order[0])
 
 
@@ -160,7 +158,7 @@ def eval_dag(d: NandDag, bits: Mapping[str, int]) -> dict[str, int]:
         raise StructureError(f"missing input bits for {missing}")
     value: dict[str, int] = {}
     for n in order:
-        kind = d.kind(n)
+        kind = d.nodes[n]
         if kind is NodeKind.INPUT:
             value[n] = 1 if bits[n] else 0
         elif kind is NodeKind.GATE:
@@ -176,28 +174,22 @@ def eval_dag(d: NandDag, bits: Mapping[str, int]) -> dict[str, int]:
 
 def longest_gate_path(d: NandDag) -> int:
     depth: dict[str, int] = {}
-    best = 0
     for n in d._oracle_order[0]:
-        if d.kind(n) is NodeKind.GATE:
+        if d.nodes[n] is NodeKind.GATE:
             depth[n] = 1 + max((depth.get(src, 0) for src, _ in d.in_edges[n]), default=0)
-            best = max(best, depth[n])
-    return best
+    return max(depth.values(), default=0)
 
 
 # ---------------------------------------------------------------------------
 # transformation
 
 
-def _edge_id(e: tuple[str, str]) -> str:
-    return f"{e[0]}>{e[1]}"
-
-
 def ctrl_var(e: tuple[str, str]) -> str:
-    return f"{_edge_id(e)}#1"
+    return f"{e[0]}>{e[1]}#1"
 
 
 def bool_var(e: tuple[str, str]) -> str:
-    return f"{_edge_id(e)}#2"
+    return f"{e[0]}>{e[1]}#2"
 
 
 @dataclass(frozen=True)
@@ -215,36 +207,28 @@ def to_control(d: NandDag) -> TransformResult:
     """Turn a NAND netlist into an equivalent control circuit.
 
     Every DAG edge yields one control and one Boolean variable, every gate a
-    unit; flows mirror which edges enter and leave gates. The result is
-    checked valid and sound before being returned (both must hold for every
-    well-formed netlist; a failure is an implementation bug).
+    unit; flows mirror which edges enter and leave gates. One pass over the
+    sorted edges builds each edge's ids once and fills every table in edge
+    order; a gate has one out-edge, so its unit is met exactly once. The
+    result is checked valid and sound before being returned (both must hold
+    for every well-formed netlist; a failure is an implementation bug).
     """
-    gates = set(d.gates())
-    produced = {e for e in d.edges if e[0] in gates}  # edges leaving a gate
-    consumed = {e for e in d.edges if e[1] in gates}  # edges entering a gate
-
-    var_types: dict[str, TypeTag] = {}
-    var_origin: dict[str, tuple[tuple[str, str], int]] = {}
+    kinds, gate = d.nodes, NodeKind.GATE
+    var_types, var_origin, in_flows, out_flows, unit_origin = {}, {}, {}, {}, {}
     for e in sorted(d.edges):
-        var_types[ctrl_var(e)] = CTRL
-        var_types[bool_var(e)] = BOOL
-        var_origin[ctrl_var(e)] = (e, 1)
-        var_origin[bool_var(e)] = (e, 2)
-
-    in_flows: dict[str, Flow] = {}
-    for e in sorted(consumed):
-        gate = e[1]
-        in_flows[f"i:{_edge_id(e)}#1"] = Flow(ctrl_var(e), gate)
-        in_flows[f"i:{_edge_id(e)}#2"] = Flow(bool_var(e), gate)
-    out_flows: dict[str, Flow] = {}
-    for e in sorted(produced):
-        gate = e[0]
-        out_flows[f"o:{_edge_id(e)}#1"] = Flow(gate, ctrl_var(e))
-        out_flows[f"o:{_edge_id(e)}#2"] = Flow(gate, bool_var(e))
+        src, dst = e
+        cv, bv = ctrl_var(e), bool_var(e)
+        var_types[cv], var_types[bv] = CTRL, BOOL
+        var_origin[cv], var_origin[bv] = (e, 1), (e, 2)
+        if kinds[dst] is gate:
+            in_flows["i:" + cv], in_flows["i:" + bv] = Flow(cv, dst), Flow(bv, dst)
+        if kinds[src] is gate:
+            out_flows["o:" + cv], out_flows["o:" + bv] = Flow(src, cv), Flow(src, bv)
+            unit_origin[src] = src
 
     circuit = Circuit(
         var_types=var_types,
-        units=frozenset(gates),
+        units=frozenset(unit_origin),
         in_flows=in_flows,
         out_flows=out_flows,
         sigma=frozenset({CTRL, BOOL}),
@@ -258,7 +242,7 @@ def to_control(d: NandDag) -> TransformResult:
     return TransformResult(
         circuit=circuit,
         var_origin=var_origin,
-        unit_origin={g: g for g in sorted(gates)},
+        unit_origin=unit_origin,
         input_bindings=dict(d._input_vars),
         output_bindings=dict(d._output_vars),
     )
@@ -323,19 +307,19 @@ class FamilyMember:
     input_groups: tuple[tuple[str, ...], ...]
     output_node: Optional[str]
 
-    def evaluate(self, x: Sequence[int], seed: int = 0) -> int:
+    def evaluate(self, x: Sequence[int]) -> int:
         if len(x) != self.k:
             raise StructureError(f"expected {self.k} input bits, got {len(x)}")
         if self.dag is None:
             st = initial_state(self.circuit, {v: Value.SIGNAL for v in self.circuit.invars})
-            tr = run(self.circuit, st, ExecConfig(seed=seed))
+            tr = run(self.circuit, st, ExecConfig())
             bools = [v for v in sorted(self.circuit.outvars) if self.circuit.var_types[v] is BOOL]
             return tr.final_state.values[bools[0]].bit
         bits = {}
         for i, group in enumerate(self.input_groups):
             for node in group:
                 bits[node] = x[i]
-        tr = run(self.circuit, lift_inputs(self.dag, bits), ExecConfig(seed=seed))
+        tr = run(self.circuit, lift_inputs(self.dag, bits), ExecConfig())
         return read_outputs(self.dag, tr)[self.output_node]
 
 
@@ -343,11 +327,11 @@ class FamilyMember:
 class CircuitFamily:
     members: Mapping[int, FamilyMember]
 
-    def evaluate(self, x: Sequence[int], seed: int = 0) -> int:
+    def evaluate(self, x: Sequence[int]) -> int:
         k = len(x)
         if k not in self.members:
             raise StructureError(f"family has no member for input length {k}")
-        return self.members[k].evaluate(x, seed=seed)
+        return self.members[k].evaluate(x)
 
 
 # Expression trees over fresh input leaves; ("leaf", bit) | ("nand", l, r).

@@ -388,3 +388,39 @@ def test_cli_netlist_unknown_node_kind_is_malformed_input(tmp_path, capsys):
     assert run_cli("import-nand", str(dag), "--out", str(tmp_path / "g.circuit")) == 2
     err = capsys.readouterr().err
     assert err.startswith("malformed input: ") and "'wat'" in err
+
+
+def test_cli_exec_trace_with_several_runs_is_malformed_input(tmp_path, capsys):
+    circ = tmp_path / "p53.circuit"
+    assert run_cli("fixtures", "emit", "p53", "--out", str(circ)) == 0
+    inputs = tmp_path / "in.json"
+    inputs.write_text(json.dumps({"ctrl_in": "*", "p53_in": 1, "mdm2_in": 0}))
+    trace = tmp_path / "t.jsonl"
+    capsys.readouterr()
+    assert run_cli("exec", str(circ), "--inputs", str(inputs), "--runs", "3", "--trace", str(trace)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: --trace ") and "--runs 3" in err
+    assert not trace.exists()
+    assert run_cli("exec", str(circ), "--inputs", str(inputs), "--runs", "1", "--trace", str(trace)) == 0
+    assert trace.read_text().splitlines()[-1] == '{"outcome": "final"}'
+
+
+@pytest.mark.parametrize("op", ["par", "branch"])
+@pytest.mark.parametrize(
+    "extra, option",
+    [
+        (["--span", "missing.json"], "--span"),
+        (["--auto-pair"], "--auto-pair"),
+        (["--span", "missing.json", "--auto-pair"], "--span"),
+    ],
+)
+def test_cli_seq_only_options_on_other_operators_are_malformed_input(tmp_path, capsys, op, extra, option):
+    a, b = tmp_path / "a.circuit", tmp_path / "b.circuit"
+    run_cli("fixtures", "emit", "buffer", "--out", str(a))
+    run_cli("fixtures", "emit", "buffer", "--out", str(b))
+    out = tmp_path / "o.circuit"
+    capsys.readouterr()
+    assert run_cli("compose", "--op", op, str(a), str(b), *extra, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"malformed input: {option} applies to --op seq only"), err
+    assert not out.exists()

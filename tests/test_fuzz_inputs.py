@@ -48,6 +48,12 @@ BRANCH_WIRING = {
     "in_pairs": [["c_in", "c_in"], ["b_in", "b_in"]],
     "out_pairs": [["c_out", "c_out"], ["b_out", "b_out"]],
 }
+ONE_UNIT = {
+    "vars": {"v1": "ctrl", "v2": "ctrl"},
+    "units": ["u1"],
+    "in_flows": {"i1": {"src": "v1", "dst": "u1"}},
+    "out_flows": {"o1": {"src": "u1", "dst": "v2"}},
+}
 SPAN = {
     "apex": {"vars": {"p1": "ctrl", "p2": "bool"}, "units": [], "in_flows": {}, "out_flows": {}},
     "left": {"f_v": {"p1": "v4", "p2": "v5"}, "f_u": {}, "f_i": {}, "f_o": {}},
@@ -138,6 +144,7 @@ def main_on_text(files, argv_of, text: str) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+VALIDATE = ["validate", "{doc}"]
 EXEC = ["exec", "{dir}/and.circuit", "--inputs", "{doc}"]
 SEQ = ["compose", "--op", "seq", "{dir}/nand2.circuit", "{dir}/not.circuit", "--wiring", "{doc}", "--out", "{dir}/o.circuit"]
 BRANCH = ["compose", "--op", "branch", "{dir}/buffer.circuit", "{dir}/buffer.circuit", "--wiring", "{doc}", "--out", "{dir}/o.circuit"]
@@ -208,13 +215,16 @@ def test_main_maps_malformed_documents_to_documented_exits(files, argv_of, base)
         (SYNTH, {"01": [1, 0]}),
         (SYNTH, {"1": [True, False]}),
         (SYNTH, {"2": [0, 1]}),
+        (VALIDATE, {**ONE_UNIT, "units": [1], "in_flows": {"i1": {"src": "v1", "dst": "1"}},
+                    "out_flows": {"o1": {"src": "1", "dst": "v2"}}}),
+        (VALIDATE, {**ONE_UNIT, "units": ["u1", "u1"]}),
     ],
     ids=[
         "inputs-list", "inputs-string", "inputs-boolean", "inputs-float", "pair-of-one", "pair-of-three", "pair-of-int", "pairs-int",
         "unknown-key", "wiring-list", "branch-row-of-ints", "head-row-int", "apex-int", "apex-missing",
         "leg-list", "leg-map-of-list", "leg-unknown-key", "tables-list", "table-key-not-a-number",
         "table-int", "table-huge-k", "table-string", "table-entry-string", "table-negative-k",
-        "table-key-leading-zero", "table-booleans", "table-too-short",
+        "table-key-leading-zero", "table-booleans", "table-too-short", "units-int", "units-repeated",
     ],
 )
 def test_malformed_cli_documents_exit_2(files, argv_of, doc):
@@ -246,6 +256,10 @@ def test_documents_nested_too_deeply_for_the_json_reader_exit_2(files, argv_of):
 def test_exec_runs_below_one_exits_2(files, runs):
     code, err = main_on(files, EXEC + ["--runs", runs], INPUTS)
     assert code == 2 and err.startswith("malformed input: --runs must be at least 1"), err
+
+
+def test_well_formed_one_unit_circuit_validates(files):
+    assert main_on(files, VALIDATE, ONE_UNIT) == (0, "")
 
 
 def test_well_formed_wiring_still_composes(files):

@@ -222,3 +222,36 @@ def test_circuits_compare_by_value_but_are_unhashable():
     assert Circuit.__hash__ is None
     with pytest.raises(TypeError, match="Circuit"):
         hash(a)
+
+
+PRIMITIVE = {
+    "var_types": {"v1": CTRL, "v2": CTRL},
+    "units": ["u1"],
+    "in_flows": {"i1": ("v1", "u1")},
+    "out_flows": {"o1": ("u1", "v2")},
+}
+
+
+@pytest.mark.parametrize(
+    "change, what",
+    [
+        ({"var_types": {1: CTRL, "v2": CTRL}, "in_flows": {"i1": (1, "u1")}}, "variable id 1"),
+        ({"units": [1], "in_flows": {"i1": ("v1", 1)}, "out_flows": {"o1": (1, "v2")}}, "unit id 1"),
+        ({"units": [[], "u2"]}, r"unit id \[\]"),
+        ({"units": iter([None])}, "unit id None"),
+        ({"in_flows": {1: ("v1", "u1")}}, "in-flow id 1"),
+        ({"out_flows": {("o", 1): ("u1", "v2")}}, r"out-flow id \('o', 1\)"),
+        ({"units": ["u1", "u1"]}, r"repeated unit ids: \['u1'\]"),
+        ({"in_flows": {"i1": ("v1", [])}}, r"undeclared target unit \[\]"),
+        ({"out_flows": {"o1": ({}, "v2")}}, r"undeclared source unit \{\}"),
+    ],
+    ids=[
+        "var-int", "unit-int", "unit-unhashable", "unit-none-from-iterator", "in-flow-int", "out-flow-tuple",
+        "unit-repeated", "in-flow-target-unhashable", "out-flow-source-unhashable",
+    ],
+)
+def test_ids_that_are_not_strings_or_repeat_are_malformed(change, what):
+    # ids are never coerced with str(): 1 and "1" would otherwise name one unit
+    with pytest.raises(StructureError, match=what):
+        validate_circuit(**{**PRIMITIVE, **change})
+    assert validate_circuit(**PRIMITIVE) == mk_primitive(1, 0, 1, 0)

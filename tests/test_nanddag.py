@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 
 import pytest
 
@@ -19,6 +20,7 @@ from ctrlcirc.nanddag import (
     validate_dag,
 )
 from ctrlcirc import nanddag
+from ctrlcirc.dynamics import SplitMix64
 from ctrlcirc.serialize import dumps_dag
 
 
@@ -147,27 +149,42 @@ def test_eval_missing_bit():
 
 
 def test_oracle_derives_the_order_once_per_netlist(rnd, monkeypatch):
-    # eval_dag, longest_gate_path and topo_order read one cached order
-    built = []
+    # validate_dag, eval_dag, longest_gate_path and topo_order read one cached Kahn order
+    derived = []
+    kahn = NandDag._oracle_order.func
 
-    class CountingSorter(nanddag.TopologicalSorter):
-        def static_order(self):
-            built.append(1)
-            return super().static_order()
+    def counting(self):
+        derived.append(self)
+        return kahn(self)
 
-    monkeypatch.setattr(nanddag, "TopologicalSorter", CountingSorter)
+    cached = cached_property(counting)
+    cached.__set_name__(NandDag, "_oracle_order")
+    monkeypatch.setattr(NandDag, "_oracle_order", cached)
     d = random_dag(rnd, 4, 12)
-    fresh = validate_dag(dict(d.nodes), d.edges)  # validation sorts once more
-    built.clear()
+    derived.clear()
+    fresh = validate_dag(dict(d.nodes), d.edges)
     want = [eval_dag(fresh, {n: (k >> i) & 1 for i, n in enumerate(d.inputs())}) for k in range(16)]
     order = nanddag.topo_order(fresh)
     depth = longest_gate_path(fresh)
-    assert built == [1]
+    assert len(derived) == 1 and derived[0] is fresh
     assert want == [eval_dag(d, {n: (k >> i) & 1 for i, n in enumerate(d.inputs())}) for k in range(16)]
     assert order == nanddag.topo_order(d) and depth == longest_gate_path(d)
     assert sorted(order) == sorted(d.nodes)
     with pytest.raises(StructureError, match=r"missing input bits for \['x0'\]"):
         eval_dag(fresh, {n: 0 for n in d.inputs()[1:]})
+    derived.clear()
+    with pytest.raises(ValidationError, match="cyclic"):
+        validate_dag(
+            {"a": "input", "b": "input", "g1": "gate", "g2": "gate"},
+            [("a", "g1"), ("g2", "g1"), ("b", "g2"), ("g1", "g2")],
+        )
+    assert len(derived) == 1
+
+
+@pytest.mark.parametrize("name", [1, None, ("a",)])
+def test_node_names_that_are_not_strings_are_malformed(name):
+    with pytest.raises(StructureError, match="must be a string"):
+        validate_dag({name: "input", "b": "input", "g": "gate", "y": "output"}, [("b", "g"), ("g", "y")])
 
 
 def test_to_control_single_gate_counts():
@@ -279,6 +296,22 @@ def test_family_every_k3_function_exhaustive():
         for i in range(8):
             x = [(i >> 0) & 1, (i >> 1) & 1, (i >> 2) & 1]
             assert fam.evaluate(x) == table[i]
+
+
+def test_member_runs_make_no_random_draws(monkeypatch):
+    # every unit of a synthesised member has an input set of its own, so no
+    # run draws and evaluate needs no seed
+    draws = []
+    next_u64 = SplitMix64.next_u64
+    monkeypatch.setattr(SplitMix64, "next_u64", lambda rng: draws.append(1) or next_u64(rng))
+    gen = random.Random(0xD1CE)
+    for k in range(6):
+        table = [gen.randint(0, 1) for _ in range(2**k)]
+        member = synth_family({k: table}).members[k]
+        assert all(len(g) == 1 for g in member.circuit._exec_tables.group.values())
+        for row in gen.sample(range(2**k), min(2**k, 8)):
+            assert member.evaluate([(row >> i) & 1 for i in range(k)]) == table[row]
+    assert draws == []
 
 
 def test_family_size_is_k_times_2_to_the_k():
