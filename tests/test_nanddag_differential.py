@@ -118,7 +118,7 @@ def sample_netlists() -> list[NandDag]:
 
 
 def broken(d: NandDag, rnd: random.Random) -> tuple[dict[str, NodeKind], set[tuple[str, str]]]:
-    """``d`` with one to three faults: a self-loop, a back edge, a lost or doubled edge, a bad edge, a lone node."""
+    """``d`` with one to three faults: a self-loop, a back edge, a re-pointed out-edge, a lost or extra edge, a lone node, no edges."""
     nodes, edges = dict(d.nodes), set(d.edges)
     order = topo_order(d)
     gates = [n for n in order if nodes[n] is NodeKind.GATE]
@@ -131,7 +131,7 @@ def broken(d: NandDag, rnd: random.Random) -> tuple[dict[str, NodeKind], set[tup
             i, j = sorted(rnd.sample(range(len(gates)), 2))
             edges.add((gates[j], gates[i]))
         elif fault == "cycle-swap" and len(gates) > 1:
-            # re-point a gate's only out-edge at an earlier gate, keeping every degree
+            # re-point a gate's only out-edge at an earlier gate, closing a cycle
             i, j = sorted(rnd.sample(range(len(gates)), 2))
             outs = [e for e in edges if e[0] == gates[j]]
             if len(outs) == 1:
