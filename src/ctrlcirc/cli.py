@@ -90,21 +90,33 @@ def cmd_classify(args) -> int:
     return 0
 
 
-# Row width of each ``--wiring`` key; ``None`` leaves the width to the operator.
-_WIRING_ROWS = {"pairs": 2, "in_pairs": 2, "out_pairs": 2, "head": None, "tail": None}
+# The ``--wiring`` keys each operator reads, with the row width of each
+# (``None`` leaves the width to the operator). ``--op seq`` reads none under
+# ``--span`` or ``--auto-pair``.
+_OP_WIRING = {
+    "seq": {"pairs": 2},
+    "par": {},
+    "branch": {"in_pairs": 2, "out_pairs": 2},
+    "iter-head": {"head": None, "tail": None},
+    "iter-tail": {"head": None, "tail": None},
+}
 
 
 def _ids(xs) -> bool:
     return all(isinstance(x, str) for x in xs)
 
 
-def _load_wiring(path) -> dict[str, list[tuple[str, ...]]]:
-    """Read a ``--wiring`` document: each key maps to a list of variable-id rows."""
+def _load_wiring(path, op: str) -> dict[str, list[tuple[str, ...]]]:
+    """Read a ``--wiring`` document: each key ``op`` reads maps to a list of variable-id rows."""
     doc = _load_json(path) if path else {}
-    if not isinstance(doc, dict) or not set(doc) <= set(_WIRING_ROWS):
-        raise StructureError(f"wiring document must be a JSON object with keys among {sorted(_WIRING_ROWS)}")
+    if not isinstance(doc, dict):
+        raise StructureError(f"wiring document must be a JSON object, got {type(doc).__name__}")
+    widths = _OP_WIRING[op]
+    unread = sorted(set(doc) - set(widths))
+    if unread:
+        raise StructureError(f"wiring keys {unread} are not read by --op {op}, which reads {list(widths)}")
     for key, rows in doc.items():
-        width = _WIRING_ROWS[key]
+        width = widths[key]
         if not isinstance(rows, list) or not all(
             isinstance(row, list) and width in (None, len(row)) and _ids(row) for row in rows
         ):
@@ -128,10 +140,14 @@ def _load_span(path: str, left, right) -> Span:
 
 
 def cmd_compose(args) -> int:
-    for option, given in (("--span", args.span), ("--auto-pair", args.auto_pair)):
-        if given and args.op != "seq":
-            raise StructureError(f"{option} applies to --op seq only, not --op {args.op}")
-    wiring = _load_wiring(args.wiring)
+    pairing = [option for option, given in (("--span", args.span), ("--auto-pair", args.auto_pair)) if given]
+    if pairing and args.op != "seq":
+        raise StructureError(f"{pairing[0]} applies to --op seq only, not --op {args.op}")
+    if len(pairing) > 1:
+        raise StructureError("--span and --auto-pair each give the whole pairing; use one")
+    if args.wiring and (pairing or not _OP_WIRING[args.op]):
+        raise StructureError(f"--wiring does not apply to --op {' '.join([args.op, *pairing])}")
+    wiring = _load_wiring(args.wiring, args.op)
     prov: dict = {"op": args.op}
 
     if args.op in ("seq", "par", "branch"):

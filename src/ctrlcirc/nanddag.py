@@ -19,7 +19,9 @@ import enum
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from itertools import chain, groupby
+from operator import itemgetter
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import StructureError, ValidationError
 from .model import BOOL, CTRL, Circuit, Flow, circuit_violations, is_sound, mk_primitive
@@ -40,18 +42,29 @@ class NandDag:
     edges: frozenset[tuple[str, str]]
 
     @cached_property
-    def in_edges(self) -> dict[str, list[tuple[str, str]]]:
-        table: dict[str, list[tuple[str, str]]] = {n: [] for n in self.nodes}
-        for e in sorted(self.edges):
-            table[e[1]].append(e)
+    def out_edges(self) -> dict[str, list[tuple[str, str]]]:
+        """Each node's out-edges, sorted; the only sort of the edge set.
+
+        Sources come first, in sorted order, so walking the rows in order
+        yields the sorted edge set (``sorted_edges``).
+        """
+        table = {src: list(row) for src, row in groupby(sorted(self.edges), itemgetter(0))}
+        for n in self.nodes:
+            if n not in table:
+                table[n] = []
         return table
 
     @cached_property
-    def out_edges(self) -> dict[str, list[tuple[str, str]]]:
+    def in_edges(self) -> dict[str, list[tuple[str, str]]]:
+        """Each node's in-edges, sorted: filled from the sorted edge walk."""
         table: dict[str, list[tuple[str, str]]] = {n: [] for n in self.nodes}
-        for e in sorted(self.edges):
-            table[e[0]].append(e)
+        for e in self.sorted_edges():
+            table[e[1]].append(e)
         return table
+
+    def sorted_edges(self) -> Iterator[tuple[str, str]]:
+        """The edges in sorted order, read off the ``out_edges`` rows."""
+        return chain.from_iterable(self.out_edges.values())
 
     @cached_property
     def _input_vars(self) -> tuple[tuple[str, tuple[tuple[str, str], ...]], ...]:
@@ -106,7 +119,7 @@ def dag_violations(d: NandDag) -> list[str]:
             bad.append(f"output-degree:{n}")
         elif k is NodeKind.GATE and (indeg != 2 or outdeg != 1):
             bad.append(f"gate-degree:{n}")
-    for a, b in sorted(d.edges):
+    for a, b in d.sorted_edges():
         ka, kb = nodes[a], nodes[b]
         if ka is NodeKind.OUTPUT or kb is NodeKind.INPUT or (ka is NodeKind.INPUT and kb is NodeKind.OUTPUT):
             bad.append(f"bad-edge:{a}->{b}")
@@ -208,14 +221,15 @@ def to_control(d: NandDag) -> TransformResult:
 
     Every DAG edge yields one control and one Boolean variable, every gate a
     unit; flows mirror which edges enter and leave gates. One pass over the
-    sorted edges builds each edge's ids once and fills every table in edge
-    order; a gate has one out-edge, so its unit is met exactly once. The
-    result is checked valid and sound before being returned (both must hold
-    for every well-formed netlist; a failure is an implementation bug).
+    sorted edges (the ``out_edges`` rows) builds each edge's ids once and
+    fills every table in edge order; a gate has one out-edge, so its unit is
+    met exactly once. The result is checked valid and sound before being
+    returned (both must hold for every well-formed netlist; a failure is an
+    implementation bug).
     """
     kinds, gate = d.nodes, NodeKind.GATE
     var_types, var_origin, in_flows, out_flows, unit_origin = {}, {}, {}, {}, {}
-    for e in sorted(d.edges):
+    for e in d.sorted_edges():
         src, dst = e
         cv, bv = ctrl_var(e), bool_var(e)
         var_types[cv], var_types[bv] = CTRL, BOOL
@@ -310,15 +324,14 @@ class FamilyMember:
     def evaluate(self, x: Sequence[int]) -> int:
         if len(x) != self.k:
             raise StructureError(f"expected {self.k} input bits, got {len(x)}")
+        if not all(b in (0, 1) for b in x):  # booleans pass, as in tables
+            raise StructureError(f"input bits must be 0 or 1, got {list(x)!r}")
         if self.dag is None:
             st = initial_state(self.circuit, {v: Value.SIGNAL for v in self.circuit.invars})
             tr = run(self.circuit, st, ExecConfig())
             bools = [v for v in sorted(self.circuit.outvars) if self.circuit.var_types[v] is BOOL]
             return tr.final_state.values[bools[0]].bit
-        bits = {}
-        for i, group in enumerate(self.input_groups):
-            for node in group:
-                bits[node] = x[i]
+        bits = {node: x[i] for i, group in enumerate(self.input_groups) for node in group}
         tr = run(self.circuit, lift_inputs(self.dag, bits), ExecConfig())
         return read_outputs(self.dag, tr)[self.output_node]
 
@@ -334,104 +347,84 @@ class CircuitFamily:
         return self.members[k].evaluate(x)
 
 
-# Expression trees over fresh input leaves; ("leaf", bit) | ("nand", l, r).
-# Fan-out-1 gates cannot share subresults, so an operand used twice is
-# emitted twice. Negation therefore never repeats a compound operand.
+def _shannon_netlist(k: int, table: Sequence[int]) -> tuple[NandDag, tuple[tuple[str, ...], ...], str]:
+    """Emit the netlist of a k-input table (``k >= 1``) by Shannon expansion on the highest input.
 
-
-def _expr_not(e):
-    if e[0] == "leaf":
-        return ("nand", e, e)  # two fresh input nodes of the same bit
-    return ("nand", e, _expr_const_one())  # 2 gates and 3 leaves, nothing copied
-
-
-def _expr_and(a, b):
-    return _expr_not(("nand", a, b))
-
-
-def _expr_or(a, b):
-    return ("nand", _expr_not(a), _expr_not(b))
-
-
-def _expr_const_one():
-    # x0 NAND (not x0) == 1 regardless of the input's value
-    leaf = ("leaf", 0)
-    return ("nand", leaf, _expr_not(leaf))
-
-
-def _table_expr(k: int, table: Sequence[int]):
-    minterms = []
-    for row, out in enumerate(table):
-        if not out:
-            continue
-        lits = []
-        for i in range(k):
-            leaf = ("leaf", i)
-            lits.append(leaf if (row >> i) & 1 else _expr_not(leaf))
-        term = lits[0]
-        for lit in lits[1:]:
-            term = _expr_and(term, lit)
-        minterms.append(term)
-    if not minterms:
-        return _expr_not(_expr_const_one())
-    if len(minterms) == len(table):
-        return _expr_const_one()
-    expr = minterms[0]
-    for term in minterms[1:]:
-        expr = _expr_or(expr, term)
-    if expr[0] == "leaf":  # bare wire: force a gate level so the netlist is non-empty
-        expr = _expr_not(_expr_not(expr))
-    return expr
-
-
-def _expr_to_dag(expr, k: int) -> tuple[NandDag, tuple[tuple[str, ...], ...], str]:
-    """Emit an expression tree as a netlist, from an explicit stack (trees nest about 2**k deep).
-
-    Nodes are named in pre-order (a gate before its operands, the left
-    operand first); a gate enters the netlist once both operands have.
+    A function of inputs ``0..m-1`` is an int whose bit ``row`` is its value
+    on ``row``. Input ``x = m-1`` splits it into the cofactors ``f0`` (low
+    half) and ``f1`` (high half). Equal cofactors fold away; a constant
+    cofactor leaves an OR (one NAND over the other cofactor's complement) or
+    an AND (that NAND, negated) of a literal and the other cofactor; otherwise
+    the function is the multiplexer ``NAND(NAND(x, f1), NAND(NOT x, f0))``.
+    Gates have fan-out 1, so every literal is a fresh input node of its bit
+    and nothing is shared. Gates and leaves go straight into the netlist,
+    and the recursion is at most k deep.
     """
     nodes: dict[str, NodeKind] = {}
     edges: set[tuple[str, str]] = set()
     groups: list[list[str]] = [[] for _ in range(k)]
-    n_leaves = n_gates = 0
-    emitted: list[str] = []  # names of emitted operands not yet wired into their gate
-    stack = [expr]  # trees still to emit, and names of gates to close
-    while stack:
-        node = stack.pop()
-        if type(node) is str:  # both operands of gate ``node`` are emitted
-            right = emitted.pop()
-            left = emitted.pop()
-            nodes[node] = NodeKind.GATE
-            edges.add((left, node))
-            edges.add((right, node))
-            emitted.append(node)
-        elif node[0] == "leaf":
-            n_leaves += 1
-            name = f"x{node[1]}_{n_leaves}"
-            nodes[name] = NodeKind.INPUT
-            groups[node[1]].append(name)
-            emitted.append(name)
-        else:
-            n_gates += 1
-            stack += (f"g{n_gates}", node[2], node[1])
-    root = emitted.pop()
-    if nodes[root] is not NodeKind.GATE:
-        raise AssertionError("expression root must be a gate")
+
+    def leaf(x: int) -> str:
+        name = f"x{x}_{len(nodes)}"
+        nodes[name] = NodeKind.INPUT
+        groups[x].append(name)
+        return name
+
+    def nand(a: str, b: str) -> str:
+        name = f"g{len(nodes)}"
+        nodes[name] = NodeKind.GATE
+        edges.add((a, name))
+        edges.add((b, name))
+        return name
+
+    def inv(x: int) -> str:  # NOT x, from two leaves of x
+        return nand(leaf(x), leaf(x))
+
+    def one() -> str:  # x0 NAND (NOT x0)
+        return nand(leaf(0), inv(0))
+
+    def emit(f: int, m: int, top: bool = False) -> str:
+        half = 1 << (m - 1)
+        ones = (1 << half) - 1
+        f0, f1, x = f & ones, f >> half, m - 1
+        if f0 == f1:
+            return emit(f0, m - 1, top)
+        if f0 in (0, ones) and f1 in (0, ones):  # the literal x or NOT x
+            if not f1:
+                return inv(x)
+            return nand(inv(x), inv(x)) if top else leaf(x)  # the output must leave a gate
+        if f0 == ones:  # NOT x OR f1
+            return nand(leaf(x), emit(f1 ^ ones, m - 1))
+        if f1 == ones:  # x OR f0
+            return nand(inv(x), emit(f0 ^ ones, m - 1))
+        if not f0:  # x AND f1
+            return nand(nand(leaf(x), emit(f1, m - 1)), one())
+        if not f1:  # NOT x AND f0
+            return nand(nand(inv(x), emit(f0, m - 1)), one())
+        return nand(nand(leaf(x), emit(f1, m - 1)), nand(inv(x), emit(f0, m - 1)))
+
+    f = int("".join(map(str, reversed(table))), 2)
+    if f == (1 << len(table)) - 1:
+        root = one()
+    elif not f:
+        root = nand(one(), one())
+    else:
+        root = emit(f, k, top=True)
     nodes["out"] = NodeKind.OUTPUT
     edges.add((root, "out"))
-    dag = validate_dag(nodes, edges)
-    return dag, tuple(tuple(g) for g in groups), "out"
+    return validate_dag(nodes, edges), tuple(tuple(g) for g in groups), "out"
 
 
 def synth_family(tables: Mapping[int, Sequence[int]]) -> CircuitFamily:
     """Build one circuit per input length from explicit truth tables.
 
     Tables map ``k`` to the 2**k outputs (row index read in binary, least
-    significant bit = first input). Synthesis is a plain sum-of-minterms
-    netlist compiled to fan-in-2 NAND gates: each of the at most 2**k
-    minterms is a chain of k literals, and negating a compound expression
-    NANDs it with a constant one instead of copying it, so member size is
-    O(k * 2**k) gates. No minimisation is attempted.
+    significant bit = first input). A member for ``k >= 1`` is a fan-in-2
+    NAND netlist synthesised by Shannon expansion (C. E. Shannon, "The
+    synthesis of two-terminal switching circuits", BSTJ 1949): at most one
+    multiplexer of at most five gates per distinct cofactor, so at most
+    3 * 2**k gates, and at most 2k + 1 gates on any path (2k - 1 below the
+    constant tables and single literals). No minimisation is attempted.
     """
     for k in tables:
         if type(k) is not int or k < 0:  # bool is an int subclass, so it fails too
@@ -456,8 +449,7 @@ def synth_family(tables: Mapping[int, Sequence[int]]) -> CircuitFamily:
                 circuit = sequence(const_one, inv, [("v2", "v1"), ("v3", "v2")], tag="const").circuit
             members[k] = FamilyMember(k, circuit, None, (), None)
             continue
-        expr = _table_expr(k, table)
-        dag, groups, out_node = _expr_to_dag(expr, k)
+        dag, groups, out_node = _shannon_netlist(k, table)
         members[k] = FamilyMember(k, to_control(dag).circuit, dag, groups, out_node)
     return CircuitFamily(members)
 

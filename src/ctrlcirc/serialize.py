@@ -84,7 +84,7 @@ def loads_circuit(text: str) -> Circuit:
 def dag_to_dict(d: NandDag) -> dict:
     return {
         "nodes": {n: d.nodes[n].value for n in sorted(d.nodes)},
-        "edges": [[a, b] for a, b in sorted(d.edges)],
+        "edges": [[a, b] for a, b in d.sorted_edges()],
     }
 
 

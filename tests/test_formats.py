@@ -165,19 +165,22 @@ def test_cli_compose_iso_roundabout(tmp_path, capsys):
     assert run_cli("iso", str(out), str(inv)) == 1
 
 
+# nand2's outputs (v4, v5) onto not's inputs (v1, v2), through a two-variable apex
+SPAN_DOC = {
+    "apex": {"vars": {"p1": "ctrl", "p2": "bool"}, "units": [], "in_flows": {}, "out_flows": {}},
+    "left": {"f_v": {"p1": "v4", "p2": "v5"}, "f_u": {}, "f_i": {}, "f_o": {}},
+    "right": {"f_v": {"p1": "v1", "p2": "v2"}, "f_u": {}, "f_i": {}, "f_o": {}},
+}
+
+
 def test_cli_compose_from_explicit_span(tmp_path, capsys):
     # the span file carries the apex circuit inline plus both morphism map sets
     nand2 = tmp_path / "nand2.circuit"
     inv = tmp_path / "not.circuit"
     run_cli("fixtures", "emit", "nand2", "--out", str(nand2))
     run_cli("fixtures", "emit", "not", "--out", str(inv))
-    span = {
-        "apex": {"vars": {"p1": "ctrl", "p2": "bool"}, "units": [], "in_flows": {}, "out_flows": {}},
-        "left": {"f_v": {"p1": "v4", "p2": "v5"}, "f_u": {}, "f_i": {}, "f_o": {}},
-        "right": {"f_v": {"p1": "v1", "p2": "v2"}, "f_u": {}, "f_i": {}, "f_o": {}},
-    }
     span_file = tmp_path / "span.json"
-    span_file.write_text(json.dumps(span))
+    span_file.write_text(json.dumps(SPAN_DOC))
     out = tmp_path / "via_span.circuit"
     assert run_cli("compose", "--op", "seq", str(nand2), str(inv), "--span", str(span_file), "--out", str(out)) == 0
     ref = tmp_path / "ref.circuit"
@@ -423,4 +426,39 @@ def test_cli_seq_only_options_on_other_operators_are_malformed_input(tmp_path, c
     assert run_cli("compose", "--op", op, str(a), str(b), *extra, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"malformed input: {option} applies to --op seq only"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "op, wiring, extra, named",
+    [
+        ("par", {"pairs": [["v9", "v1"]]}, [], "--wiring does not apply to --op par"),
+        ("par", {}, [], "--wiring does not apply to --op par"),
+        ("seq", {"pairs": [["v9", "v1"]]}, ["--auto-pair"], "--wiring does not apply to --op seq --auto-pair"),
+        ("seq", {"pairs": [["v4", "v1"]]}, ["--span", "{span}"], "--wiring does not apply to --op seq --span"),
+        ("seq", None, ["--span", "{span}", "--auto-pair"], "--span and --auto-pair"),
+        ("seq", {"pairs": [["v4", "v1"]], "head": []}, [], "wiring keys ['head'] are not read by --op seq"),
+        ("branch", {"pairs": []}, [], "wiring keys ['pairs'] are not read by --op branch"),
+        ("iter-tail", {"in_pairs": [], "head": []}, [], "wiring keys ['in_pairs'] are not read by --op iter-tail"),
+    ],
+    ids=["par-wiring", "par-empty-wiring", "seq-wiring-auto-pair", "seq-wiring-span", "seq-span-auto-pair",
+         "seq-head-key", "branch-pairs-key", "iter-in-pairs-key"],
+)
+def test_cli_compose_options_and_keys_the_op_does_not_read_are_malformed_input(tmp_path, capsys, op, wiring, extra, named):
+    run_cli("fixtures", "emit", "nand2", "--out", str(tmp_path / "nand2.circuit"))
+    run_cli("fixtures", "emit", "not", "--out", str(tmp_path / "not.circuit"))
+    operands = [str(tmp_path / "nand2.circuit"), str(tmp_path / "not.circuit")]
+    if op.startswith("iter"):
+        operands *= 2
+    span = tmp_path / "span.json"
+    span.write_text(json.dumps(SPAN_DOC))
+    argv = ["compose", "--op", op, *operands, *(a.format(span=span) for a in extra)]
+    if wiring is not None:
+        (tmp_path / "w.json").write_text(json.dumps(wiring))
+        argv += ["--wiring", str(tmp_path / "w.json")]
+    out = tmp_path / "o.circuit"
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"malformed input: {named}"), err
     assert not out.exists()

@@ -7,8 +7,6 @@ from ctrlcirc import CTRL, BOOL, ExecConfig, Outcome, StructureError, Validation
 from ctrlcirc.nanddag import (
     NandDag,
     NodeKind,
-    _expr_to_dag,
-    _table_expr,
     bool_var,
     eval_dag,
     lift_inputs,
@@ -21,7 +19,6 @@ from ctrlcirc.nanddag import (
 )
 from ctrlcirc import nanddag
 from ctrlcirc.dynamics import SplitMix64
-from ctrlcirc.serialize import dumps_dag
 
 
 def single_gate():
@@ -289,13 +286,67 @@ def test_family_constants():
     assert [fam1.evaluate([a, b]) for a in (0, 1) for b in (0, 1)] == [0, 0, 0, 0]
 
 
+def assert_member_matches(member, table, rows, run=True):
+    """The truth table is the oracle for the netlist under ``eval_dag`` and, if ``run``, for the circuit's run."""
+    k = member.k
+    for row in rows:
+        x = [(row >> i) & 1 for i in range(k)]
+        bits = {node: x[i] for i, group in enumerate(member.input_groups) for node in group}
+        assert eval_dag(member.dag, bits) == {member.output_node: table[row]}, (k, row)
+        assert not run or member.evaluate(x) == table[row], (k, row)
+
+
 def test_family_every_k3_function_exhaustive():
     for t in range(256):
         table = [(t >> row) & 1 for row in range(8)]
         fam = synth_family({3: table})
-        for i in range(8):
-            x = [(i >> 0) & 1, (i >> 1) & 1, (i >> 2) & 1]
-            assert fam.evaluate(x) == table[i]
+        assert_member_matches(fam.members[3], table, range(8))
+
+
+@pytest.fixture(scope="module")
+def shannon_members():
+    """Per k = 1..12, (table, member) pairs: a random table, then parity, a single minterm and all ones but one."""
+    rng = random.Random(0x5A7)
+    members = {}
+    for k in range(1, 13):
+        n = 2**k
+        parity = [bin(row).count("1") & 1 for row in range(n)]
+        tables = [[rng.randint(0, 1) for _ in range(n)], parity, [0] * (n - 1) + [1], [0] + [1] * (n - 1)]
+        members[k] = [(t, synth_family({k: t}).members[k]) for t in tables]
+    return members
+
+
+def test_shannon_members_match_their_tables(shannon_members):
+    # every row up to k = 8 and 64 sampled rows above; runs are checked on the random tables
+    rng = random.Random(0x5A8)
+    for k, members in shannon_members.items():
+        rows = range(2**k) if k <= 8 else rng.sample(range(2**k), 64)
+        for i, (table, member) in enumerate(members):
+            assert_member_matches(member, table, rows, run=i == 0)
+
+
+def test_shannon_members_keep_their_size_and_depth_bounds(shannon_members):
+    # the synth_family bounds: at most 3 * 2**k gates and max(2k - 1, 3) on a path
+    for k, members in shannon_members.items():
+        for table, member in members:
+            assert len(member.dag.gates()) <= 3 * 2**k, (k, table)
+            assert longest_gate_path(member.dag) <= max(2 * k - 1, 3), (k, table)
+    for k in (1, 2, 3):  # every function, constants and single literals included
+        for t in range(2 ** 2**k):
+            dag = synth_family({k: [(t >> row) & 1 for row in range(2**k)]}).members[k].dag
+            assert len(dag.gates()) <= 3 * 2**k and longest_gate_path(dag) <= max(2 * k - 1, 3), (k, t)
+
+
+@pytest.mark.parametrize("x", [["0"], [2], [None], [0.5], [-1]])
+def test_member_evaluate_rejects_entries_other_than_0_or_1(x):
+    member = synth_family({1: [1, 0]}).members[1]
+    with pytest.raises(StructureError, match="input bits must be 0 or 1"):
+        member.evaluate(x)
+
+
+def test_member_evaluate_reads_booleans_as_bits():
+    fam = synth_family({0: [0], 1: [1, 0]})
+    assert [fam.evaluate([]), fam.evaluate([False]), fam.evaluate([True])] == [0, 1, 0]
 
 
 def test_member_runs_make_no_random_draws(monkeypatch):
@@ -363,46 +414,7 @@ def test_random_dag_is_always_valid(rnd):
         assert 2 <= len(d.inputs()) <= 6
 
 
-def recursive_expr_to_dag(expr, k: int):
-    """The first, recursive emitter: a gate is named before its operands and added after them."""
-    nodes, edges, groups = {}, set(), [[] for _ in range(k)]
-    counter = {"leaf": 0, "gate": 0}
-
-    def emit(node) -> str:
-        if node[0] == "leaf":
-            counter["leaf"] += 1
-            name = f"x{node[1]}_{counter['leaf']}"
-            nodes[name] = NodeKind.INPUT
-            groups[node[1]].append(name)
-            return name
-        counter["gate"] += 1
-        name = f"g{counter['gate']}"
-        left = emit(node[1])
-        right = emit(node[2])
-        nodes[name] = NodeKind.GATE
-        edges.add((left, name))
-        edges.add((right, name))
-        return name
-
-    root = emit(expr)
-    nodes["out"] = NodeKind.OUTPUT
-    edges.add((root, "out"))
-    return validate_dag(nodes, edges), tuple(tuple(g) for g in groups), "out"
-
-
-def test_stack_emitter_matches_the_recursive_one():
-    rng = random.Random(0xE817)
-    tables = [(k, [(t >> row) & 1 for row in range(2**k)]) for k in (1, 2, 3) for t in range(2 ** 2**k)]
-    tables += [(k, [rng.randint(0, 1) for _ in range(2**k)]) for k in range(4, 9) for _ in range(3)]
-    for k, table in tables:
-        expr = _table_expr(k, table)
-        got, want = _expr_to_dag(expr, k), recursive_expr_to_dag(expr, k)
-        assert dumps_dag(got[0]) == dumps_dag(want[0]), (k, table)
-        assert list(got[0].nodes) == list(want[0].nodes) and got[1:] == want[1:]
-
-
 def test_family_member_for_k10_builds_and_matches_its_table():
-    # its sum of minterms nests about 2**10 deep, past the interpreter's recursion limit
     rng = random.Random(5)
     table = [rng.randint(0, 1) for _ in range(2**10)]
     member = synth_family({10: table}).members[10]
