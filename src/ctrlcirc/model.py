@@ -199,9 +199,15 @@ class CircuitClass(enum.Enum):
 # validation
 
 
+# The tags as documents spell them; a dict lookup skips ``TypeTag``'s Python-level constructor.
+_TAG_OF_TEXT = {"ctrl": CTRL, "bool": BOOL}
+
+
 def _as_tag(value) -> TypeTag:
     if isinstance(value, TypeTag):
         return value
+    if type(value) is str and value in _TAG_OF_TEXT:
+        return _TAG_OF_TEXT[value]
     try:
         return TypeTag(value)
     except ValueError:

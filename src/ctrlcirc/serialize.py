@@ -2,6 +2,15 @@
 
 All writers emit sorted keys so any given object serialises to exactly one
 byte sequence; readers reject unknown keys.
+
+The circuit and netlist writers lay their documents out by hand, one
+pre-formatted entry per variable, unit, flow, node or edge, with every id
+escaped by ``json``'s C string escaper. Their bytes equal
+``json.dumps(circuit_to_dict(c), indent=2, sort_keys=True) + "\\n"`` (and
+likewise for ``dag_to_dict``), which would run ``json``'s pure-Python
+encoder, as it does whenever ``indent`` is set. The circuit reader checks
+a plain ``{"src": ..., "dst": ...}`` flow entry with one type test per
+field; any other entry takes the general checks and their messages.
 """
 
 from __future__ import annotations
@@ -9,10 +18,11 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
 from .errors import StructureError
-from .model import Circuit, Flow, validate_circuit
+from .model import CTRL, Circuit, Flow, validate_circuit
 from .morphisms import CircuitMorphism, validate_morphism
 from .nanddag import NandDag, validate_dag
 from .dynamics import Trace, Value
@@ -32,6 +42,14 @@ def _require_keys(d: Mapping[str, Any], required: set[str], optional: set[str], 
     missing = required - keys
     if missing:
         raise StructureError(f"{what} is missing keys: {sorted(missing)}")
+
+
+def _block(brackets: str, entries: list[str], pad: str) -> str:
+    """``entries`` laid out as ``json.dumps(..., indent=2)`` lays out an object or list whose brackets sit at ``pad``."""
+    if not entries:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(entries) + f"\n{pad}{brackets[1]}"
 
 
 # -- circuits ---------------------------------------------------------------
@@ -59,6 +77,12 @@ def circuit_from_dict(d: Mapping[str, Any]) -> Circuit:
         _require_object(d[key], f"circuit {key}")
         out = {}
         for fid, spec in d[key].items():
+            # a plain dict of two string endpoints is exactly {"src", "dst"}; anything else gets the full checks
+            if type(spec) is dict and len(spec) == 2:
+                src, dst = spec.get("src"), spec.get("dst")
+                if type(src) is str and type(dst) is str:
+                    out[fid] = Flow(src, dst)
+                    continue
             _require_keys(spec, {"src", "dst"}, set(), f"{key}[{fid!r}]")
             if not (isinstance(spec["src"], str) and isinstance(spec["dst"], str)):
                 raise StructureError(f"{key}[{fid!r}] endpoints must be ids (strings)")
@@ -70,8 +94,31 @@ def circuit_from_dict(d: Mapping[str, Any]) -> Circuit:
     )
 
 
+def _flows_block(flows: Mapping[str, Flow]) -> str:
+    return _block("{}", [
+        f'{_quote(fid)}: {{\n      "dst": {_quote(f.dst)},\n      "src": {_quote(f.src)}\n    }}'
+        for fid, f in sorted(flows.items())
+    ], "  ")
+
+
 def dumps_circuit(c: Circuit) -> str:
-    return json.dumps(circuit_to_dict(c), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(circuit_to_dict(c), indent=2, sort_keys=True) + "\\n"``, written directly.
+
+    O(output bytes + V log V + E log E): one sort per id set and one C
+    escape per id occurrence.
+    """
+    vt = c.var_types
+    ctrl, boolean = _quote("ctrl"), _quote("bool")
+    var_entries = [f"{_quote(v)}: {ctrl if vt[v] is CTRL else boolean}" for v in sorted(vt)]
+    sigma = [_quote(t) for t in sorted(t.value for t in c.sigma)]
+    units = [_quote(u) for u in sorted(c.units)]
+    return _block("{}", [
+        f'"in_flows": {_flows_block(c.in_flows)}',
+        f'"out_flows": {_flows_block(c.out_flows)}',
+        f'"sigma": {_block("[]", sigma, "  ")}',
+        f'"units": {_block("[]", units, "  ")}',
+        f'"vars": {_block("{}", var_entries, "  ")}',
+    ], "") + "\n"
 
 
 def loads_circuit(text: str) -> Circuit:
@@ -96,7 +143,10 @@ def dag_from_dict(d: Mapping[str, Any]) -> NandDag:
 
 
 def dumps_dag(d: NandDag) -> str:
-    return json.dumps(dag_to_dict(d), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(dag_to_dict(d), indent=2, sort_keys=True) + "\\n"``, written directly."""
+    edges = [f"[\n      {_quote(a)},\n      {_quote(b)}\n    ]" for a, b in d.sorted_edges()]
+    nodes = [f"{_quote(n)}: {_quote(d.nodes[n].value)}" for n in sorted(d.nodes)]
+    return _block("{}", [f'"edges": {_block("[]", edges, "  ")}', f'"nodes": {_block("{}", nodes, "  ")}'], "") + "\n"
 
 
 def loads_dag(text: str) -> NandDag:
@@ -158,13 +208,9 @@ def morphism_from_dict(d: Mapping[str, Any], src: Circuit, dst: Circuit) -> Circ
 # -- values, input assignments, traces --------------------------------------
 
 
-# Value -> JSON value as a plain dict, which avoids the ``Enum.value``
-# descriptor on the trace writer's hot path.
-_VALUE_JSON = {v: v.value for v in Value}
-
-
 def value_to_json(v: Value):
-    return _VALUE_JSON[v]
+    # the member's own ``_value_`` attribute: no ``Enum.value`` descriptor and no Python-level ``Enum.__hash__``
+    return v._value_
 
 
 def value_from_json(x) -> Value:
@@ -186,9 +232,12 @@ def assignments_from_dict(d: Mapping[str, Any]) -> dict[str, Value]:
 # ``json.dumps(obj, sort_keys=True)`` with the encoder built once. A trace
 # record is assembled by hand and must equal this encoder's output for the
 # record dict: keys in sorted order (enabled, ready, results, state, time),
-# ", " between items, ": " after keys, and every id escaped by ``encode``.
+# ", " between items, ": " after keys, and every id escaped by ``_quote``, the
+# escaper this encoder runs on strings.
 _SORTED_JSON = json.JSONEncoder(sort_keys=True)
-_VALUE_TEXT = {v: _SORTED_JSON.encode(v.value) for v in Value}
+# A state entry's value text, by identity: '"*"' for the signal, else the bit's
+# ``_value_`` (0 or 1), which formats as its JSON text.
+_SIGNAL, _SIGNAL_TEXT = Value.SIGNAL, _SORTED_JSON.encode(Value.SIGNAL.value)
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -196,7 +245,7 @@ def trace_to_jsonl(trace: Trace) -> str:
 
     The writer walks each step's changes (recorded by ``run``, or diffed
     for a hand-built trace) and keeps the state's ids sorted, with each
-    entry's ``"id": value`` text beside its id: a change costs one encode
+    entry's ``"id": value`` text beside its id: a change costs one C escape
     and one ``bisect`` into that list, and a record one join of the texts.
     A step that changes more than an eighth of the state (the first step
     among them) sorts the state afresh instead, as so many list inserts and
@@ -214,7 +263,7 @@ def trace_to_jsonl(trace: Trace) -> str:
             for v in left:
                 del entries[v]
             for v, val in assigned.items():
-                entries[v] = f"{encode(v)}: {_VALUE_TEXT[val]}"
+                entries[v] = f"{_quote(v)}: {_SIGNAL_TEXT if val is _SIGNAL else val._value_}"
             ids = sorted(entries)
             texts = list(map(entries.__getitem__, ids))
         else:
@@ -223,13 +272,13 @@ def trace_to_jsonl(trace: Trace) -> str:
                 del ids[i], texts[i]
             for v, val in assigned.items():
                 i = bisect_left(ids, v)
-                entry = f"{encode(v)}: {_VALUE_TEXT[val]}"
+                entry = f"{_quote(v)}: {_SIGNAL_TEXT if val is _SIGNAL else val._value_}"
                 if i < len(ids) and ids[i] == v:
                     texts[i] = entry
                 else:
                     ids.insert(i, v)
                     texts.insert(i, entry)
-        results = encode({u: _VALUE_JSON[x] for u, x in s.results.items()})
+        results = encode({u: x._value_ for u, x in s.results.items()})
         lines.append(
             f'{{"enabled": {encode(s.enabled)}, "ready": {encode(s.ready)}, '
             f'"results": {results}, "state": {{{", ".join(texts)}}}, "time": {encode(s.time)}}}'

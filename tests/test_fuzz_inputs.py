@@ -6,7 +6,9 @@ Through ``main()`` those become exit 2 (``malformed input: ...``) and exit 1
 (``validation failure: ...``); a well-formed wiring that the operator
 refuses is a composition failure, exit 1. Nothing escapes as a traceback.
 Truth tables of k = 10 to 12 inputs must synthesise within a wall-clock
-budget.
+budget, and ``validate`` must read a circuit document with a 1 MB id, one
+with 100,000 flows and one whose flow entry is nested 100,000 deep within
+one, with the expected exit code.
 """
 
 from __future__ import annotations
@@ -293,3 +295,50 @@ def test_synth_family_of_large_tables_finishes_within_budget(files, k):
     for row in rng.sample(range(2**k), 16):
         bits = {node: (row >> i) & 1 for i, group in enumerate(entry["inputs"]) for node in group}
         assert eval_dag(dag, bits) == {entry["output"]: table[row]}
+
+
+# -- size-adversarial circuit documents -------------------------------------
+
+
+def _long_id_circuit() -> str:
+    big = "v" * 1_000_000
+    return json.dumps({
+        "vars": {big: "ctrl", "v2": "ctrl"},
+        "units": ["u1"],
+        "in_flows": {"i1": {"src": big, "dst": "u1"}},
+        "out_flows": {"o1": {"src": "u1", "dst": "v2"}},
+    })
+
+
+def _chain_circuit(n_units: int) -> str:
+    """A control chain v0 -> u0 -> v1 -> ... of ``n_units`` units: 2 x ``n_units`` flows."""
+    return json.dumps({
+        "vars": {f"v{i}": "ctrl" for i in range(n_units + 1)},
+        "units": [f"u{i}" for i in range(n_units)],
+        "in_flows": {f"i{i}": {"src": f"v{i}", "dst": f"u{i}"} for i in range(n_units)},
+        "out_flows": {f"o{i}": {"src": f"u{i}", "dst": f"v{i + 1}"} for i in range(n_units)},
+    })
+
+
+def _deep_flow_spec(depth: int) -> str:
+    text = json.dumps({**ONE_UNIT, "in_flows": {"i1": "@"}})
+    return text.replace('"@"', '{"src": ' * depth + '"v1"' + "}" * depth)
+
+
+# Wall-clock budget of one size-adversarial validate call; the 100,000-flow
+# chain took about 1.4 s in-process on a 2-vCPU x86-64 VM with Python 3.11.
+VALIDATE_BUDGET_S = 10.0
+
+
+@pytest.mark.parametrize(
+    "make, code",
+    [(_long_id_circuit, 0), (lambda: _chain_circuit(50_000), 0), (lambda: _deep_flow_spec(100_000), 2)],
+    ids=["id-of-1MB", "100000-flows", "flow-spec-nested-100000-deep"],
+)
+def test_size_adversarial_circuit_documents_validate_within_budget(files, make, code):
+    text = make()
+    start = time.perf_counter()
+    got, err = main_on_text(files, VALIDATE, text)
+    assert time.perf_counter() - start < VALIDATE_BUDGET_S
+    assert got == code, err
+    assert_documented(got, err)
