@@ -13,6 +13,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 from .errors import CircuitError, CompositionError, StructureError, ValidationError
 from .model import classify, is_sound
@@ -60,11 +61,12 @@ def _default_seed() -> int:
         raise StructureError(f"CTRLCIRC_SEED must be an integer, got {text!r}") from None
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human: Optional[str] = None) -> None:
+    """Print ``payload`` as one JSON line, or ``human`` (by default the payload as indented JSON)."""
     if getattr(args, "format", None) == "json-lines":
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(human)
+        print(ser._indented(payload) if human is None else human)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -200,7 +202,7 @@ def cmd_compose(args) -> int:
 
     _write(args.out, ser.dumps_circuit(out))
     if args.provenance:
-        _write(args.provenance, json.dumps(prov, indent=2, sort_keys=True) + "\n")
+        _write(args.provenance, ser._indented(prov) + "\n")
     print(f"wrote {args.out} ({len(out.vars)} vars, {len(out.units)} units)")
     return 0
 
@@ -230,7 +232,7 @@ def cmd_exec(args) -> int:
                 for units, n in sorted(fired_sets.items(), key=lambda kv: (-kv[1], kv[0]))
             ],
         }
-        _emit(args, payload, json.dumps(payload, indent=2, sort_keys=True))
+        _emit(args, payload)
         if args.expect_final and outcomes.get("final", 0) != args.runs:
             return 3
         return 0
@@ -257,7 +259,7 @@ def cmd_iso(args) -> int:
         print("not isomorphic")
         return 1
     if args.witness:
-        _write(args.witness, json.dumps(ser.morphism_to_dict(witness), indent=2, sort_keys=True) + "\n")
+        _write(args.witness, ser._indented(ser.morphism_to_dict(witness)) + "\n")
     print("isomorphic")
     return 0
 
@@ -267,13 +269,7 @@ def cmd_import_nand(args) -> int:
     res = to_control(d)
     _write(args.out, ser.dumps_circuit(res.circuit))
     if args.provenance:
-        prov = {
-            "vars": {v: {"edge": list(e), "copy": k} for v, (e, k) in sorted(res.var_origin.items())},
-            "units": dict(sorted(res.unit_origin.items())),
-            "inputs": {n: [list(p) for p in pairs] for n, pairs in sorted(res.input_bindings.items())},
-            "outputs": {n: list(vs) for n, vs in sorted(res.output_bindings.items())},
-        }
-        _write(args.provenance, json.dumps(prov, indent=2, sort_keys=True) + "\n")
+        _write(args.provenance, ser._transform_provenance(res))
     print(f"wrote {args.out} ({len(res.circuit.vars)} vars, {len(res.circuit.units)} units)")
     return 0
 
@@ -296,7 +292,7 @@ def cmd_synth_family(args) -> int:
             entry["dag"] = dag_path.name
             entry["output"] = member.output_node
         manifest[str(k)] = entry
-    _write(str(outdir / "family.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(str(outdir / "family.json"), ser._indented(manifest) + "\n")
     print(f"wrote {len(fam.members)} members into {outdir}")
     return 0
 

@@ -8,6 +8,12 @@ byte-for-byte). Firing consumes the inputs and writes a bare signal into
 every control output and the unit's Boolean result into every Boolean
 output: the constant 1 when the unit has no Boolean inputs, otherwise the
 negated conjunction of all of them.
+
+Which units are enabled and ready depends only on which variables hold
+values, so a circuit without competing units (a seed-free circuit, such
+as every imported netlist) fires the same units in the same order from
+every input: :func:`run` works that order out once per circuit and then
+replays it, computing only the Booleans.
 """
 
 from __future__ import annotations
@@ -316,6 +322,26 @@ def reduce_unit(c: Circuit, u: str, st: State) -> Value:
     return _reduce(c._exec_tables.bool_in[u], st.values)
 
 
+def _write(
+    post: Mapping[str, tuple[tuple[str, bool], ...]], ready: Sequence[str], results: Mapping[str, Value]
+) -> tuple[dict[str, Value], Optional[tuple[str, str]]]:
+    """The entries the sorted ``ready`` units produce, and an optional ``(variable, detail)`` conflict.
+
+    A conflict names the first variable, in firing order, that receives a
+    second, different Boolean, and the last earlier unit that wrote it.
+    """
+    produced: dict[str, Value] = {}
+    producer: dict[str, str] = {}
+    for u in ready:
+        res = results[u]
+        for v, is_ctrl in post[u]:
+            val = _SIGNAL if is_ctrl else res
+            if produced.setdefault(v, val) is not val:
+                return produced, (v, f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}")
+            producer[v] = u
+    return produced, None
+
+
 def _fire(
     t: _ExecTables, ready: Sequence[str], values: dict[str, Value]
 ) -> tuple[dict[str, Value], dict[str, Value], list[str], list[str], Optional[tuple[str, str]]]:
@@ -328,18 +354,11 @@ def _fire(
     the domain, and an optional ``(variable, detail)`` conflict, which is
     found before ``values`` changes.
     """
-    bool_in, post, pre = t.bool_in, t.post, t.pre
+    bool_in, pre = t.bool_in, t.pre
     results = {u: _reduce(bool_in[u], values) for u in ready}
-    produced: dict[str, Value] = {}
-    producer: dict[str, str] = {}
-    for u in ready:
-        res = results[u]
-        for v, is_ctrl in post[u]:
-            val = _SIGNAL if is_ctrl else res
-            if produced.setdefault(v, val) is not val:
-                detail = f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}"
-                return results, produced, [], [], (v, detail)
-            producer[v] = u
+    produced, conflict = _write(t.post, ready, results)
+    if conflict:
+        return results, produced, [], [], conflict
     left = []
     for u in ready:
         for v in pre[u]:
@@ -387,65 +406,118 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     unassigned (as in Kahn's topological sort), copied from a template of
     the initial counts; after a step only the consumers of variables that
     entered or left the domain are updated. A step costs O(firing units'
-    flows + changed variables x their consumers). The trace records each
-    step's change, not its state (see :class:`Trace`): the first step holds
-    ``init``, the last a state of its own, and a checkpoint copy of the
-    assignment is taken once the changes since the last one reach its size,
-    which adds O(1) amortised per change.
+    flows + changed variables x their consumers).
+
+    Which units are enabled and ready depends on which variables hold
+    values, never on their Booleans, and draws are made only for groups of
+    two or more. So on a seed-free circuit (every group a single unit, so
+    every enabled unit is ready) every run from the invars takes the same
+    steps until it stops, and the circuit keeps them in its execution
+    tables: per step, the ready units, the variables that left the domain,
+    and whether two ready units write one variable. A known step is
+    replayed: its ready units are reduced and their outputs written, and
+    only a step where two units write one variable checks for a conflict,
+    as that depends on the Booleans. Past the known steps a run derives
+    each step as above, and on a seed-free circuit it adds them to the
+    known ones when it ends, with the counts to resume from; once a run
+    ends final or deadlocked, that ending is known too and the counts are
+    dropped. The known steps take O(steps of the longest run) memory and
+    are freed with the circuit; their tuples are shared with the traces. A
+    replayed step costs O(firing units' flows).
+
+    The trace records each step's change, not its state (see
+    :class:`Trace`): the first step holds ``init``, the last a state of its
+    own, and a checkpoint copy of the assignment is taken once the changes
+    since the last one reach its size, which adds O(1) amortised per change.
     """
     if init.time != 0 or init.values.keys() != c.invars:
         raise StructureError("run() needs an initial state (time 0, exactly the invars)")
     _check_tags(c, init.values)
     t = c._exec_tables
-    group, consumers, outvars = t.group, t.consumers, c.outvars
+    group, consumers, bool_in, post, outvars = t.group, t.consumers, t.bool_in, t.post, c.outvars
+    cell = t.schedule  # None unless seed-free
+    # the known steps, the ending that follows them (or None), and the counts after them (or None)
+    known, ending, resume = cell[0] if cell is not None else ((), None, None)
+    n_known = len(known)
+    fresh: list[tuple[tuple[str, ...], tuple[str, ...], bool]] = []
     rng = SplitMix64(cfg.seed)
     max_steps = cfg.max_steps
     steps: list[TraceStep] = []
     values = dict(init.values)
-    missing = dict(t.missing)
-    enabled_set = {u for u, n in missing.items() if not n}
-    peak = len(enabled_set)
+    missing: Optional[dict[str, int]] = None  # the counts, set up when the run first derives a step
     time = 0
     state: Optional[State] = init  # the state this step holds, or None when only its change is kept
     change = None
     budget = max(len(values), _MIN_CHECKPOINT_GAP)  # changes left before the next checkpoint
     conflict = None
     while True:
-        if values.keys() == outvars:
-            outcome, last = Outcome.FINAL, ((), (), {})
-            break
-        enabled = tuple(sorted(enabled_set))
-        if not enabled:
-            outcome, last = Outcome.DEADLOCK, ((), (), {})
-            break
-        if time >= max_steps:
-            outcome, last = Outcome.STEP_LIMIT, (enabled, (), {})
-            break
-        ready = tuple(sorted(_pick_ready(group, enabled, rng)))
-        results, produced, left, entered, conflict = _fire(t, ready, values)
-        if conflict:
-            outcome, last = Outcome.WRITE_CONFLICT, (enabled, ready, results)
-            break
+        if time < n_known:
+            ready, left, double = known[time]
+            enabled = ready
+            if time >= max_steps:
+                outcome, last = Outcome.STEP_LIMIT, (enabled, (), {})
+                break
+            results = {u: _reduce(bool_in[u], values) for u in ready}
+            if double:
+                produced, conflict = _write(post, ready, results)
+                if conflict:
+                    outcome, last = Outcome.WRITE_CONFLICT, (enabled, ready, results)
+                    break
+            else:
+                produced = {v: _SIGNAL if is_ctrl else results[u] for u in ready for v, is_ctrl in post[u]}
+            for v in left:
+                del values[v]
+            values.update(produced)
+        else:
+            if missing is None:  # past the known steps for the first time
+                if ending is not None:
+                    outcome, last = ending, ((), (), {})
+                    break
+                if resume is None:
+                    missing = dict(t.missing)
+                    enabled_set = {u for u, n in missing.items() if not n}
+                else:
+                    missing, enabled_set = dict(resume[0]), set(resume[1])
+                peak = len(enabled_set)
+            if values.keys() == outvars:
+                outcome, last = Outcome.FINAL, ((), (), {})
+                break
+            enabled = tuple(sorted(enabled_set))
+            if not enabled:
+                outcome, last = Outcome.DEADLOCK, ((), (), {})
+                break
+            if time >= max_steps:
+                outcome, last = Outcome.STEP_LIMIT, (enabled, (), {})
+                break
+            # on a seed-free circuit each enabled unit is its group's one member, so it is ready
+            ready = tuple(sorted(_pick_ready(group, enabled, rng))) if cell is None else enabled
+            results, produced, left, entered, conflict = _fire(t, ready, values)
+            if conflict:
+                outcome, last = Outcome.WRITE_CONFLICT, (enabled, ready, results)
+                break
+            for v in left:
+                for u in consumers[v]:
+                    missing[u] += 1
+                    enabled_set.discard(u)
+            for v in entered:
+                for u in consumers[v]:
+                    n = missing[u] - 1
+                    missing[u] = n
+                    if not n:
+                        enabled_set.add(u)
+            n = len(enabled_set)
+            if n > peak:
+                peak = n
+            elif n * 8 < peak:
+                # a set keeps its table when it shrinks, and sorting it visits every slot
+                enabled_set = set(enabled_set)
+                peak = n
+            if cell is not None:
+                left = tuple(left)
+                fresh.append((ready, left, len(produced) < sum(len(post[u]) for u in ready)))
         rec = TraceStep(time, state, enabled, ready, results)
         rec._change = change
         steps.append(rec)
-        for v in left:
-            for u in consumers[v]:
-                missing[u] += 1
-                enabled_set.discard(u)
-        for v in entered:
-            for u in consumers[v]:
-                n = missing[u] - 1
-                missing[u] = n
-                if not n:
-                    enabled_set.add(u)
-        n = len(enabled_set)
-        if n > peak:
-            peak = n
-        elif n * 8 < peak:
-            # a set keeps its table when it shrinks, and sorting it visits every slot
-            enabled_set = set(enabled_set)
-            peak = n
         time += 1
         change = (rec, produced, left)
         budget -= len(produced) + len(left)
@@ -454,6 +526,13 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
         else:
             state = State(time, dict(values))
             budget = max(len(values), _MIN_CHECKPOINT_GAP)
+    if cell is not None and missing is not None:
+        # the run derived steps: keep them with their ending or the counts after them, in
+        # one store, so an interrupted run leaves the known steps as they were
+        if outcome is Outcome.FINAL or outcome is Outcome.DEADLOCK:
+            cell[0] = (known + tuple(fresh), outcome, None)
+        elif fresh:
+            cell[0] = (known + tuple(fresh), None, (missing, enabled_set))
     # the last step holds its state; ``values`` changes no more, so it is not copied
     rec = TraceStep(time, State(time, values) if state is None else state, *last)
     rec._change = change

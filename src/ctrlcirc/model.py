@@ -60,6 +60,11 @@ class _ExecTables(NamedTuple):
     ``missing`` each unit's count of input variables that are unassigned
     when exactly the invars hold values. Repeated flows between one
     variable and one unit count once everywhere.
+
+    ``schedule`` is ``None`` when some group has two or more members (runs
+    draw, so their steps depend on the seed); otherwise it is a one-item
+    list, the cell in which :func:`~ctrlcirc.dynamics.run` keeps the
+    circuit's value-free step sequence, replacing the item whole.
     """
 
     pre: dict[str, tuple[str, ...]]
@@ -68,6 +73,7 @@ class _ExecTables(NamedTuple):
     group: dict[str, tuple[str, ...]]
     consumers: dict[str, tuple[str, ...]]
     missing: dict[str, int]
+    schedule: Optional[list]
 
 
 @dataclass(frozen=True, eq=True)
@@ -138,6 +144,7 @@ class Circuit:
         for u in sorted(self.units):
             groups.setdefault(pre_sets[u], []).append(u)
         invars = self.invars
+        seed_free = all(len(g) == 1 for g in groups.values())
         return _ExecTables(
             pre=pre_sets,
             bool_in={u: tuple(v for v in vs if vt[v] is BOOL) for u, vs in pre_sets.items()},
@@ -145,6 +152,7 @@ class Circuit:
             group={u: g for g in map(tuple, groups.values()) for u in g},
             consumers={v: tuple(dict.fromkeys(us)) for v, us in cons.items()},
             missing={u: sum(v not in invars for v in vs) for u, vs in pre_sets.items()},
+            schedule=[((), None, None)] if seed_free else None,
         )
 
     def pre_set(self, unit: str) -> frozenset[str]:

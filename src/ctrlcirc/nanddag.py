@@ -27,6 +27,8 @@ from .errors import StructureError, ValidationError
 from .model import BOOL, CTRL, Circuit, Flow, circuit_violations, is_sound, mk_primitive
 from .dynamics import ExecConfig, Outcome, State, Trace, Value, initial_state, run
 
+_ZERO, _ONE = Value.ZERO, Value.ONE
+
 
 class NodeKind(enum.Enum):
     INPUT = "input"
@@ -287,17 +289,20 @@ def read_outputs(d: NandDag, trace: Trace) -> dict[str, int]:
     """Decode the DAG's output bits from a finished trace.
 
     Requires a final outcome; replicated outvars mapped to one output node
-    must agree (a disagreement would be an engine bug).
+    must agree (a disagreement would be an engine bug). Bits are decoded by
+    identity, as ``Value`` members are singletons; a control signal among
+    the outvars raises ``Value.bit``'s ``ValueError``.
     """
     if trace.outcome is not Outcome.FINAL:
         raise StructureError(f"cannot read outputs from a {trace.outcome.value} trace")
     final = trace.final_state.values
     out: dict[str, int] = {}
     for n, vs in d._output_vars:
-        vals = {final[v].bit for v in vs}
-        if len(vals) != 1:
-            raise AssertionError(f"replicated outvars for {n!r} disagree")
-        out[n] = vals.pop()
+        val = final[vs[0]]
+        if len(vs) > 1 and any(final[v] is not val for v in vs):
+            if len({final[v].bit for v in vs}) > 1:  # a control signal raises in ``bit`` first
+                raise AssertionError(f"replicated outvars for {n!r} disagree")
+        out[n] = 1 if val is _ONE else 0 if val is _ZERO else val.bit
     return out
 
 

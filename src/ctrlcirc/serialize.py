@@ -24,7 +24,7 @@ from typing import Any, Mapping
 from .errors import StructureError
 from .model import CTRL, Circuit, Flow, validate_circuit
 from .morphisms import CircuitMorphism, validate_morphism
-from .nanddag import NandDag, validate_dag
+from .nanddag import NandDag, TransformResult, validate_dag
 from .dynamics import Trace, Value
 
 
@@ -50,6 +50,35 @@ def _block(brackets: str, entries: list[str], pad: str) -> str:
         return brackets
     inner = pad + "  "
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(entries) + f"\n{pad}{brackets[1]}"
+
+
+_STR = {str}
+
+
+def _indented(x: Any, pad: str = "") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` for a document of dicts with string keys, lists and scalars.
+
+    ``pad`` is the indent of the line ``x`` starts on. A dict or list of
+    strings is written in one pass of the C escaper; only other entries
+    recurse, so the cost is about one Python call per container.
+    """
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is dict:
+        items = sorted(x.items())
+        if set(map(type, x.values())) <= _STR:
+            return _block("{}", [f"{_quote(k)}: {_quote(v)}" for k, v in items], pad)
+        inner = pad + "  "
+        return _block("{}", [f"{_quote(k)}: {_indented(v, inner)}" for k, v in items], pad)
+    if t is list or t is tuple:
+        if set(map(type, x)) <= _STR:
+            return _block("[]", list(map(_quote, x)), pad)
+        inner = pad + "  "
+        return _block("[]", [_indented(v, inner) for v in x], pad)
+    if t is int:
+        return int.__repr__(x)
+    return _SORTED_JSON.encode(x)
 
 
 # -- circuits ---------------------------------------------------------------
@@ -151,6 +180,26 @@ def dumps_dag(d: NandDag) -> str:
 
 def loads_dag(text: str) -> NandDag:
     return dag_from_dict(json.loads(text))
+
+
+def _transform_provenance(res: TransformResult) -> str:
+    """The ``import-nand --provenance`` document, written directly.
+
+    Equals ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for ``doc =
+    {"vars": {v: {"edge": list(e), "copy": k}}, "units": unit_origin,
+    "inputs": input_bindings, "outputs": output_bindings}``, tuples written
+    as lists; each variable is one pre-formatted entry.
+    """
+    var_entries = [
+        f'{_quote(v)}: {{\n      "copy": {k},\n      "edge": [\n        {_quote(a)},\n        {_quote(b)}\n      ]\n    }}'
+        for v, ((a, b), k) in sorted(res.var_origin.items())
+    ]
+    return _block("{}", [
+        f'"inputs": {_indented(dict(res.input_bindings), "  ")}',
+        f'"outputs": {_indented(dict(res.output_bindings), "  ")}',
+        f'"units": {_indented(dict(res.unit_origin), "  ")}',
+        f'"vars": {_block("{}", var_entries, "  ")}',
+    ], "") + "\n"
 
 
 # -- truth tables ----------------------------------------------------------

@@ -8,7 +8,10 @@ and ids that need escaping. ``circuit_from_dict`` checks a plain flow entry
 with one type test per field; ``reference_circuit_from_dict`` is the reader
 that checked every entry in full. Both must return equal circuits, or raise
 the same exception type with the same message, on the fuzz corpus and on
-hand-mutated flow entries.
+hand-mutated flow entries. The CLI's other indented documents (the
+import-nand and compose provenance, synth-family's ``family.json``, the iso
+witness and the ``exec --runs`` summary) are written by the same block
+writer and must equal ``json.dumps(..., indent=2, sort_keys=True)`` too.
 """
 
 from __future__ import annotations
@@ -19,13 +22,15 @@ from collections import OrderedDict
 from typing import Any, Mapping
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as hs
 
-from ctrlcirc import BOOL, CTRL, StructureError, branch, fixtures, parallel
+from ctrlcirc import BOOL, CTRL, StructureError, branch, cli, fixtures, parallel
 from ctrlcirc.model import Flow, TypeTag, _as_tag, mk_trivial, unit_circuit, validate_circuit
 from ctrlcirc.nanddag import synth_family, to_control, validate_dag
 from ctrlcirc.serialize import (
+    _indented,
     _require_keys,
+    _transform_provenance,
     _require_object,
     circuit_from_dict,
     circuit_to_dict,
@@ -234,3 +239,101 @@ def reference_as_tag(value):
 @pytest.mark.parametrize("value", ["ctrl", "bool", CTRL, BOOL, Id("ctrl"), "CTRL", "", None, 1, 1.0, True, [], {}, ["ctrl"]])
 def test_as_tag_agrees_with_the_enum_constructor(value):
     assert outcome(_as_tag, value) == outcome(reference_as_tag, value)
+
+
+# -- the CLI's other indented documents ----------------------------------------
+
+
+JSON_TEXT = hs.sampled_from(["", "a", "b", "u1", *SPECIAL, "".join(SPECIAL)])
+JSON_SCALARS = hs.one_of(JSON_TEXT, hs.integers(-(2**70), 2**70), hs.booleans(), hs.none())
+JSON_DOCS = hs.recursive(
+    JSON_SCALARS,
+    lambda inner: hs.one_of(
+        hs.lists(inner, max_size=4),
+        hs.lists(inner, max_size=4).map(tuple),
+        hs.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_DOCS)
+def test_block_writer_equals_the_indented_json_encoder(doc):
+    assert _indented(doc) + "\n" == oracle(doc)
+
+
+def reference_provenance(res) -> dict:
+    """The import-nand provenance document as ``json.dumps`` was given it."""
+    return {
+        "vars": {v: {"edge": list(e), "copy": k} for v, (e, k) in sorted(res.var_origin.items())},
+        "units": dict(sorted(res.unit_origin.items())),
+        "inputs": {n: [list(p) for p in pairs] for n, pairs in sorted(res.input_bindings.items())},
+        "outputs": {n: list(vs) for n, vs in sorted(res.output_bindings.items())},
+    }
+
+
+@pytest.mark.parametrize("d", [d for _, d in DAGS], ids=[name for name, _ in DAGS])
+def test_import_provenance_equals_the_indented_json_encoder(d):
+    res = to_control(d)
+    assert _transform_provenance(res) == oracle(reference_provenance(res))
+
+
+def cli_ok(*argv):
+    assert cli.main([str(a) for a in argv]) == 0
+
+
+def assert_indented_json(path):
+    text = path.read_text(encoding="utf-8")
+    assert text == oracle(json.loads(text))
+    return json.loads(text)
+
+
+def test_cli_documents_equal_the_indented_json_encoder(tmp_path, capsys):
+    d = special_dag("".join(SPECIAL))
+    dag, circ, prov = tmp_path / "s.dag", tmp_path / "s.circuit", tmp_path / "s-prov.json"
+    dag.write_text(dumps_dag(d), encoding="utf-8")
+    cli_ok("import-nand", dag, "--out", circ, "--provenance", prov)
+    assert prov.read_text(encoding="utf-8") == oracle(reference_provenance(to_control(d)))
+
+    fx = {name: tmp_path / f"{name}.circuit" for name in ("nand2", "not", "buffer", "entry", "action", "next", "eater1")}
+    for name, path in fx.items():
+        cli_ok("fixtures", "emit", name, "--out", path)
+    special = tmp_path / "special.circuit"
+    special.write_text(dumps_circuit(special_circuit("".join(SPECIAL))), encoding="utf-8")
+    pairs, in_out, loop = tmp_path / "pairs.json", tmp_path / "in-out.json", tmp_path / "loop.json"
+    pairs.write_text(json.dumps({"pairs": [["v4", "v1"], ["v5", "v2"]]}))
+    in_out.write_text(json.dumps({"in_pairs": [["c_in", "c_in"], ["b_in", "b_in"]],
+                                  "out_pairs": [["c_out", "c_out"], ["b_out", "b_out"]]}))
+    loop.write_text(json.dumps({
+        "head": [["ctrl_out", "ctrl_out", "ctrl_in"], ["r_out", "r_out", "r_in"],
+                 ["q_out", "q_out", "q_in"], ["s_out", "s_out", "s_in"]],
+        "tail": [["ctrl_out", "ctrl_in", "v1"], ["q_next_out", "q_in", "v2"]],
+    }))
+    for op, operands, extra in (
+        ("seq", (fx["nand2"], fx["not"]), ("--wiring", pairs)),
+        ("par", (special, fx["not"]), ()),
+        ("branch", (fx["buffer"], fx["buffer"]), ("--wiring", in_out)),
+        ("iter-tail", (fx["entry"], fx["action"], fx["next"], fx["eater1"]), ("--wiring", loop)),
+    ):
+        prov = tmp_path / f"{op}-prov.json"
+        cli_ok("compose", "--op", op, *operands, *extra, "--out", tmp_path / f"{op}.circuit", "--provenance", prov)
+        assert assert_indented_json(prov)["op"] == op
+
+    witness = tmp_path / "witness.json"
+    cli_ok("iso", special, special, "--witness", witness)
+    assert set(assert_indented_json(witness)) == {"f_v", "f_u", "f_i", "f_o"}
+
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps({"0": [1], "2": [0, 1, 1, 0], "3": [0, 1, 1, 0, 1, 0, 0, 1]}))
+    cli_ok("synth-family", tables, "--out-dir", tmp_path / "family")
+    assert set(assert_indented_json(tmp_path / "family" / "family.json")) == {"0", "2", "3"}
+
+    p53, inputs = tmp_path / "p53.circuit", tmp_path / "in.json"
+    cli_ok("fixtures", "emit", "p53", "--out", p53)
+    inputs.write_text(json.dumps({"ctrl_in": "*", "p53_in": 1, "mdm2_in": 0}))
+    capsys.readouterr()
+    cli_ok("exec", p53, "--inputs", inputs, "--runs", "30", "--format", "json-lines")
+    payload = json.loads(capsys.readouterr().out)
+    cli_ok("exec", p53, "--inputs", inputs, "--runs", "30")
+    assert capsys.readouterr().out == oracle(payload)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import cached_property
 
@@ -18,7 +19,7 @@ from ctrlcirc.nanddag import (
     validate_dag,
 )
 from ctrlcirc import nanddag
-from ctrlcirc.dynamics import SplitMix64
+from ctrlcirc.dynamics import SplitMix64, State, Trace, TraceStep, Value
 
 
 def single_gate():
@@ -259,6 +260,49 @@ def test_read_outputs_requires_final():
     bad = Trace(steps=tr.steps, outcome=Outcome.STEP_LIMIT)
     with pytest.raises(StructureError):
         read_outputs(d, bad)
+
+
+def reference_read_outputs(d, trace):
+    """The decoder that read every outvar's ``Value.bit`` into a set."""
+    if trace.outcome is not Outcome.FINAL:
+        raise StructureError(f"cannot read outputs from a {trace.outcome.value} trace")
+    final = trace.final_state.values
+    out = {}
+    for n, vs in d._output_vars:
+        vals = {final[v].bit for v in vs}
+        if len(vals) != 1:
+            raise AssertionError(f"replicated outvars for {n!r} disagree")
+        out[n] = vals.pop()
+    return out
+
+
+def decoded(read, d, trace):
+    try:
+        return read(d, trace)
+    except Exception as e:  # the type and message are what is compared
+        return type(e), str(e)
+
+
+def test_read_outputs_decodes_by_identity_with_the_same_errors():
+    # y is fed by two gates, so it has two replicated outvars; z by one
+    d = validate_dag(
+        {"a": "input", "b": "input", "g1": "gate", "g2": "gate", "g3": "gate", "y": "output", "z": "output"},
+        [("a", "g1"), ("b", "g1"), ("a", "g2"), ("b", "g2"), ("a", "g3"), ("b", "g3"),
+         ("g1", "y"), ("g2", "y"), ("g3", "z")],
+    )
+    outvars = sorted(to_control(d).circuit.outvars)
+    bools = [v for v in outvars if v.endswith("#2")]
+    assert len(bools) == 3
+    seen = set()
+    for picks in itertools.product(list(Value), repeat=3):
+        values = {v: Value.SIGNAL for v in outvars}
+        values.update(zip(bools, picks))
+        for outcome in (Outcome.FINAL, Outcome.DEADLOCK):
+            tr = Trace((TraceStep(0, State(0, values), (), (), {}),), outcome)
+            got = decoded(read_outputs, d, tr)
+            assert got == decoded(reference_read_outputs, d, tr)
+            seen.add(got[0] if isinstance(got, tuple) else dict)
+    assert seen == {dict, ValueError, AssertionError, StructureError}
 
 
 # -- family synthesis ---------------------------------------------------------
