@@ -1,11 +1,15 @@
 """Gluing constructions on circuits: pushout, coproduct, isomorphism.
 
-One kernel does both gluings. It names every element of the two operands
-``<tag>/<L|R>/<id>`` and quotients that disjoint union by seed pairs: a
-pushout seeds the two images of each apex element, and a coproduct seeds
-nothing. Only seeded elements enter a union-find, and each class is named
-after its lexicographically least member, so results are reproducible and
-diffable.
+One kernel does both gluings. It quotients the disjoint union of the two
+operands by seed pairs: a pushout seeds the two images of each apex
+element, and a coproduct seeds nothing. A colimit is fixed only up to
+isomorphism, so the kernel picks the representative in which the left
+operand keeps its ids and its leg is the identity. A seeded class takes its
+least left id; every other right element ``x`` becomes ``<M>/<tag>/<x>``,
+``M`` being the greatest left id of its kind (``<tag>/<x>`` when there is
+none). New names thus sort after every left id and keep the right
+operand's order, so the composite's ids sort as under a ``<tag>/<L|R>/<id>``
+renaming of both operands, and results are reproducible and diffable.
 
 The glued circuit gets the full model check; the rest is checked only where
 a gluing can break it. Away from the seeds the renaming is injective and
@@ -14,8 +18,10 @@ construction except for the boundary condition at seeded variables off an
 operand's interface, and two flow images can only meet at a seeded flow.
 ``pushout`` scans an operand for variables that gain flows only when the
 other leg sends an apex variable off its operand's interface. A gluing
-costs O(|left| + |right|) for the renaming and the model check, plus
-near-linear work in the seeds.
+costs a C-level copy of the left operand (the composite shares its ``Flow``
+objects), O(|right|) Python work plus near-linear work in the seeds, and
+the O(|left| + |right|) model check. Only a leg that is not mono, gluing
+two left elements together, makes the kernel re-image the left operand.
 
 Isomorphism is decided on the var/unit graph whose edges carry flow
 multiplicities: joint colour refinement (Weisfeiler-Leman, a few rounds)
@@ -57,16 +63,17 @@ class Cospan:
     right_leg: CircuitMorphism
 
 
-def _seed_classes(pairs: Iterable[tuple[str, str]], tag: str) -> dict[str, str]:
-    """Union-find over the names of seeded elements only.
+def _seed_classes(pairs: Iterable[tuple[str, str]]) -> tuple[dict[str, str], dict[str, str]]:
+    """Union-find over the seeded elements only; each class takes its least left id.
 
-    Each seed pair joins ``<tag>/L/<left id>`` and ``<tag>/R/<right id>``.
-    A class's root is always its lexicographically least member, so the map
-    returned (every seeded name to its root) names each class reproducibly.
+    Every seed pair joins a left id and a right id, so every class holds a
+    left id. Returns the left ids that another left id of their class
+    names (empty unless a leg is not mono) and every seeded right id, each
+    mapped to its class's least left id.
     """
-    parent: dict[str, str] = {}
+    parent: dict[tuple[int, str], tuple[int, str]] = {}
 
-    def find(x: str) -> str:
+    def find(x: tuple[int, str]) -> tuple[int, str]:
         root = parent.setdefault(x, x)
         while parent[root] != root:
             root = parent[root]
@@ -75,26 +82,32 @@ def _seed_classes(pairs: Iterable[tuple[str, str]], tag: str) -> dict[str, str]:
         return root
 
     for lx, rx in pairs:
-        a, b = find(f"{tag}/L/{lx}"), find(f"{tag}/R/{rx}")
+        # (0, left id) sorts before every (1, right id), so a class's least node is its least left id
+        a, b = find((0, lx)), find((1, rx))
         if a != b:
             parent[max(a, b)] = min(a, b)
-    return {x: find(x) for x in parent}
+    merged: dict[str, str] = {}
+    seeded_right: dict[str, str] = {}
+    for node in parent:
+        side, x = node
+        root = find(node)[1]
+        if side:
+            seeded_right[x] = root
+        elif root != x:
+            merged[x] = root
+    return merged, seeded_right
 
 
-def _glue_flows(kind: str, sides) -> dict[str, Flow]:
-    """Image of both operands' flows; identified flows must agree on endpoints.
+def _glue_flows(kind: str, out: dict[str, Flow], flows: Mapping[str, Flow], f_flow, f_src, f_dst) -> None:
+    """Add the images of ``flows`` to ``out``; identified flows must agree on endpoints.
 
     Two images are compared only when they land on one name, which happens
     only at seeded flows.
     """
-    out: dict[str, Flow] = {}
-    for flows, f_flow, f_src, f_dst in sides:
-        for x, fl in flows.items():
-            name, image = f_flow[x], Flow(f_src[fl.src], f_dst[fl.dst])
-            if name in out and out[name] != image:
-                raise AssertionError(f"gluing produced an ill-defined {kind}-flow map at {name!r}")
-            out[name] = image
-    return out
+    for x, fl in flows.items():
+        name, image = f_flow[x], Flow(f_src[fl.src], f_dst[fl.dst])
+        if out.setdefault(name, image) != image:
+            raise AssertionError(f"gluing produced an ill-defined {kind}-flow map at {name!r}")
 
 
 def _glue(
@@ -103,9 +116,23 @@ def _glue(
     """The one gluing kernel: quotient ``left + right`` by the seed pairs.
 
     ``seeds`` holds four sequences of (left id, right id) pairs, for
-    variables, units, input flows and output flows. Every element is named
-    ``<tag>/<L|R>/<id>``; a seeded element takes the least name of its
-    class. Returns the glued circuit and both legs.
+    variables, units, input flows and output flows. Returns the glued
+    circuit and both legs.
+
+    Naming, per id kind: the left operand keeps its ids, so its leg is the
+    identity; a seeded class takes its least left id. An unseeded right
+    element ``x`` becomes ``<M>/<tag>/<x>``, where ``M`` is the greatest
+    left id of that kind (``<tag>/<x>`` when the left has none). Those
+    names sort after every left id and keep the right operand's order, so
+    the composite's ids sort as under a ``<tag>/<L|R>/<id>`` renaming of
+    both operands.
+
+    Cost: while no two left elements are glued together, the left
+    operand's four parts are copied at C level and the composite shares its
+    ``Flow`` objects; Python work is O(|right| + seeds), plus the model
+    check of the result. When a leg that is not mono glues two left
+    elements, the merged element keeps the lesser id and every left
+    element is re-imaged, O(|left|) more.
 
     The result gets the full model check; the legs are checked only where
     a gluing can break them. Their maps are total and land in the result by
@@ -113,32 +140,48 @@ def _glue(
     the four squares (two images that meet are compared). An unseeded
     variable's image receives flows only from its own operand, so the
     boundary condition is tested only at seeded variables off an operand's
-    interface. Cost: O(|left| + |right|) plus near-linear work in the seeds.
+    interface.
     """
     left_maps: list[dict[str, str]] = []
     right_maps: list[dict[str, str]] = []
+    merges = False
     for pairs, l_ids, r_ids in zip(
         seeds,
         (left.var_types, left.units, left.in_flows, left.out_flows),
         (right.var_types, right.units, right.in_flows, right.out_flows),
     ):
-        rep = _seed_classes(pairs, tag)
-        for maps, side, ids in ((left_maps, "L", l_ids), (right_maps, "R", r_ids)):
-            names = {x: f"{tag}/{side}/{x}" for x in ids}
-            maps.append({x: rep.get(n, n) for x, n in names.items()} if rep else names)
+        merged, seeded_right = _seed_classes(pairs)
+        l_map = dict(zip(l_ids, l_ids))
+        if merged:
+            l_map.update(merged)
+            merges = True
+        prefix = f"{max(l_ids)}/{tag}/" if l_ids else f"{tag}/"
+        r_map = {x: prefix + x for x in r_ids}
+        r_map.update(seeded_right)
+        left_maps.append(l_map)
+        right_maps.append(r_map)
     lv, lu, li, lo = left_maps
     rv, ru, ri, ro = right_maps
 
-    var_types: dict[str, TypeTag] = {}
-    for base, f_v in ((left, lv), (right, rv)):
+    if merges:
+        var_types: dict[str, TypeTag] = {}
+        in_flows: dict[str, Flow] = {}
+        out_flows: dict[str, Flow] = {}
+        images = ((left, lv, lu, li, lo), (right, rv, ru, ri, ro))
+    else:
+        var_types, in_flows, out_flows = dict(left.var_types), dict(left.in_flows), dict(left.out_flows)
+        images = ((right, rv, ru, ri, ro),)
+    for base, f_v, f_u, f_i, f_o in images:
         for v, t in base.var_types.items():
             if var_types.setdefault(f_v[v], t) is not t:
                 raise AssertionError(f"gluing identified variables of different types at {f_v[v]!r}")
+        _glue_flows("input", in_flows, base.in_flows, f_i, f_v, f_u)
+        _glue_flows("output", out_flows, base.out_flows, f_o, f_u, f_v)
     result = Circuit(
         var_types=var_types,
-        units=frozenset([*lu.values(), *ru.values()]),
-        in_flows=_glue_flows("input", ((left.in_flows, li, lv, lu), (right.in_flows, ri, rv, ru))),
-        out_flows=_glue_flows("output", ((left.out_flows, lo, lu, lv), (right.out_flows, ro, ru, rv))),
+        units=frozenset(lu.values()).union(ru.values()),
+        in_flows=in_flows,
+        out_flows=out_flows,
         sigma=left.sigma | right.sigma,
     )
     bad = circuit_violations(result)

@@ -276,7 +276,9 @@ def circuit_violations(c: Circuit) -> list[str]:
         bad.append("no-vars")
     if not c.sigma:
         bad.append("sigma-empty")
-    used = set(c.var_types.values())
+    # membership tests compare by identity in C; a set of the values hashes each through ``Enum.__hash__``
+    tags = c.var_types.values()
+    used = {t for t in (CTRL, BOOL) if t in tags}
     if used - c.sigma:
         bad.append("var-type-outside-sigma")
     if c.sigma - used:

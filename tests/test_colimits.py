@@ -6,22 +6,27 @@ import pytest
 from ctrlcirc import (
     CTRL,
     CompositionError,
+    Flow,
     Span,
     circuit_violations,
     compose_morphisms,
     copair,
     coproduct,
+    identity_morphism,
     invert_iso,
     is_isomorphic,
     is_mono,
     mk_primitive,
     mk_trivial,
     pushout,
+    sequence,
     unit_circuit,
     validate_morphism,
 )
+from ctrlcirc import colimits
 from ctrlcirc.operators import span_from_pairing
 from conftest import flow_multiplicities, random_circuit, random_pairing, random_primitive
+from test_glue_differential import codiagonal, doubled_flow_circuit, inverter_chain
 
 
 def test_unit_sequencing_span_pushout_is_identity_up_to_iso(rnd):
@@ -150,6 +155,89 @@ def test_copair_agrees_with_components(rnd):
         assert h.f_v[cp.left.f_v[v]] == f.f_v[v]
     for v in b.vars:
         assert h.f_v[cp.right.f_v[v]] == g.f_v[v]
+
+
+# -- composite ids: the left operand keeps its ids --------------------------
+
+PARTS = ("var_types", "units", "in_flows", "out_flows")
+COMPS = ("f_v", "f_u", "f_i", "f_o")
+
+
+def left_nested_gluings(rnd: random.Random, builds: int = 40):
+    """(left, right, result, left leg, right leg) of random left-nested sequencings and coproducts."""
+    out = []
+    for _ in range(builds):
+        acc = random_primitive(rnd)
+        for _ in range(rnd.randint(1, 4)):
+            nxt = random_circuit(rnd, 1)
+            pairs = random_pairing(rnd, acc, nxt) if rnd.random() < 0.6 else None
+            if pairs:
+                r = sequence(acc, nxt, pairs)
+                glued = (r.circuit, r.left_leg, r.right_leg)
+            else:
+                cp = coproduct(acc, nxt, rnd.choice(("cp", "par")))
+                glued = (cp.circuit, cp.left, cp.right)
+            out.append((acc, nxt, *glued))
+            acc = glued[0]
+    return out
+
+
+def test_without_a_left_merge_the_left_leg_is_the_identity(rnd):
+    for left, _, result, left_leg, _ in left_nested_gluings(rnd):
+        for part, comp in zip(PARTS, COMPS):
+            assert getattr(left_leg, comp) == {x: x for x in getattr(left, part)}
+        for part in ("in_flows", "out_flows"):
+            glued = getattr(result, part)
+            assert all(glued[x] is fl for x, fl in getattr(left, part).items())
+
+
+def test_new_right_ids_sort_after_the_left_ids_in_right_order(rnd):
+    for left, right, result, _, right_leg in left_nested_gluings(rnd):
+        for part, comp in zip(PARTS, COMPS):
+            l_ids, leg = set(getattr(left, part)), getattr(right_leg, comp)
+            new = [leg[x] for x in sorted(getattr(right, part)) if leg[x] not in l_ids]
+            assert new == sorted(set(new))
+            assert not (new and l_ids) or min(new) > max(l_ids)
+            assert set(getattr(result, part)) == l_ids | set(new)
+
+
+def test_a_left_merge_keeps_the_least_id(rnd):
+    doubled, _, merge = doubled_flow_circuit()
+    cs = pushout(Span(doubled, identity_morphism(doubled), merge))
+    assert cs.left_leg.f_i == {"i1": "i1", "i2": "i2", "i3": "i2"}
+    assert sorted(cs.result.in_flows) == ["i1", "i2"]
+    for _ in range(30):
+        c = random_circuit(rnd)
+        cp, fold = codiagonal(c)
+        # both copies of each element of c are left elements glued together
+        cs = pushout(Span(cp.circuit, identity_morphism(cp.circuit), fold))
+        for comp in COMPS:
+            fibres: dict[str, list[str]] = {}
+            for x, y in getattr(cs.left_leg, comp).items():
+                fibres.setdefault(y, []).append(x)
+            assert all(len(xs) == 2 and y == min(xs) for y, xs in fibres.items())
+        assert is_isomorphic(cs.result, c) is not None
+
+
+def test_each_chain_step_builds_flows_only_for_its_right_operand(monkeypatch):
+    built = [0]
+    steps: list[tuple[int, int]] = []
+    real_glue = colimits._glue
+
+    def counting_flow(src, dst):
+        built[0] += 1
+        return Flow(src, dst)
+
+    def counting_glue(left, right, seeds, tag):
+        before = built[0]
+        out = real_glue(left, right, seeds, tag)
+        steps.append((built[0] - before, len(right.in_flows) + len(right.out_flows)))
+        return out
+
+    monkeypatch.setattr(colimits, "Flow", counting_flow)
+    monkeypatch.setattr(colimits, "_glue", counting_glue)
+    assert len(inverter_chain(200).units) == 200
+    assert len(steps) == 199 and all(new == right for new, right in steps)
 
 
 # -- isomorphism ------------------------------------------------------------

@@ -3,9 +3,13 @@
 ``reference_pushout`` and ``reference_coproduct`` are the first
 implementations: the pushout puts every element of both operands into a
 general union-find and quotients each component set separately, and the
-coproduct renames both operands by hand. The library glues both through one
-kernel that only unions seeded elements. Composites, leg maps and error
-codes must come out equal, and the execution traces of every registered
+coproduct renames both operands by hand, to ``<tag>/<L|R>/<id>``. The
+library glues both through one kernel that only unions seeded elements and
+lets the left operand keep its ids. The two pairs of legs determine a
+renaming of each id kind from the reference composite to the library's; it
+must be well defined, bijective and order-preserving, and it must carry the
+reference composite and legs onto the library's. Refusals must agree in
+type, code and message, and the execution traces of every registered
 fixture must keep the digests recorded with the original kernel.
 """
 
@@ -217,6 +221,50 @@ def reference_coproduct(a: Circuit, b: Circuit, tag: str = "cp") -> CoproductRes
 # -- comparison helpers -----------------------------------------------------
 
 
+def _triple(glued) -> tuple[Circuit, CircuitMorphism, CircuitMorphism]:
+    if isinstance(glued, Cospan):
+        return glued.result, glued.left_leg, glued.right_leg
+    return glued.circuit, glued.left, glued.right
+
+
+def _ids(c: Circuit):
+    return c.var_types.keys(), c.units, c.in_flows.keys(), c.out_flows.keys()
+
+
+def assert_same_up_to_renaming(got, want) -> None:
+    """``got`` is ``want`` under the id renaming their legs determine.
+
+    Each reference id is renamed to the library's image of any operand
+    element the reference leg sends there. Per id kind, that renaming must
+    be well defined, cover the reference composite, and be a bijection that
+    keeps the sorted order of ids. Renaming the reference composite must
+    give the library's, and each library leg must be the renaming after the
+    reference leg (the well-definedness check asserts exactly that).
+    """
+    g_res, *g_legs = _triple(got)
+    w_res, *w_legs = _triple(want)
+    assert g_res.sigma == w_res.sigma
+    for g_leg, w_leg in zip(g_legs, w_legs):
+        assert g_leg.src == w_leg.src and g_leg.dst is g_res and w_leg.dst is w_res
+    renamings = []
+    for comp, g_ids, w_ids in zip(("f_v", "f_u", "f_i", "f_o"), _ids(g_res), _ids(w_res)):
+        ren: dict[str, str] = {}
+        for g_leg, w_leg in zip(g_legs, w_legs):
+            g_map, w_map = getattr(g_leg, comp), getattr(w_leg, comp)
+            assert g_map.keys() == w_map.keys()
+            for x, w_id in w_map.items():
+                assert ren.setdefault(w_id, g_map[x]) == g_map[x], f"{comp}: renaming ill-defined at {w_id!r}"
+        assert ren.keys() == w_ids
+        # equal to the sorted library ids: a bijection onto them that keeps order
+        assert [ren[x] for x in sorted(w_ids)] == sorted(g_ids), f"{comp}: renaming not an order isomorphism"
+        renamings.append(ren)
+    rv, ru, ri, ro = renamings
+    assert {rv[v]: t for v, t in w_res.var_types.items()} == g_res.var_types
+    assert {ru[u] for u in w_res.units} == g_res.units
+    assert {ri[i]: Flow(rv[f.src], ru[f.dst]) for i, f in w_res.in_flows.items()} == g_res.in_flows
+    assert {ro[o]: Flow(ru[f.src], rv[f.dst]) for o, f in w_res.out_flows.items()} == g_res.out_flows
+
+
 def assert_same_pushout(span: Span, tag: str = "po") -> bool:
     """Both kernels agree on ``span``; returns whether the pushout exists.
 
@@ -238,13 +286,12 @@ def assert_same_pushout(span: Span, tag: str = "po") -> bool:
             pushout(span, tag)
         assert got.value.code == "pushout-does-not-exist"
         return False
-    got = pushout(span, tag)
-    assert got == want
+    assert_same_up_to_renaming(pushout(span, tag), want)
     return True
 
 
 def assert_same_coproduct(a: Circuit, b: Circuit, tag: str = "cp") -> None:
-    assert coproduct(a, b, tag) == reference_coproduct(a, b, tag)
+    assert_same_up_to_renaming(coproduct(a, b, tag), reference_coproduct(a, b, tag))
 
 
 @pytest.fixture
@@ -252,7 +299,8 @@ def checked_kernel(monkeypatch):
     """Route every operator and fixture gluing through both kernels.
 
     Each call returns the library's result after asserting that the
-    reference gives an equal one. The returned counter records the calls.
+    reference gives the same one up to renaming. The returned counter
+    records the calls.
     """
     calls = {"pushout": 0, "coproduct": 0}
 
@@ -260,13 +308,13 @@ def checked_kernel(monkeypatch):
         calls["pushout"] += 1
         want = reference_pushout(span, tag)
         got = colimits.pushout(span, tag)
-        assert got == want
+        assert_same_up_to_renaming(got, want)
         return got
 
     def checked_coproduct(a, b, tag="cp"):
         calls["coproduct"] += 1
         got = colimits.coproduct(a, b, tag)
-        assert got == reference_coproduct(a, b, tag)
+        assert_same_up_to_renaming(got, reference_coproduct(a, b, tag))
         return got
 
     monkeypatch.setattr(operators, "pushout", checked_pushout)

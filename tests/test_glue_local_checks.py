@@ -40,7 +40,11 @@ def _full_check_flows(kind: str, sides) -> dict[str, Flow]:
 
 
 def full_check_glue(left: Circuit, right: Circuit, seeds, tag: str):
-    """The kernel's naming, with every check run on the whole result and both legs."""
+    """The kernel's naming, with every check run on the whole result and both legs.
+
+    Both operands are re-imaged element by element, also where the kernel
+    copies the left operand whole.
+    """
     left_maps: list[dict[str, str]] = []
     right_maps: list[dict[str, str]] = []
     for pairs, l_ids, r_ids in zip(
@@ -48,9 +52,10 @@ def full_check_glue(left: Circuit, right: Circuit, seeds, tag: str):
         (left.var_types, left.units, left.in_flows, left.out_flows),
         (right.var_types, right.units, right.in_flows, right.out_flows),
     ):
-        rep = colimits._seed_classes(pairs, tag)
-        for maps, side, ids in ((left_maps, "L", l_ids), (right_maps, "R", r_ids)):
-            maps.append({x: rep.get(f"{tag}/{side}/{x}", f"{tag}/{side}/{x}") for x in ids})
+        merged, seeded_right = colimits._seed_classes(pairs)
+        prefix = f"{max(l_ids)}/{tag}/" if l_ids else f"{tag}/"
+        left_maps.append({x: merged.get(x, x) for x in l_ids})
+        right_maps.append({x: seeded_right.get(x, prefix + x) for x in r_ids})
     lv, lu, li, lo = left_maps
     rv, ru, ri, ro = right_maps
     var_types: dict[str, TypeTag] = {}
@@ -215,9 +220,10 @@ def test_a_merge_off_the_interface_violates_the_boundary_condition():
     inverter too, and ``x`` is not on the left operand's interface.
     """
     chain, inv = inverter_chain(2), fixtures.build_not()
-    left = coproduct(chain, inv, "par").circuit
+    cp = coproduct(chain, inv, "par")
+    left = cp.circuit
     x = next(v for v in sorted(left.vars - left.invars - left.outvars) if left.var_types[v] is CTRL)
-    y = "par/R/v1"
+    y = cp.right.f_v["v1"]
     assert y in left.invars and left.var_types[y] is CTRL
     right = mk_trivial([CTRL], "z")
     apex = mk_trivial([CTRL, CTRL], "a")
