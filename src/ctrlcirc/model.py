@@ -229,13 +229,18 @@ def _assemble(
     out_flows: Mapping[str, Flow | tuple[str, str]],
     sigma: Optional[Iterable[TypeTag | str]],
 ) -> Circuit:
-    """Build a Circuit, raising StructureError on non-string or repeated ids and on dangling references.
+    """Build a Circuit, raising StructureError on malformed parts, non-string or repeated ids and dangling references.
 
     Ids are type-checked before anything hashes them, so an unhashable id
-    raises StructureError too.
+    raises StructureError too; a string is never read as a collection of ids.
     """
-    if not isinstance(var_types, Mapping):
-        raise StructureError(f"variables must map ids to type tags, got {type(var_types).__name__}")
+    maps = (("variables", var_types, "type tags"), ("in-flows", in_flows, "flows"), ("out-flows", out_flows, "flows"))
+    for what, x, to in maps:
+        if not isinstance(x, Mapping):
+            raise StructureError(f"{what} must map ids to {to}, got {type(x).__name__}")
+    for what, x in (("units", units), ("sigma", () if sigma is None else sigma)):
+        if isinstance(x, str) or not isinstance(x, Iterable):
+            raise StructureError(f"{what} must be a collection, got {type(x).__name__}")
     units = list(units)
     for what, ids in (("variable", var_types), ("unit", units), ("in-flow", in_flows), ("out-flow", out_flows)):
         for x in ids:
@@ -245,27 +250,23 @@ def _assemble(
     us = frozenset(units)
     if len(us) != len(units):
         raise StructureError(f"repeated unit ids: {sorted(u for u, n in Counter(units).items() if n > 1)}")
-
-    def norm(flows) -> dict[str, Flow]:
-        return {fid: f if isinstance(f, Flow) else Flow(*f) for fid, f in flows.items()}
-
-    ins = norm(in_flows)
-    outs = norm(out_flows)
-    # every declared id is a string, so an endpoint that is not one is undeclared (and is never hashed)
-    for fid, f in ins.items():
-        if not isinstance(f.src, str) or f.src not in vt:
-            raise StructureError(f"in-flow {fid!r} has undeclared source variable {f.src!r}")
-        if not isinstance(f.dst, str) or f.dst not in us:
-            raise StructureError(f"in-flow {fid!r} has undeclared target unit {f.dst!r}")
-    for fid, f in outs.items():
-        if not isinstance(f.src, str) or f.src not in us:
-            raise StructureError(f"out-flow {fid!r} has undeclared source unit {f.src!r}")
-        if not isinstance(f.dst, str) or f.dst not in vt:
-            raise StructureError(f"out-flow {fid!r} has undeclared target variable {f.dst!r}")
-    if sigma is None:
-        sig = frozenset(vt.values())
-    else:
-        sig = frozenset(_as_tag(t) for t in sigma)
+    ins, outs = {}, {}
+    for kind, flows, out, (srcs, src_what), (dsts, dst_what) in (
+        ("in", in_flows, ins, (vt, "source variable"), (us, "target unit")),
+        ("out", out_flows, outs, (us, "source unit"), (vt, "target variable")),
+    ):
+        for fid, f in flows.items():
+            if not isinstance(f, Flow):
+                if not isinstance(f, (tuple, list)) or len(f) != 2:
+                    raise StructureError(f"{kind}-flow {fid!r} must be a Flow or a pair, got {type(f).__name__}")
+                f = Flow(*f)
+            # every declared id is a string, so an endpoint that is not one is undeclared (and is never hashed)
+            if not isinstance(f.src, str) or f.src not in srcs:
+                raise StructureError(f"{kind}-flow {fid!r} has undeclared {src_what} {f.src!r}")
+            if not isinstance(f.dst, str) or f.dst not in dsts:
+                raise StructureError(f"{kind}-flow {fid!r} has undeclared {dst_what} {f.dst!r}")
+            out[fid] = f
+    sig = frozenset(vt.values()) if sigma is None else frozenset(map(_as_tag, sigma))
     return Circuit(vt, us, ins, outs, sig)
 
 
@@ -424,7 +425,9 @@ def relabel(c: Circuit, var_names: Mapping[str, str] | None = None):
     variables become ``w1..wn`` in sorted order. Units become ``u1..``,
     flows ``i1..``/``o1..`` (sorted by renamed endpoints). Returns the new
     circuit together with the renaming morphism (old -> new). A key or new
-    name that is not a string raises :class:`StructureError`.
+    name that is not a string raises :class:`StructureError`. Nothing is
+    re-checked: a type-keeping bijection that carries each flow onto its
+    renamed flow gives a valid circuit and an isomorphism by construction.
     """
     from .morphisms import CircuitMorphism  # local import to avoid a cycle
 
@@ -459,6 +462,4 @@ def relabel(c: Circuit, var_names: Mapping[str, str] | None = None):
         out_flows={o_map[f]: Flow(u_map[fl.src], v_map[fl.dst]) for f, fl in c.out_flows.items()},
         sigma=c.sigma,
     )
-    revalidate(new)
-    # a bijection carrying every flow to its renamed flow: a morphism by construction
     return new, CircuitMorphism(c, new, v_map, u_map, i_map, o_map)

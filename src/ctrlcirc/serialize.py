@@ -275,7 +275,10 @@ def value_from_json(x) -> Value:
 
 def assignments_from_dict(d: Mapping[str, Any]) -> dict[str, Value]:
     _require_object(d, "inputs document")
-    return {str(v): value_from_json(x) for v, x in d.items()}
+    for v in d:
+        if not isinstance(v, str):
+            raise StructureError(f"inputs document key {v!r} must be a variable id (a string)")
+    return {v: value_from_json(x) for v, x in d.items()}
 
 
 # ``json.dumps(obj, sort_keys=True)`` with the encoder built once. A trace

@@ -6,9 +6,14 @@ byte for byte, on fixtures, trivial circuits (empty blocks), operator
 composites, random circuits, imported netlists, synthesised family members
 and ids that need escaping. ``circuit_from_dict`` checks a plain flow entry
 with one type test per field; ``reference_circuit_from_dict`` is the reader
-that checked every entry in full. Both must return equal circuits, or raise
-the same exception type with the same message, on the fuzz corpus and on
-hand-mutated flow entries. The CLI's other indented documents (the
+that checked every entry in full, over a frozen copy of the model's
+``_assemble``/``validate_circuit`` from before their flow loops merged. Both
+must return equal circuits, or raise the same exception type with the same
+message, on the fuzz corpus and on hand-mutated flow entries. Called
+directly, ``validate_circuit`` must agree with that frozen copy too, except
+that malformed Python-side parts it once let through as a raw ``TypeError``
+or ``AttributeError``, or read a string as a collection of ids, now raise
+``StructureError``. The CLI's other indented documents (the
 import-nand and compose provenance, synth-family's ``family.json``, the iso
 witness and the ``exec --runs`` summary) are written by the same block
 writer and must equal ``json.dumps(..., indent=2, sort_keys=True)`` too.
@@ -18,14 +23,15 @@ from __future__ import annotations
 
 import json
 import random
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Any, Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as hs
 
 from ctrlcirc import BOOL, CTRL, StructureError, branch, cli, fixtures, parallel
-from ctrlcirc.model import Flow, TypeTag, _as_tag, mk_trivial, unit_circuit, validate_circuit
+from ctrlcirc.model import Circuit, Flow, TypeTag, _as_tag, circuit_violations, mk_trivial, unit_circuit, validate_circuit
+from ctrlcirc.errors import ValidationError
 from ctrlcirc.nanddag import synth_family, to_control, validate_dag
 from ctrlcirc.serialize import (
     _indented,
@@ -123,6 +129,51 @@ def test_dumps_dag_equals_the_indented_json_encoder(d):
 # -- reader -----------------------------------------------------------------
 
 
+def reference_assemble(var_types, units, in_flows, out_flows, sigma) -> Circuit:
+    """A frozen copy of ``model._assemble`` as it was before its flow loops merged."""
+    if not isinstance(var_types, Mapping):
+        raise StructureError(f"variables must map ids to type tags, got {type(var_types).__name__}")
+    units = list(units)
+    for what, ids in (("variable", var_types), ("unit", units), ("in-flow", in_flows), ("out-flow", out_flows)):
+        for x in ids:
+            if not isinstance(x, str):
+                raise StructureError(f"{what} id {x!r} must be a string")
+    vt = {v: _as_tag(t) for v, t in var_types.items()}
+    us = frozenset(units)
+    if len(us) != len(units):
+        raise StructureError(f"repeated unit ids: {sorted(u for u, n in Counter(units).items() if n > 1)}")
+
+    def norm(flows) -> dict[str, Flow]:
+        return {fid: f if isinstance(f, Flow) else Flow(*f) for fid, f in flows.items()}
+
+    ins = norm(in_flows)
+    outs = norm(out_flows)
+    for fid, f in ins.items():
+        if not isinstance(f.src, str) or f.src not in vt:
+            raise StructureError(f"in-flow {fid!r} has undeclared source variable {f.src!r}")
+        if not isinstance(f.dst, str) or f.dst not in us:
+            raise StructureError(f"in-flow {fid!r} has undeclared target unit {f.dst!r}")
+    for fid, f in outs.items():
+        if not isinstance(f.src, str) or f.src not in us:
+            raise StructureError(f"out-flow {fid!r} has undeclared source unit {f.src!r}")
+        if not isinstance(f.dst, str) or f.dst not in vt:
+            raise StructureError(f"out-flow {fid!r} has undeclared target variable {f.dst!r}")
+    if sigma is None:
+        sig = frozenset(vt.values())
+    else:
+        sig = frozenset(_as_tag(t) for t in sigma)
+    return Circuit(vt, us, ins, outs, sig)
+
+
+def reference_validate_circuit(var_types, units=(), in_flows=None, out_flows=None, sigma=None) -> Circuit:
+    """A frozen copy of ``model.validate_circuit`` over ``reference_assemble``."""
+    c = reference_assemble(var_types, units, in_flows or {}, out_flows or {}, sigma)
+    violations = circuit_violations(c)
+    if violations:
+        raise ValidationError(violations)
+    return c
+
+
 def reference_circuit_from_dict(d: Mapping[str, Any]):
     """The reader that runs the full key and endpoint checks on every flow entry."""
     _require_keys(d, {"vars", "units", "in_flows", "out_flows"}, {"sigma"}, "circuit document")
@@ -142,7 +193,7 @@ def reference_circuit_from_dict(d: Mapping[str, Any]):
             out[fid] = Flow(spec["src"], spec["dst"])
         return out
 
-    return validate_circuit(d["vars"], d["units"], flows("in_flows"), flows("out_flows"), d.get("sigma"))
+    return reference_validate_circuit(d["vars"], d["units"], flows("in_flows"), flows("out_flows"), d.get("sigma"))
 
 
 def outcome(read, doc):
@@ -225,6 +276,88 @@ def test_reader_agrees_with_the_reference_on_flow_maps(flows):
 def test_reader_agrees_with_the_reference_on_written_documents(c):
     doc = json.loads(dumps_circuit(c))
     assert circuit_from_dict(doc) == reference_circuit_from_dict(doc) == c
+
+
+# Python-side arguments for ``validate_circuit``: a valid circuit (a NAND gate)
+# with up to two parts replaced, each from a pool of the shapes ``_assemble``
+# takes (a mapping of flow specs, a collection of ids) or, for the second
+# test, of the shapes it now refuses up front. Variables, units and sigma are
+# factories, as an iterator is used up by one call.
+BASE = (
+    lambda: {"v1": "ctrl", "v2": "bool", "v3": "bool", "v4": "ctrl", "v5": "bool"},
+    lambda: ["u1"],
+    {"i1": ("v1", "u1"), "i2": ("v2", "u1"), "i3": ("v3", "u1")},
+    {"o1": ("u1", "v4"), "o2": ("u1", "v5")},
+    lambda: None,
+)
+TAKEN = (
+    [
+        lambda: {"v1": "ctrl", "v2": CTRL, "v4": "ctrl"}, lambda: {1: "ctrl", "v4": "ctrl"}, lambda: {"v1": "nope"},
+        lambda: [], lambda: {},
+    ],
+    [lambda: ("u1",), lambda: iter(["u1"]), lambda: {"u1": 0}, lambda: [1], lambda: ["u1", "u1"], lambda: [[]], lambda: []],
+    [
+        Flow("v1", "u1"), ["v1", "u1"], ("v4", "u1"), ("ghost", "u1"), ("v1", "ghost"), ("v1", []), (1, "u1"),
+        Flow(1, "u1"), ("u1", "v1"),
+    ],
+    [Flow("u1", "v4"), ["u1", "v2"], ("u1", "ghost"), ("ghost", "v4"), ("v4", "u1"), ({}, "v4")],
+    [
+        lambda: ["ctrl"], lambda: ["ctrl", "bool"], lambda: [CTRL, "bool"], lambda: iter(["bool", "ctrl"]),
+        lambda: ["nope"], lambda: [[]],
+    ],
+)
+# a string or non-collection as units or sigma, a flow map that is not a mapping, a flow spec that is not a Flow or a pair
+BAD_SPECS = ["vu", "v1", ("v1",), ("v1", "u1", "x"), 5, None, {"src": "v1", "dst": "u1"}, ()]
+REFUSED = (
+    [],
+    [lambda: "u1", lambda: "u", lambda: "", lambda: 5, lambda: None],
+    BAD_SPECS,
+    BAD_SPECS,
+    [lambda: "ctrl", lambda: "", lambda: 5],
+)
+BAD_FLOW_MAPS = [["i1"], [("v1", "u1")], "i1", 5]
+
+
+def replaced(draw, k: int, pool: list, refused: bool):
+    """Part ``k`` of ``BASE`` with one value drawn from ``pool``; a flow map gets one entry replaced or added."""
+    if k not in (2, 3):
+        return draw(hs.sampled_from(pool))
+    if refused and draw(hs.booleans()):
+        return draw(hs.sampled_from(BAD_FLOW_MAPS))
+    flows = dict(BASE[k])
+    flows[draw(hs.sampled_from([*flows, "x", 7]))] = draw(hs.sampled_from(pool))
+    return flows
+
+
+@hs.composite
+def arguments(draw, refused: bool = False):
+    args = list(BASE)
+    for k in draw(hs.sets(hs.integers(0, 4), max_size=2)):
+        args[k] = replaced(draw, k, TAKEN[k], False)
+    if refused:
+        k = draw(hs.integers(1, 4))
+        args[k] = replaced(draw, k, REFUSED[k], True)
+    return tuple(args)
+
+
+def call(fn, var_types, units, in_flows, out_flows, sigma):
+    return outcome(lambda _: fn(var_types(), units(), in_flows, out_flows, sigma()), None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(arguments())
+def test_validate_circuit_agrees_with_the_frozen_reference(args):
+    ref = call(reference_validate_circuit, *args)
+    assert ref[0] in ("ok", StructureError, ValidationError), ref
+    assert call(validate_circuit, *args) == ref
+
+
+@settings(max_examples=400, deadline=None)
+@given(arguments(refused=True))
+def test_refused_shapes_raise_structure_errors(args):
+    # the reference let these through as a raw TypeError or AttributeError or read a string as its characters,
+    # unless another replaced part failed first; the new checks refuse the shape itself
+    assert call(validate_circuit, *args)[0] is StructureError
 
 
 def reference_as_tag(value):

@@ -71,6 +71,13 @@ def test_value_json_mapping():
     assert assignments_from_dict({"a": "*", "b": 1}) == {"a": Value.SIGNAL, "b": Value.ONE}
 
 
+@pytest.mark.parametrize("key", [1, None, ("a",), 1.5, True])
+def test_inputs_keys_that_are_not_strings_are_malformed(key):
+    # a library caller's key is never coerced with str(): 1 would otherwise name the variable "1"
+    with pytest.raises(StructureError, match="must be a variable id"):
+        assignments_from_dict({"a": "*", key: 1})
+
+
 # -- DOT ----------------------------------------------------------------------
 
 _NODE = re.compile(r'^\s*"[^"]+" \[[^\]]*\];$')

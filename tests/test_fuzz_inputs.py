@@ -8,7 +8,9 @@ refuses is a composition failure, exit 1. Nothing escapes as a traceback.
 Truth tables of k = 10 to 12 inputs must synthesise within a wall-clock
 budget, and ``validate`` must read a circuit document with a 1 MB id, one
 with 100,000 flows and one whose flow entry is nested 100,000 deep within
-one, with the expected exit code.
+one, with the expected exit code. So must the netlist, inputs, ``--wiring``,
+``--span`` and morphism readers, each given a valid document with a 1 MB id
+and one with a value nested 100,000 deep.
 """
 
 from __future__ import annotations
@@ -341,4 +343,62 @@ def test_size_adversarial_circuit_documents_validate_within_budget(files, make, 
     got, err = main_on_text(files, VALIDATE, text)
     assert time.perf_counter() - start < VALIDATE_BUDGET_S
     assert got == code, err
+    assert_documented(got, err)
+
+
+# -- size-adversarial netlist, inputs, wiring, span and morphism documents ---
+
+
+BIG = "v" * 1_000_000
+BIG_SEQ = ["compose", "--op", "seq", "{dir}/big.circuit", "{dir}/big.circuit", "--out", "{dir}/o.circuit"]
+IMPORT = ["import-nand", "{doc}", "--out", "{dir}/o.circuit"]
+
+
+def _nested(doc, depth: int = 100_000) -> str:
+    """``doc`` as JSON text, its ``"@"`` value replaced by a list nested ``depth`` deep."""
+    return json.dumps(doc).replace('"@"', "[" * depth + '"v1"' + "]" * depth)
+
+
+def _trivial_apex(var: str) -> dict:
+    return {"vars": {var: "ctrl"}, "units": [], "in_flows": {}, "out_flows": {}}
+
+
+# Each reader gets a valid document with one 1 MB id (``big.circuit`` is a
+# one-unit circuit whose invar id is BIG), which it must accept, and one with a
+# value nested 100,000 deep, which the JSON reader refuses.
+SIZE_CASES = {
+    "netlist-id-of-1MB": (IMPORT, json.dumps({
+        "nodes": {BIG: "input", "b": "input", "g": "gate", "y": "output"},
+        "edges": [[BIG, "g"], ["b", "g"], ["g", "y"]],
+    }), 0),
+    "netlist-nested-100000-deep": (IMPORT, _nested({**DAG, "edges": [["a", "g"], "@", ["g", "y"]]}), 2),
+    "inputs-id-of-1MB": (["exec", "{dir}/big.circuit", "--inputs", "{doc}"], json.dumps({BIG: "*"}), 0),
+    "inputs-nested-100000-deep": (EXEC, _nested({**INPUTS, "v3": "@"}), 2),
+    "wiring-id-of-1MB": (BIG_SEQ + ["--wiring", "{doc}"], json.dumps({"pairs": [["v2", BIG]]}), 0),
+    "wiring-nested-100000-deep": (SEQ, _nested({"pairs": [["v4", "v1"], "@"]}), 2),
+    "span-apex-id-of-1MB": (BIG_SEQ + ["--span", "{doc}"], json.dumps({
+        "apex": _trivial_apex(BIG), "left": {"f_v": {BIG: "v2"}}, "right": {"f_v": {BIG: BIG}},
+    }), 0),
+    "span-nested-100000-deep": (SPAN_SEQ, _nested({**SPAN, "apex": {**SPAN["apex"], "units": "@"}}), 2),
+    "morphism-id-of-1MB": (BIG_SEQ + ["--span", "{doc}"], json.dumps({
+        "apex": _trivial_apex("p1"), "left": {"f_v": {"p1": "v2"}}, "right": {"f_v": {"p1": BIG}},
+    }), 0),
+    "morphism-nested-100000-deep": (SPAN_SEQ, _nested({**SPAN, "left": {**SPAN["left"], "f_v": {"p1": "v4", "p2": "@"}}}), 2),
+}
+
+# Wall-clock budget of one of these CLI calls; the slowest, importing a
+# netlist with a 1 MB id, took about 0.1 s in-process on a 2-vCPU x86-64 VM
+# with Python 3.11.
+READER_BUDGET_S = 10.0
+
+
+@pytest.mark.parametrize("argv_of, text, code", list(SIZE_CASES.values()), ids=list(SIZE_CASES))
+def test_size_adversarial_documents_reach_their_exit_within_budget(files, argv_of, text, code):
+    (files / "big.circuit").write_text(_long_id_circuit())
+    start = time.perf_counter()
+    got, err = main_on_text(files, argv_of, text)
+    assert time.perf_counter() - start < READER_BUDGET_S
+    assert got == code, err[:200]
+    if code == 2:
+        assert err.startswith("io error: ") and "nested too deeply" in err, err[:200]
     assert_documented(got, err)

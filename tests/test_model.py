@@ -177,27 +177,6 @@ def test_relabel_round_trip_preserves_structure(rnd):
         assert {new.var_types[ren.f_v[v]] for v in c.vars} == set(c.var_types.values())
 
 
-def test_relabel_morphism_equals_the_validated_one(rnd):
-    # relabel builds its renaming without validate_morphism; the full check
-    # must accept it and give the same morphism, with or without var_names
-    from conftest import random_circuit
-    from ctrlcirc import validate_morphism
-    from ctrlcirc.fixtures import REGISTRY, fixture
-
-    circuits = [fixture(name) for name in sorted(REGISTRY)] + [random_circuit(rnd, 4) for _ in range(30)]
-    for c in circuits:
-        picked = rnd.sample(c.sorted_vars(), rnd.randint(1, len(c.vars)))
-        # targets such as "w1" and "w3" push interior names past them
-        pool = [f"w{k}" for k in range(1, 4)] + [f"x{k}" for k in range(len(picked))]
-        names = dict(zip(picked, rnd.sample(pool, len(picked))))
-        for var_names in (None, names):
-            new, ren = relabel(c, var_names)
-            assert ren.src is c and ren.dst is new
-            assert ren == validate_morphism(c, new, ren.f_v, ren.f_u, ren.f_i, ren.f_o)
-            assert all(ren.f_v[v] == n for v, n in (var_names or {}).items())
-            assert len(new.vars) == len(c.vars)
-
-
 def test_relabel_rejects_collisions():
     c = mk_trivial([CTRL, CTRL])
     with pytest.raises(StructureError):
@@ -255,3 +234,58 @@ def test_ids_that_are_not_strings_or_repeat_are_malformed(change, what):
     with pytest.raises(StructureError, match=what):
         validate_circuit(**{**PRIMITIVE, **change})
     assert validate_circuit(**PRIMITIVE) == mk_primitive(1, 0, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "change, what",
+    [
+        ({"in_flows": {"i1": ("ghost", "u1")}}, "in-flow 'i1' has undeclared source variable 'ghost'"),
+        ({"in_flows": {"i1": ("v1", "ghost")}}, "in-flow 'i1' has undeclared target unit 'ghost'"),
+        ({"out_flows": {"o1": ("ghost", "v2")}}, "out-flow 'o1' has undeclared source unit 'ghost'"),
+        ({"out_flows": {"o1": ("u1", "ghost")}}, "out-flow 'o1' has undeclared target variable 'ghost'"),
+        ({"in_flows": {"i1": ("u1", "v1")}}, "in-flow 'i1' has undeclared source variable 'u1'"),
+        ({"out_flows": {"o1": ("v2", "u1")}}, "out-flow 'o1' has undeclared source unit 'v2'"),
+    ],
+    ids=["in-source", "in-target", "out-source", "out-target", "in-reversed", "out-reversed"],
+)
+def test_every_flow_endpoint_is_checked(change, what):
+    with pytest.raises(StructureError) as exc:
+        validate_circuit(**{**PRIMITIVE, **change})
+    assert str(exc.value) == what
+
+
+@pytest.mark.parametrize(
+    "change, what",
+    [
+        ({"in_flows": {"i1": ("v1",)}}, "in-flow 'i1' must be a Flow or a pair, got tuple"),
+        ({"in_flows": {"i1": ("v1", "u1", "v2")}}, "in-flow 'i1' must be a Flow or a pair, got tuple"),
+        ({"out_flows": {"o1": 5}}, "out-flow 'o1' must be a Flow or a pair, got int"),
+        ({"in_flows": {"i1": "vu"}}, "in-flow 'i1' must be a Flow or a pair, got str"),
+        ({"out_flows": {"o1": {"src": "u1", "dst": "v2"}}}, "out-flow 'o1' must be a Flow or a pair, got dict"),
+        ({"in_flows": [("v1", "u1")]}, "in-flows must map ids to flows, got list"),
+        ({"out_flows": "o1"}, "out-flows must map ids to flows, got str"),
+        ({"units": 5}, "units must be a collection, got int"),
+        ({"units": "u1"}, "units must be a collection, got str"),
+        (
+            {"units": "u", "in_flows": {"i1": ("v1", "u")}, "out_flows": {"o1": ("u", "v2")}},
+            "units must be a collection, got str",
+        ),
+        ({"sigma": 5}, "sigma must be a collection, got int"),
+        ({"sigma": "ctrl"}, "sigma must be a collection, got str"),
+    ],
+    ids=[
+        "spec-of-one", "spec-of-three", "spec-int", "spec-string", "spec-dict", "flows-list", "flows-string",
+        "units-int", "units-string", "units-string-of-one-unit", "sigma-int", "sigma-string",
+    ],
+)
+def test_malformed_python_side_input_is_a_structure_error(change, what):
+    # each used to escape as a raw TypeError or AttributeError, or to read a string as its characters ("u1" as {"u", "1"})
+    with pytest.raises(StructureError) as exc:
+        validate_circuit(**{**PRIMITIVE, **change})
+    assert str(exc.value) == what
+
+
+def test_flow_specs_may_be_flows_or_pairs_and_units_and_sigma_any_iterable():
+    prim, vt = mk_primitive(1, 0, 1, 0), PRIMITIVE["var_types"]
+    assert validate_circuit(vt, ["u1"], {"i1": Flow("v1", "u1")}, {"o1": ["u1", "v2"]}) == prim
+    assert validate_circuit(vt, iter(["u1"]), {"i1": ("v1", "u1")}, {"o1": ("u1", "v2")}, iter(["ctrl"])) == prim
