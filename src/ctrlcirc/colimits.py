@@ -11,17 +11,27 @@ none). New names thus sort after every left id and keep the right
 operand's order, so the composite's ids sort as under a ``<tag>/<L|R>/<id>``
 renaming of both operands, and results are reproducible and diffable.
 
-The glued circuit gets the full model check; the rest is checked only where
-a gluing can break it. Away from the seeds the renaming is injective and
+A gluing is checked only where it can break something. Of valid operands,
+every result unit has a preimage unit whose control and Boolean flows are
+carried over with their types, and sigma is the union of the operands'
+sigmas, so the only model rules a gluing can break are "some control
+invar" and "some control outvar". A result variable is an invar (outvar)
+iff none of its preimages receives (emits) a flow in its operand, so the
+kernel derives the result's interface from the operands': the images of
+their invars (outvars), minus the images of seeded variables off that side
+of their operand's interface. It tests the two rules on those sets and
+stores them on the result, with its greatest id of each kind, so the next
+gluing reads them instead of walking the composite. ``circuit_violations``
+is for untrusted input. Away from the seeds the renaming is injective and
 carries every flow with its endpoints, so the legs are morphisms by
 construction except for the boundary condition at seeded variables off an
 operand's interface, and two flow images can only meet at a seeded flow.
 ``pushout`` scans an operand for variables that gain flows only when the
 other leg sends an apex variable off its operand's interface. A gluing
-costs a C-level copy of the left operand (the composite shares its ``Flow``
-objects), O(|right|) Python work plus near-linear work in the seeds, and
-the O(|left| + |right|) model check. Only a leg that is not mono, gluing
-two left elements together, makes the kernel re-image the left operand.
+costs a C-level copy of the left operand and of its interface (the
+composite shares its ``Flow`` objects), plus O(|right|) Python work and
+near-linear work in the seeds. Only a leg that is not mono, gluing two left
+elements together, makes the kernel re-image the left operand.
 
 Isomorphism is decided on the var/unit graph whose edges carry flow
 multiplicities: joint colour refinement (Weisfeiler-Leman, a few rounds)
@@ -38,7 +48,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CompositionError, StructureError, ValidationError
-from .model import Circuit, Flow, TypeTag, circuit_violations
+from .model import CTRL, Circuit, Flow, TypeTag
 from .morphisms import CircuitMorphism, _boundary_gains, boundary_sets, validate_morphism
 
 
@@ -111,6 +121,20 @@ def _glue_flows(kind: str, out: dict[str, Flow], flows: Mapping[str, Flow], f_fl
             raise AssertionError(f"gluing produced an ill-defined {kind}-flow map at {name!r}")
 
 
+def _glued_side(l_side, r_side, lv, rv, l_seeded, r_seeded, merges: bool) -> frozenset[str]:
+    """The result variables all of whose preimages lie in ``l_side`` or ``r_side``.
+
+    With ``l_side``/``r_side`` an operand's invars (outvars), these are the
+    result's invars (outvars): the images of both sides, minus the images of
+    seeded variables off their side. While no left elements merge, the left
+    side is its own image and is copied at C level.
+    """
+    cut = {lv[v] for v in l_seeded if v not in l_side}
+    cut.update(rv[v] for v in r_seeded if v not in r_side)
+    images = frozenset(map(lv.__getitem__, l_side)) if merges else l_side
+    return images.union(map(rv.__getitem__, r_side)).difference(cut)
+
+
 def _glue(
     left: Circuit, right: Circuit, seeds: Sequence[Sequence[tuple[str, str]]], tag: str
 ) -> tuple[Circuit, CircuitMorphism, CircuitMorphism]:
@@ -126,41 +150,51 @@ def _glue(
     left id of that kind (``<tag>/<x>`` when the left has none). Those
     names sort after every left id and keep the right operand's order, so
     the composite's ids sort as under a ``<tag>/<L|R>/<id>`` renaming of
-    both operands.
+    both operands, and the result's greatest id is the image of the right's
+    greatest unseeded id (the left's when the right adds none).
 
     Cost: while no two left elements are glued together, the left
-    operand's four parts are copied at C level and the composite shares its
-    ``Flow`` objects; Python work is O(|right| + seeds), plus the model
-    check of the result. When a leg that is not mono glues two left
-    elements, the merged element keeps the lesser id and every left
-    element is re-imaged, O(|left|) more.
+    operand's four parts and its interface are copied at C level and the
+    composite shares its ``Flow`` objects; Python work is O(|right| +
+    seeds). When a leg that is not mono glues two left elements, the merged
+    element keeps the lesser id and every left element is re-imaged,
+    O(|left|) more, and the result's greatest ids are left to be computed
+    when read.
 
-    The result gets the full model check; the legs are checked only where
-    a gluing can break them. Their maps are total and land in the result by
-    construction, the type check below keeps types, and the flow images keep
-    the four squares (two images that meet are compared). An unseeded
-    variable's image receives flows only from its own operand, so the
-    boundary condition is tested only at seeded variables off an operand's
-    interface.
+    Checks, for valid operands: every result unit, flow and type comes from
+    an operand, so only the control invar and control outvar rules can
+    fail; they are tested on the interface derived from the operands'
+    (see :func:`_glued_side`), which the result keeps. The legs' maps are
+    total and land in the result by construction, the type check below
+    keeps types, and the flow images keep the four squares (two images that
+    meet are compared). An unseeded variable's image receives flows only
+    from its own operand, so the boundary condition is tested only at
+    seeded variables off an operand's interface.
     """
     left_maps: list[dict[str, str]] = []
     right_maps: list[dict[str, str]] = []
+    greatest: list[Optional[str]] = []
     merges = False
-    for pairs, l_ids, r_ids in zip(
+    for pairs, l_ids, r_ids, l_max, r_max in zip(
         seeds,
         (left.var_types, left.units, left.in_flows, left.out_flows),
         (right.var_types, right.units, right.in_flows, right.out_flows),
+        left._greatest_ids,
+        right._greatest_ids,
     ):
         merged, seeded_right = _seed_classes(pairs)
         l_map = dict(zip(l_ids, l_ids))
         if merged:
             l_map.update(merged)
             merges = True
-        prefix = f"{max(l_ids)}/{tag}/" if l_ids else f"{tag}/"
+        prefix = f"{l_max}/{tag}/" if l_max is not None else f"{tag}/"
         r_map = {x: prefix + x for x in r_ids}
         r_map.update(seeded_right)
         left_maps.append(l_map)
         right_maps.append(r_map)
+        if r_max in seeded_right:
+            r_max = max((x for x in r_ids if x not in seeded_right), default=None)
+        greatest.append(l_max if r_max is None else r_map[r_max])  # the image itself, not an equal copy
     lv, lu, li, lo = left_maps
     rv, ru, ri, ro = right_maps
 
@@ -169,26 +203,32 @@ def _glue(
         in_flows: dict[str, Flow] = {}
         out_flows: dict[str, Flow] = {}
         images = ((left, lv, lu, li, lo), (right, rv, ru, ri, ro))
+        units = frozenset(lu.values()).union(ru.values())
     else:
         var_types, in_flows, out_flows = dict(left.var_types), dict(left.in_flows), dict(left.out_flows)
         images = ((right, rv, ru, ri, ro),)
+        units = left.units.union(ru.values())
     for base, f_v, f_u, f_i, f_o in images:
         for v, t in base.var_types.items():
             if var_types.setdefault(f_v[v], t) is not t:
                 raise AssertionError(f"gluing identified variables of different types at {f_v[v]!r}")
         _glue_flows("input", in_flows, base.in_flows, f_i, f_v, f_u)
         _glue_flows("output", out_flows, base.out_flows, f_o, f_u, f_v)
-    result = Circuit(
-        var_types=var_types,
-        units=frozenset(lu.values()).union(ru.values()),
-        in_flows=in_flows,
-        out_flows=out_flows,
-        sigma=left.sigma | right.sigma,
-    )
-    bad = circuit_violations(result)
+    result = Circuit(var_types, units, in_flows, out_flows, left.sigma | right.sigma)
+    l_seeded, r_seeded = {x for x, _ in seeds[0]}, {x for _, x in seeds[0]}
+    invars = _glued_side(left.invars, right.invars, lv, rv, l_seeded, r_seeded, merges)
+    outvars = _glued_side(left.outvars, right.outvars, lv, rv, l_seeded, r_seeded, merges)
+    bad = [
+        rule
+        for rule, side in (("no-control-invar", invars), ("no-control-outvar", outvars))
+        if CTRL not in map(var_types.__getitem__, side)
+    ]
     if bad:  # a coproduct of valid circuits never gets here; a pushout can
         raise CompositionError("pushout-does-not-exist", f"the glued structure is not a valid circuit: {bad}")
-    for base, f_v, f_u, vs in ((left, lv, lu, {x for x, _ in seeds[0]}), (right, rv, ru, {x for _, x in seeds[0]})):
+    result.__dict__.update(invars=invars, outvars=outvars)  # the cached properties' slots
+    if not merges:
+        result.__dict__["_greatest_ids"] = tuple(greatest)
+    for base, f_v, f_u, vs in ((left, lv, lu, l_seeded), (right, rv, ru, r_seeded)):
         off = [v for v in vs if v not in base.invars and v not in base.outvars]
         if off and any(_boundary_gains(base, result, f_v, f_u, off)):
             raise ValidationError(["boundary-condition-violated"], subject="morphism")
@@ -207,11 +247,11 @@ def pushout(span: Span, tag: str = "po") -> Cospan:
     """
     alpha, beta = span.left, span.right
     for side, leg, other in (("left", alpha, beta), ("right", beta, alpha)):
-        boundary = leg.dst.invars | leg.dst.outvars
-        if all(leg.f_v[v] in boundary for v in span.apex.var_types):
+        inv, outv = leg.dst.invars, leg.dst.outvars
+        if all(w in inv or w in outv for w in map(leg.f_v.__getitem__, span.apex.var_types)):
             continue
         gain_in, gain_out = boundary_sets(span.apex, other.dst, other.f_v, other.f_u)
-        outside = {leg.f_v[v] for v in gain_in | gain_out} - boundary
+        outside = {w for w in map(leg.f_v.__getitem__, gain_in | gain_out) if w not in inv and w not in outv}
         if outside:
             raise CompositionError(
                 "pushout-does-not-exist",

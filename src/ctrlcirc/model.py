@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import StructureError, ValidationError
 
@@ -127,6 +128,16 @@ class Circuit:
     @cached_property
     def inoutvars(self) -> frozenset[str]:
         return self.invars & self.outvars
+
+    @cached_property
+    def _greatest_ids(self) -> tuple[Optional[str], Optional[str], Optional[str], Optional[str]]:
+        """The greatest variable, unit, in-flow and out-flow id; ``None`` for a kind without ids.
+
+        The gluing kernel names the right operand's new elements after the
+        left operand's, and fills this in on its result along with ``invars``
+        and ``outvars``.
+        """
+        return tuple(max(ids, default=None) for ids in (self.var_types, self.units, self.in_flows, self.out_flows))
 
     @cached_property
     def _exec_tables(self) -> _ExecTables:
@@ -385,10 +396,17 @@ def classify(c: Circuit) -> CircuitClass:
 def mk_trivial(tags: Sequence[TypeTag | str], prefix: str = "v") -> Circuit:
     """A circuit of bare variables: no units, no flows.
 
-    Variables are named ``v1..vn`` in the given order. Without a control
-    tag, :func:`validate_circuit` raises :class:`ValidationError`.
+    Variables are named ``v1..vn`` in the given order. Without units or
+    flows every variable is both an invar and an outvar, and sigma is the
+    set of tags used, so only a missing control tag breaks a model rule;
+    then :class:`ValidationError` lists what :func:`circuit_violations`
+    would.
     """
-    return validate_circuit({f"{prefix}{i + 1}": t for i, t in enumerate(tags)})
+    c = _assemble({f"{prefix}{i + 1}": t for i, t in enumerate(tags)}, (), {}, {}, None)
+    if CTRL not in c.sigma:
+        no_vars = ["no-vars", "sigma-empty"] if not c.var_types else []
+        raise ValidationError(no_vars + ["no-control-invar", "no-control-outvar"])
+    return c
 
 
 def unit_circuit() -> Circuit:
@@ -424,13 +442,16 @@ def relabel(c: Circuit, var_names: Mapping[str, str] | None = None):
     Variables listed in ``var_names`` take the given names; remaining
     variables become ``w1..wn`` in sorted order. Units become ``u1..``,
     flows ``i1..``/``o1..`` (sorted by renamed endpoints). Returns the new
-    circuit together with the renaming morphism (old -> new). A key or new
-    name that is not a string raises :class:`StructureError`. Nothing is
-    re-checked: a type-keeping bijection that carries each flow onto its
-    renamed flow gives a valid circuit and an isomorphism by construction.
+    circuit together with the renaming morphism (old -> new). A
+    ``var_names`` that is not a mapping, or a key or new name that is not a
+    string, raises :class:`StructureError`. Nothing is re-checked: a
+    type-keeping bijection that carries each flow onto its renamed flow
+    gives a valid circuit and an isomorphism by construction.
     """
     from .morphisms import CircuitMorphism  # local import to avoid a cycle
 
+    if var_names is not None and not isinstance(var_names, Mapping):
+        raise StructureError(f"relabel names must map variable ids to names, got {type(var_names).__name__}")
     v_map = dict(var_names or {})
     for name in (*v_map, *v_map.values()):
         if not isinstance(name, str):

@@ -39,7 +39,7 @@ def _check_pairing(left: Circuit, right: Circuit, pairs: Pairing) -> None:
     if any(len(set(side)) != len(pairs) for side in zip(*pairs)):
         raise CompositionError("pairing-not-injective")
     for l, r in pairs:
-        if l not in left.vars or r not in right.vars:
+        if l not in left.var_types or r not in right.var_types:
             raise CompositionError("pairing-unknown-variable", f"({l}, {r})")
         if left.var_types[l] is not right.var_types[r]:
             raise CompositionError("pair-tag-mismatch", f"({l}, {r})")

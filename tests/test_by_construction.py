@@ -7,17 +7,22 @@ without re-running the library's checks on them:
   and interface are exactly those its edges prescribe;
 * ``relabel`` returns a valid circuit and a renaming that equals
   ``validate_morphism`` of its maps and is a bijection;
-* every isomorphism witness validates as a morphism and is mono.
+* every isomorphism witness validates as a morphism and is mono;
+* ``mk_trivial`` refuses exactly the tag lists the model check refuses,
+  with the same violations.
 
 The subjects are ``random_dag`` netlists, the benchmark's deep netlists,
 spine netlists and synthesised family members for k = 0..8 on the one side,
 and every fixture, random circuits and operator composites on the other.
-The last test makes each checker raise and runs the three builders, so none
-of them calls one.
+The checker test makes each checker raise and runs the three builders, so
+none of them calls one; then it makes ``circuit_violations`` alone raise
+and glues a 40-inverter chain, a 40-inverter row, a branch and a coproduct.
+The gluing kernel's own claims are checked in ``test_glue_local_checks.py``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 
@@ -29,6 +34,7 @@ from ctrlcirc import (
     CTRL,
     Flow,
     IterationWiring,
+    ValidationError,
     branch,
     circuit_violations,
     coproduct,
@@ -36,13 +42,15 @@ from ctrlcirc import (
     is_mono,
     is_sound,
     iterate_head,
+    mk_trivial,
     parallel,
     relabel,
+    sequence,
     validate_circuit,
     validate_morphism,
 )
 from ctrlcirc.model import revalidate
-from ctrlcirc.fixtures import REGISTRY, build_buffer, build_eater, fixture
+from ctrlcirc.fixtures import REGISTRY, build_buffer, build_eater, build_not, fixture
 from ctrlcirc.nanddag import NodeKind, bool_var, ctrl_var, random_dag, synth_family, to_control
 from ctrlcirc.serialize import loads_dag
 from conftest import random_circuit
@@ -234,11 +242,8 @@ CHECKERS = (
 )
 
 
-def test_builders_call_none_of_the_checkers(monkeypatch):
-    netlists = [d for _, d in NETLISTS[::8]] + [m.dag for _, m in MEMBERS if m.dag is not None][:3]
-    circuits = [c for _, c in CIRCUITS]
-    copies = [shuffled_copy(c, random.Random(i)) for i, c in enumerate(circuits)]
-
+def refuse_everywhere(monkeypatch, checkers) -> set[str]:
+    """Make every ``ctrlcirc`` module's name for each checker raise; returns the names patched."""
     def refuse(*args, **kwargs):
         raise AssertionError("a builder re-ran a check")
 
@@ -246,13 +251,52 @@ def test_builders_call_none_of_the_checkers(monkeypatch):
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "ctrlcirc" or mod_name.startswith("ctrlcirc."):
             for name, obj in list(vars(mod).items()):
-                if any(obj is checker for checker in CHECKERS):
+                if any(obj is checker for checker in checkers):
                     monkeypatch.setattr(mod, name, refuse)
                     patched.add(name)
-    assert patched == {checker.__name__ for checker in CHECKERS}
+    return patched
+
+
+def test_builders_call_none_of_the_checkers(monkeypatch):
+    netlists = [d for _, d in NETLISTS[::8]] + [m.dag for _, m in MEMBERS if m.dag is not None][:3]
+    circuits = [c for _, c in CIRCUITS]
+    copies = [shuffled_copy(c, random.Random(i)) for i, c in enumerate(circuits)]
+    assert refuse_everywhere(monkeypatch, CHECKERS) == {checker.__name__ for checker in CHECKERS}
 
     for d in netlists:
         to_control(d)
     for c, copy in zip(circuits, copies):
         relabel(c)
         assert is_isomorphic(c, copy) is not None
+
+    # Gluings test only the two control-interface rules, on an interface
+    # derived from their operands', and never run the whole model check.
+    monkeypatch.undo()
+    inv, buf = build_not(), build_buffer()
+    assert refuse_everywhere(monkeypatch, [circuit_violations]) == {"circuit_violations"}
+    chain, c_out, b_out = inv, "v3", "v4"
+    for _ in range(39):
+        res = sequence(chain, inv, [(c_out, "v1"), (b_out, "v2")])
+        chain, c_out, b_out = res.circuit, res.right_leg.f_v["v3"], res.right_leg.f_v["v4"]
+    assert len(chain.units) == 40
+    row = inv
+    for _ in range(39):
+        row = parallel(row, inv)
+    assert len(row.units) == 40
+    wiring = [("c_in", "c_in"), ("b_in", "b_in")], [("c_out", "c_out"), ("b_out", "b_out")]
+    assert len(branch(buf, buf, *wiring).circuit.units) == 2 * len(buf.units)
+    assert len(coproduct(row, row).circuit.units) == 80
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_a_trivial_circuit_is_refused_as_the_model_check_refuses_it(n):
+    """``mk_trivial`` tests only for a control tag; its refusals list what ``validate_circuit``'s do."""
+    for tags in itertools.product((CTRL, BOOL, "ctrl", "bool"), repeat=n):
+        try:
+            want = validate_circuit({f"v{i + 1}": t for i, t in enumerate(tags)})
+        except ValidationError as e:
+            with pytest.raises(ValidationError) as got:
+                mk_trivial(tags)
+            assert (got.value.violations, str(got.value)) == (e.violations, str(e))
+        else:
+            assert mk_trivial(tags) == want

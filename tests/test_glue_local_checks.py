@@ -9,6 +9,14 @@ but checks everything: it scans both operands with ``boundary_sets``,
 compares every flow image and runs ``validate_morphism`` (so the full
 ``check_morphism``) on both legs. Results, legs and refusals (exception
 type, code, violations and message) must come out equal.
+
+The kernel also tests only the control invar and outvar rules, on an
+interface it derives from the operands', and stores that interface and the
+greatest ids on its result. The last section checks those stored facts
+against a fresh ``Circuit`` of the same fields after every gluing of the
+operators, the fixtures and the random generators, merging gluings
+included, and each refusal against ``circuit_violations`` of the glued
+structure.
 """
 
 from __future__ import annotations
@@ -17,13 +25,15 @@ import random
 
 import pytest
 
-from ctrlcirc import BOOL, CTRL, CompositionError, ValidationError, coproduct, identity_morphism, pushout
+from ctrlcirc import BOOL, CTRL, CompositionError, ValidationError, branch, coproduct, identity_morphism, parallel
+from ctrlcirc import pushout, sequence
 from ctrlcirc import colimits, fixtures, morphisms
 from ctrlcirc.colimits import Cospan, Span
 from ctrlcirc.model import Circuit, Flow, TypeTag, circuit_violations, mk_primitive, mk_trivial
 from ctrlcirc.morphisms import CircuitMorphism, boundary_sets, check_morphism, validate_morphism
 from ctrlcirc.operators import span_from_pairing
-from conftest import random_circuit, random_morphism, random_pairing
+from conftest import random_circuit, random_morphism, random_pairing, random_total_pair, random_total_triple, tag_zip
+from test_by_construction import buffer_loop
 from test_glue_differential import any_pairing, codiagonal, doubled_flow_circuit, inverter_chain
 
 # -- the fully checked reference --------------------------------------------
@@ -39,11 +49,12 @@ def _full_check_flows(kind: str, sides) -> dict[str, Flow]:
     return out
 
 
-def full_check_glue(left: Circuit, right: Circuit, seeds, tag: str):
-    """The kernel's naming, with every check run on the whole result and both legs.
+def glued_structure(left: Circuit, right: Circuit, seeds, tag: str):
+    """The kernel's naming and glued structure, unchecked but for clashing types and flows.
 
     Both operands are re-imaged element by element, also where the kernel
-    copies the left operand whole.
+    copies the left operand whole. Returns the structure and both operands'
+    four maps.
     """
     left_maps: list[dict[str, str]] = []
     right_maps: list[dict[str, str]] = []
@@ -70,6 +81,12 @@ def full_check_glue(left: Circuit, right: Circuit, seeds, tag: str):
         out_flows=_full_check_flows("output", ((left.out_flows, lo, lu, lv), (right.out_flows, ro, ru, rv))),
         sigma=left.sigma | right.sigma,
     )
+    return result, left_maps, right_maps
+
+
+def full_check_glue(left: Circuit, right: Circuit, seeds, tag: str):
+    """The kernel's naming, with every check run on the whole result and both legs."""
+    result, (lv, lu, li, lo), (rv, ru, ri, ro) = glued_structure(left, right, seeds, tag)
     bad = circuit_violations(result)
     if bad:
         raise CompositionError("pushout-does-not-exist", f"the glued structure is not a valid circuit: {bad}")
@@ -78,6 +95,12 @@ def full_check_glue(left: Circuit, right: Circuit, seeds, tag: str):
         validate_morphism(left, result, lv, lu, li, lo),
         validate_morphism(right, result, rv, ru, ri, ro),
     )
+
+
+def span_seeds(span: Span):
+    comps = ((span.left.f_v, span.right.f_v), (span.left.f_u, span.right.f_u))
+    comps += ((span.left.f_i, span.right.f_i), (span.left.f_o, span.right.f_o))
+    return [[(fa[x], fb[x]) for x in fa] for fa, fb in comps]
 
 
 def full_check_pushout(span: Span, tag: str = "po") -> Cospan:
@@ -90,8 +113,7 @@ def full_check_pushout(span: Span, tag: str = "po") -> Cospan:
                 "pushout-does-not-exist",
                 f"{side} operand would gain flows at non-interface variables {sorted(outside)}",
             )
-    comps = ((alpha.f_v, beta.f_v), (alpha.f_u, beta.f_u), (alpha.f_i, beta.f_i), (alpha.f_o, beta.f_o))
-    cs = Cospan(*full_check_glue(alpha.dst, beta.dst, [[(fa[x], fb[x]) for x in fa] for fa, fb in comps], tag))
+    cs = Cospan(*full_check_glue(alpha.dst, beta.dst, span_seeds(span), tag))
     for v in span.apex.var_types:
         if cs.left_leg.f_v[alpha.f_v[v]] != cs.right_leg.f_v[beta.f_v[v]]:
             raise AssertionError("pushout square does not commute")
@@ -284,3 +306,136 @@ def test_sequencing_a_chain_runs_no_whole_operand_check(monkeypatch):
     ident = identity_morphism(chain)
     validate_morphism(chain, chain, ident.f_v, ident.f_u, ident.f_i, ident.f_o)
     assert calls == {"boundary_sets": 1, "check_morphism_with_units": 1}
+
+
+# -- the facts a gluing carries forward ------------------------------------
+
+
+def assert_carries_fresh_facts(c: Circuit) -> None:
+    """The interface and greatest ids stored on ``c`` equal those a fresh ``Circuit`` derives."""
+    fresh = Circuit(c.var_types, c.units, c.in_flows, c.out_flows, c.sigma)
+    assert (c.invars, c.outvars, c._greatest_ids) == (fresh.invars, fresh.outvars, fresh._greatest_ids)
+
+
+@pytest.fixture
+def glued(monkeypatch):
+    """Check the stored facts of every gluing's result; counts all gluings and the merging ones.
+
+    The interface is always stored. The greatest ids are stored unless the
+    left leg merges elements, and are then derived when first read.
+    """
+    seen = {"gluings": 0, "merging": 0}
+    real = colimits._glue
+
+    def checked(left, right, seeds, tag):
+        result, to_left, to_right = real(left, right, seeds, tag)
+        merging = not morphisms.is_mono(to_left)
+        assert "invars" in vars(result) and "outvars" in vars(result)
+        assert ("_greatest_ids" in vars(result)) is not merging
+        assert_carries_fresh_facts(result)
+        seen["gluings"] += 1
+        seen["merging"] += merging
+        return result, to_left, to_right
+
+    monkeypatch.setattr(colimits, "_glue", checked)
+    return seen
+
+
+def test_random_generators_carry_fresh_facts(glued, rnd):
+    for _ in range(60):
+        random_circuit(rnd, extra_ops=4)
+        left, right, pairs = random_total_pair(rnd)
+        sequence(left, right, pairs)
+        a, b, c = random_total_triple(rnd)
+        ab = sequence(a, b, tag_zip(a, a.outvars, b, b.invars)).circuit
+        sequence(ab, c, tag_zip(ab, ab.outvars, c, c.invars))
+        random_morphism(rnd)
+    assert glued["gluings"] > 300
+
+
+def test_operators_carry_fresh_facts(glued):
+    buf = fixtures.build_buffer()
+    assert len(inverter_chain(40).units) == 40
+    row = fixtures.build_not()
+    for _ in range(39):
+        row = parallel(row, fixtures.build_not())
+    branch(buf, buf, [("c_in", "c_in"), ("b_in", "b_in")], [("c_out", "c_out"), ("b_out", "b_out")])
+    buffer_loop()
+    fixtures.build_flipflop()  # a tail iteration
+    assert glued["gluings"] > 80
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.REGISTRY))
+def test_every_fixture_carries_fresh_facts(glued, name):
+    fixtures.REGISTRY[name]()
+
+
+def test_merging_gluings_carry_fresh_facts(glued, rnd):
+    doubled, _, merge = doubled_flow_circuit()
+    pushout(Span(doubled, merge, identity_morphism(doubled)))
+    pushout(Span(doubled, merge, merge))
+    for _ in range(40):
+        cp, fold = codiagonal(random_circuit(rnd))
+        pushout(Span(cp.circuit, fold, fold))
+        pushout(Span(cp.circuit, fold, identity_morphism(cp.circuit)))
+    for _ in range(200):
+        span = merging_span(rnd, with_isolated(rnd, random_circuit(rnd)), with_isolated(rnd, random_circuit(rnd)))
+        try:
+            pushout(span)
+        except (CompositionError, ValidationError):
+            pass
+    assert glued["merging"] > 40
+
+
+def interface_pairing(rnd: random.Random, left: Circuit, right: Circuit):
+    """A random injective same-type pairing of interface variables with a control pair, or None.
+
+    Every glued variable is on both interfaces, so the existence scan passes
+    and only the glued structure's control invars and outvars can fail.
+    """
+    def interface(c: Circuit) -> list[str]:
+        vs = sorted(c.invars | c.outvars)
+        rnd.shuffle(vs)
+        return vs
+
+    free = {t: [v for v in interface(right) if right.var_types[v] is t] for t in (CTRL, BOOL)}
+    pairs = []
+    for l in interface(left):
+        if free[left.var_types[l]] and rnd.random() < 0.7:
+            pairs.append((l, free[left.var_types[l]].pop()))
+    return pairs if any(left.var_types[l] is CTRL for l, _ in pairs) else None
+
+
+def ring_pairing(rnd: random.Random, left: Circuit, right: Circuit):
+    """Left invars onto right outvars and left outvars onto right invars, in sorted order within each type."""
+    pairs = tag_zip(left, left.invars, right, right.outvars)
+    pairs += tag_zip(left, left.outvars - left.invars, right, right.invars - right.outvars)
+    return pairs
+
+
+def test_every_refusal_lists_what_circuit_violations_finds(rnd):
+    """A refused gluing names the rules the glued structure breaks, as the full model check lists them."""
+    refused: dict[str, int] = {}
+    for k in range(300):
+        left, right = random_circuit(rnd), random_circuit(rnd)
+        if k % 4 == 3:
+            span = merging_span(rnd, with_isolated(rnd, left), with_isolated(rnd, right))
+        else:
+            pairs = (interface_pairing, ring_pairing, any_pairing)[k % 4](rnd, left, right)
+            if not pairs:
+                continue
+            span = span_from_pairing(left, right, pairs)
+        assert_same_verdict(span)
+        try:
+            pushout(span)
+        except CompositionError as e:
+            if "the glued structure" not in str(e):
+                continue  # refused by the existence scan, before anything is glued
+            structure, _, _ = glued_structure(span.left.dst, span.right.dst, span_seeds(span), "po")
+            bad = circuit_violations(structure)
+            assert str(e) == f"pushout-does-not-exist: the glued structure is not a valid circuit: {bad}"
+            refused[",".join(bad)] = refused.get(",".join(bad), 0) + 1
+        except ValidationError:
+            pass
+    assert set(refused) == {"no-control-invar", "no-control-outvar", "no-control-invar,no-control-outvar"}
+    assert min(refused.values()) > 5

@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -193,6 +195,20 @@ def test_relabel_rejects_names_that_are_not_strings(var_names):
     c = mk_primitive(1, 1, 1, 1)
     with pytest.raises(StructureError, match="must be strings"):
         relabel(c, var_names)
+
+
+@pytest.mark.parametrize("var_names", ["ab", [("v1",)], [("v1", "x")], 5, ("v1", "x")])
+def test_relabel_rejects_names_that_are_not_a_mapping(var_names):
+    c = mk_primitive(1, 1, 1, 1)
+    with pytest.raises(StructureError, match="must map variable ids to names"):
+        relabel(c, var_names)
+
+
+def test_relabel_takes_any_mapping_of_names():
+    c = mk_primitive(1, 1, 1, 1)
+    new, ren = relabel(c, MappingProxyType({"v1": "go", "v4": "w1"}))
+    assert (ren.f_v["v1"], ren.f_v["v4"]) == ("go", "w1")
+    assert sorted(new.var_types) == ["go", "w1", "w2", "w3"]
 
 
 def test_circuits_compare_by_value_but_are_unhashable():
