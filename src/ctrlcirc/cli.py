@@ -219,17 +219,18 @@ def cmd_exec(args) -> int:
 
     if args.runs > 1:
         outcomes: Counter[str] = Counter()
-        fired_sets: Counter[tuple[str, ...]] = Counter()
+        fired_sets: Counter[frozenset[str]] = Counter()
         for k in range(args.runs):
             tr = run(c, init, ExecConfig(seed=args.seed + k, max_steps=args.max_steps))
             outcomes[tr.outcome.value] += 1
-            fired_sets[tuple(sorted(tr.fired_units()))] += 1
+            fired_sets[tr.fired_units()] += 1
+        # each distinct set is sorted once, here, not once per run
+        counted = [(sorted(units), n) for units, n in fired_sets.items()]
         payload = {
             "runs": args.runs,
             "outcomes": dict(sorted(outcomes.items())),
             "fired_unit_sets": [
-                {"units": list(units), "count": n}
-                for units, n in sorted(fired_sets.items(), key=lambda kv: (-kv[1], kv[0]))
+                {"units": units, "count": n} for units, n in sorted(counted, key=lambda kv: (-kv[1], kv[0]))
             ],
         }
         _emit(args, payload)

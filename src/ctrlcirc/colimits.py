@@ -113,11 +113,13 @@ def _glue_flows(kind: str, out: dict[str, Flow], flows: Mapping[str, Flow], f_fl
     """Add the images of ``flows`` to ``out``; identified flows must agree on endpoints.
 
     Two images are compared only when they land on one name, which happens
-    only at seeded flows.
+    only at seeded flows; a new name holds its own image, which the
+    identity test passes without running ``Flow.__eq__``.
     """
     for x, fl in flows.items():
         name, image = f_flow[x], Flow(f_src[fl.src], f_dst[fl.dst])
-        if out.setdefault(name, image) != image:
+        held = out.setdefault(name, image)
+        if held is not image and held != image:
             raise AssertionError(f"gluing produced an ill-defined {kind}-flow map at {name!r}")
 
 

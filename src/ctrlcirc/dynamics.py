@@ -10,10 +10,13 @@ output: the constant 1 when the unit has no Boolean inputs, otherwise the
 negated conjunction of all of them.
 
 Which units are enabled and ready depends only on which variables hold
-values, so a circuit without competing units (a seed-free circuit, such
-as every imported netlist) fires the same units in the same order from
-every input: :func:`run` works that order out once per circuit and then
-replays it, computing only the Booleans.
+values, never on the Booleans, so the units a run fires, step by step,
+depend only on its draws. :func:`run` keeps the steps each circuit's runs
+have taken in a tree keyed by the draws and replays a known step,
+computing only the Booleans. A circuit without competing units (a
+seed-free circuit, such as every imported netlist) draws nothing, so it
+fires the same units in the same order from every input and its tree is
+one chain.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from operator import is_not
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import StructureError
-from .model import BOOL, CTRL, Circuit, _ExecTables
+from .model import BOOL, CTRL, Circuit, Outcome, _ExecTables, _step_node
 
 
 class Value(enum.Enum):
@@ -101,13 +104,6 @@ class SplitMix64:
 
 # the members as module constants: each ``Value.ONE`` lookup goes through the enum class machinery
 _SIGNAL, _ZERO, _ONE = Value.SIGNAL, Value.ZERO, Value.ONE
-
-
-class Outcome(enum.Enum):
-    FINAL = "final"
-    DEADLOCK = "deadlock"
-    STEP_LIMIT = "step-limit"
-    WRITE_CONFLICT = "write-conflict"
 
 
 class TraceStep:
@@ -286,20 +282,22 @@ def ready_units(c: Circuit, st: State, rng: SplitMix64) -> frozenset[str]:
     Groups are visited sorted by their least member so draws are
     reproducible; singleton groups do not consume randomness.
     """
-    return frozenset(_pick_ready(c._exec_tables.group, sorted(enabled_units(c, st)), rng))
+    t = c._exec_tables
+    enabled = sorted(enabled_units(c, st))
+    return frozenset(_pick_ready(t.group, enabled, map(rng.below, filter(None, map(t.draw.get, enabled)))))
 
 
-def _pick_ready(group: Mapping[str, tuple[str, ...]], enabled: Iterable[str], rng: SplitMix64) -> list[str]:
-    """The ready picks among the sorted ``enabled`` units, given each unit's competing group.
+def _pick_ready(group: Mapping[str, tuple[str, ...]], enabled: Iterable[str], draws: Iterator[int]) -> list[str]:
+    """The ready picks among the sorted ``enabled`` units, given each unit's competing group and the draws.
 
     Members of a group share their input variables, so a group is enabled
-    whole or not at all: its one draw is made at its least member.
+    whole or not at all: it takes the next of ``draws`` at its least member.
     """
     picks = []
     for u in enabled:
         g = group[u]
         if g[0] == u:
-            picks.append(g[rng.below(len(g))] if len(g) > 1 else u)
+            picks.append(g[next(draws)] if len(g) > 1 else u)
     return picks
 
 
@@ -331,14 +329,13 @@ def _write(
     second, different Boolean, and the last earlier unit that wrote it.
     """
     produced: dict[str, Value] = {}
-    producer: dict[str, str] = {}
     for u in ready:
         res = results[u]
         for v, is_ctrl in post[u]:
             val = _SIGNAL if is_ctrl else res
             if produced.setdefault(v, val) is not val:
-                return produced, (v, f"units {producer[v]!r} and {u!r} write different Booleans into {v!r}")
-            producer[v] = u
+                prev = [w for w in ready[: ready.index(u)] if (v, False) in post[w]][-1]
+                return produced, (v, f"units {prev!r} and {u!r} write different Booleans into {v!r}")
     return produced, None
 
 
@@ -355,7 +352,9 @@ def _fire(
     found before ``values`` changes.
     """
     bool_in, pre = t.bool_in, t.pre
-    results = {u: _reduce(bool_in[u], values) for u in ready}
+    results = {}
+    for u in ready:
+        results[u] = _reduce(bool_in[u], values)
     produced, conflict = _write(t.post, ready, results)
     if conflict:
         return results, produced, [], [], conflict
@@ -399,31 +398,35 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
 
     One assignment, copied once from ``init``, is updated in place; a step
     touches only the fired units' pre- and post-sets. The circuit's
-    execution tables (pre- and post-sets, Boolean inputs, consumers and
-    competing groups, which are static because units compete exactly when
-    their input variable sets coincide) are built once per circuit and
-    reused by every run. Each unit counts its input variables still
-    unassigned (as in Kahn's topological sort), copied from a template of
-    the initial counts; after a step only the consumers of variables that
-    entered or left the domain are updated. A step costs O(firing units'
-    flows + changed variables x their consumers).
+    execution tables (pre- and post-sets, Boolean inputs, consumers,
+    competing groups and their draw sizes, which are static because units
+    compete exactly when their input variable sets coincide) are built once
+    per circuit and reused by every run.
 
     Which units are enabled and ready depends on which variables hold
-    values, never on their Booleans, and draws are made only for groups of
-    two or more. So on a seed-free circuit (every group a single unit, so
-    every enabled unit is ready) every run from the invars takes the same
-    steps until it stops, and the circuit keeps them in its execution
-    tables: per step, the ready units, the variables that left the domain,
-    and whether two ready units write one variable. A known step is
-    replayed: its ready units are reduced and their outputs written, and
-    only a step where two units write one variable checks for a conflict,
-    as that depends on the Booleans. Past the known steps a run derives
-    each step as above, and on a seed-free circuit it adds them to the
-    known ones when it ends, with the counts to resume from; once a run
-    ends final or deadlocked, that ending is known too and the counts are
-    dropped. The known steps take O(steps of the longest run) memory and
-    are freed with the circuit; their tuples are shared with the traces. A
-    replayed step costs O(firing units' flows).
+    values, never on their Booleans, so a run's steps depend only on its
+    draws. The circuit keeps the steps its runs have taken in its step
+    tree (see ``model._StepTree``): a node per step and the situation it
+    reaches from the invars, with the step's ready units, the variables
+    that left the domain and whether two ready units write one variable,
+    and the situation's enabled units, draw sizes and ending; below a node
+    is one node per tuple of its draw results. At each node a run makes the
+    node's draws and looks up the node below. A known step is replayed: its
+    ready units are reduced and their outputs written, and only a step
+    where two units write one variable checks for a conflict, as that
+    depends on the Booleans; it costs O(firing units' flows).
+
+    A step not in the tree is derived live. Each unit counts its input
+    variables still unassigned (as in Kahn's topological sort): copied from
+    the initial counts when the run leaves the tree at the root, recounted
+    from the domain, O(V + E), when it leaves lower down. After a step only
+    the consumers of variables that entered or left the domain are updated,
+    so a derived step costs O(firing units' flows + changed variables x
+    their consumers). Each derived step is attached as a new node in one
+    dict store, so an interrupted run leaves a valid tree, while the tree
+    holds at most ``model._TREE_ROOM_PER_ELEMENT`` entries per variable and
+    unit; past that, runs derive their new steps without keeping them. A
+    seed-free circuit only ever draws ``()``, so its tree is one chain.
 
     The trace records each step's change, not its state (see
     :class:`Trace`): the first step holds ``init``, the last a state of its
@@ -434,63 +437,62 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
         raise StructureError("run() needs an initial state (time 0, exactly the invars)")
     _check_tags(c, init.values)
     t = c._exec_tables
-    group, consumers, bool_in, post, outvars = t.group, t.consumers, t.bool_in, t.post, c.outvars
-    cell = t.schedule  # None unless seed-free
-    # the known steps, the ending that follows them (or None), and the counts after them (or None)
-    known, ending, resume = cell[0] if cell is not None else ((), None, None)
-    n_known = len(known)
-    fresh: list[tuple[tuple[str, ...], tuple[str, ...], bool]] = []
-    rng = SplitMix64(cfg.seed)
+    bool_in, post, tree = t.bool_in, t.post, t.schedule
+    lookup = tree.children.get
+    _, _, _, enabled, sizes, ending, ident = tree.root  # the situation the run has reached
+    below = SplitMix64(cfg.seed).below
     max_steps = cfg.max_steps
     steps: list[TraceStep] = []
     values = dict(init.values)
-    missing: Optional[dict[str, int]] = None  # the counts, set up when the run first derives a step
+    missing: Optional[dict[str, int]] = None  # the counts, set up when the run leaves the tree
+    grow = True  # false once a derived step did not fit the tree, so its node is not in the tree
     time = 0
     state: Optional[State] = init  # the state this step holds, or None when only its change is kept
     change = None
     budget = max(len(values), _MIN_CHECKPOINT_GAP)  # changes left before the next checkpoint
     conflict = None
     while True:
-        if time < n_known:
-            ready, left, double = known[time]
-            enabled = ready
-            if time >= max_steps:
-                outcome, last = Outcome.STEP_LIMIT, (enabled, (), {})
-                break
-            results = {u: _reduce(bool_in[u], values) for u in ready}
+        if ending is not None:
+            outcome, last = ending, ((), (), {})
+            break
+        if time >= max_steps:
+            outcome, last = Outcome.STEP_LIMIT, (enabled, (), {})
+            break
+        key = (ident, tuple(map(below, sizes))) if sizes else ident
+        node = lookup(key)
+        if node is not None:
+            ready, left, double, reached, sizes, ending, ident = node
+            # loops, not comprehensions: a comprehension is a function call, which a step of one
+            # or two units pays for again and again
+            results = {}
+            for u in ready:
+                results[u] = _reduce(bool_in[u], values)
             if double:
                 produced, conflict = _write(post, ready, results)
                 if conflict:
                     outcome, last = Outcome.WRITE_CONFLICT, (enabled, ready, results)
                     break
             else:
-                produced = {v: _SIGNAL if is_ctrl else results[u] for u in ready for v, is_ctrl in post[u]}
+                produced = {}
+                for u in ready:
+                    res = results[u]
+                    for v, is_ctrl in post[u]:
+                        produced[v] = _SIGNAL if is_ctrl else res
             for v in left:
                 del values[v]
             values.update(produced)
         else:
-            if missing is None:  # past the known steps for the first time
-                if ending is not None:
-                    outcome, last = ending, ((), (), {})
-                    break
-                if resume is None:
-                    missing = dict(t.missing)
-                    enabled_set = {u for u, n in missing.items() if not n}
+            if missing is None:  # the run leaves the tree here; set up what deriving reads
+                group, draw, consumers, outvars, ids = t.group, t.draw, t.consumers, c.outvars, tree.ids
+                if time:
+                    has = values.__contains__
+                    missing = {u: len(vs) - sum(map(has, vs)) for u, vs in t.pre.items()}
                 else:
-                    missing, enabled_set = dict(resume[0]), set(resume[1])
+                    missing = dict(t.missing)
+                enabled_set = set(enabled)
                 peak = len(enabled_set)
-            if values.keys() == outvars:
-                outcome, last = Outcome.FINAL, ((), (), {})
-                break
-            enabled = tuple(sorted(enabled_set))
-            if not enabled:
-                outcome, last = Outcome.DEADLOCK, ((), (), {})
-                break
-            if time >= max_steps:
-                outcome, last = Outcome.STEP_LIMIT, (enabled, (), {})
-                break
-            # on a seed-free circuit each enabled unit is its group's one member, so it is ready
-            ready = tuple(sorted(_pick_ready(group, enabled, rng))) if cell is None else enabled
+            # without draws every enabled group is a single unit, so every enabled unit is ready
+            ready = tuple(sorted(_pick_ready(group, enabled, iter(key[1])))) if sizes else enabled
             results, produced, left, entered, conflict = _fire(t, ready, values)
             if conflict:
                 outcome, last = Outcome.WRITE_CONFLICT, (enabled, ready, results)
@@ -512,12 +514,20 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
                 # a set keeps its table when it shrinks, and sorting it visits every slot
                 enabled_set = set(enabled_set)
                 peak = n
-            if cell is not None:
-                left = tuple(left)
-                fresh.append((ready, left, len(produced) < sum(len(post[u]) for u in ready)))
+            left = tuple(left)
+            double = len(produced) < sum(map(len, map(post.__getitem__, ready)))
+            node = _step_node(ready, left, double, values.keys() == outvars, enabled_set, draw, ids)
+            _, _, _, reached, sizes, ending, ident = node
+            size = 1 + len(ready) + len(left) + len(reached)
+            if grow and tree.room >= size:
+                tree.room -= size
+                tree.children[key] = node
+            else:
+                grow = False
         rec = TraceStep(time, state, enabled, ready, results)
         rec._change = change
         steps.append(rec)
+        enabled = reached
         time += 1
         change = (rec, produced, left)
         budget -= len(produced) + len(left)
@@ -526,13 +536,6 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
         else:
             state = State(time, dict(values))
             budget = max(len(values), _MIN_CHECKPOINT_GAP)
-    if cell is not None and missing is not None:
-        # the run derived steps: keep them with their ending or the counts after them, in
-        # one store, so an interrupted run leaves the known steps as they were
-        if outcome is Outcome.FINAL or outcome is Outcome.DEADLOCK:
-            cell[0] = (known + tuple(fresh), outcome, None)
-        elif fresh:
-            cell[0] = (known + tuple(fresh), None, (missing, enabled_set))
     # the last step holds its state; ``values`` changes no more, so it is not copied
     rec = TraceStep(time, State(time, values) if state is None else state, *last)
     rec._change = change

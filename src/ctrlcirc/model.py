@@ -19,8 +19,9 @@ Structural rules enforced by :func:`validate_circuit`:
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -50,6 +51,69 @@ class Flow:
     dst: str
 
 
+class Outcome(enum.Enum):
+    """How a run ended."""
+
+    FINAL = "final"
+    DEADLOCK = "deadlock"
+    STEP_LIMIT = "step-limit"
+    WRITE_CONFLICT = "write-conflict"
+
+
+# A circuit's step tree holds at most this many entries per variable and unit (see ``_StepTree``).
+_TREE_ROOM_PER_ELEMENT = 64
+
+
+class _StepTree:
+    """The value-free steps the runs of one circuit have taken, keyed by their draws.
+
+    A node is a step and the situation it reaches from the invars, a tuple
+    ``(ready, left, double, enabled, sizes, ending, ident)``: the step's
+    sorted ready units, the variables that leave the domain, and whether
+    two ready units write one variable (``()``, ``()`` and ``False`` at the
+    root); then the sorted units enabled after it, the sizes of the draws a
+    step makes there (one per enabled group of two or more members, at its
+    least member, in sorted order), ``Outcome.FINAL``, ``Outcome.DEADLOCK``
+    or ``None``, and an id unique in the tree (``None`` at an ending, which
+    enables nothing and makes no draws). ``children`` maps ``(ident, draw
+    results)``, or ``ident`` alone at a node without draws, to the node
+    that step reaches. One flat dict for the whole tree keeps nodes free of
+    containers, so the cyclic garbage collector stops tracking them.
+    ``ids`` numbers new nodes, one ``next`` each, so runs in two threads
+    never give two nodes one id; ``room`` is what is left of the tree's size
+    bound, counted as one entry per node below the root plus the ids its
+    ready, left and enabled tuples hold. :func:`~ctrlcirc.dynamics.run`
+    attaches a node only while it fits.
+    """
+
+    __slots__ = ("root", "children", "ids", "room")
+
+    def __init__(self, final: bool, enabled: Iterable[str], draw: Mapping[str, int], room: int):
+        """A tree of just the root, given whether the invars are final and the units they enable."""
+        self.ids = itertools.count()
+        self.root = _step_node((), (), False, final, enabled, draw, self.ids)
+        self.children: dict = {}
+        self.room = room
+
+
+def _step_node(
+    ready: tuple[str, ...],
+    left: tuple[str, ...],
+    double: bool,
+    final: bool,
+    enabled: Iterable[str],
+    draw: Mapping[str, int],
+    ids: Iterator[int],
+) -> tuple:
+    """The step-tree node of a step, given whether the domain it reaches is final and the units it enables."""
+    if final:
+        return ready, left, double, (), (), Outcome.FINAL, None
+    enabled = tuple(sorted(enabled))
+    if not enabled:
+        return ready, left, double, (), (), Outcome.DEADLOCK, None
+    return ready, left, double, enabled, tuple(filter(None, map(draw.get, enabled))), None, next(ids)
+
+
 class _ExecTables(NamedTuple):
     """What execution reads of a circuit, keyed by unit or by variable.
 
@@ -57,24 +121,27 @@ class _ExecTables(NamedTuple):
     Boolean ones among them; ``post`` holds its output variables, sorted,
     each with whether it is a control variable; ``group`` holds the sorted
     units that share its input variable set (the units it competes with,
-    itself included). ``consumers`` holds the units a variable feeds, and
+    itself included), and ``draw`` maps the least member of each group of
+    two or more to its size, the draw the group makes when enabled.
+    ``consumers`` holds the units a variable feeds, and
     ``missing`` each unit's count of input variables that are unassigned
     when exactly the invars hold values. Repeated flows between one
     variable and one unit count once everywhere.
 
-    ``schedule`` is ``None`` when some group has two or more members (runs
-    draw, so their steps depend on the seed); otherwise it is a one-item
-    list, the cell in which :func:`~ctrlcirc.dynamics.run` keeps the
-    circuit's value-free step sequence, replacing the item whole.
+    ``schedule`` is the circuit's step tree, rooted at the invars, in which
+    :func:`~ctrlcirc.dynamics.run` keeps the steps its runs derive. A
+    seed-free circuit (no group of two or more) only ever draws ``()``, so
+    its tree is a chain.
     """
 
     pre: dict[str, tuple[str, ...]]
     bool_in: dict[str, tuple[str, ...]]
     post: dict[str, tuple[tuple[str, bool], ...]]
     group: dict[str, tuple[str, ...]]
+    draw: dict[str, int]
     consumers: dict[str, tuple[str, ...]]
     missing: dict[str, int]
-    schedule: Optional[list]
+    schedule: _StepTree
 
 
 @dataclass(frozen=True, eq=True)
@@ -155,15 +222,22 @@ class Circuit:
         for u in sorted(self.units):
             groups.setdefault(pre_sets[u], []).append(u)
         invars = self.invars
-        seed_free = all(len(g) == 1 for g in groups.values())
+        draw = {g[0]: len(g) for g in groups.values() if len(g) > 1}
+        missing = {u: sum(v not in invars for v in vs) for u, vs in pre_sets.items()}
         return _ExecTables(
             pre=pre_sets,
             bool_in={u: tuple(v for v in vs if vt[v] is BOOL) for u, vs in pre_sets.items()},
             post={u: tuple((v, vt[v] is CTRL) for v in sorted(set(vs))) for u, vs in post.items()},
             group={u: g for g in map(tuple, groups.values()) for u in g},
+            draw=draw,
             consumers={v: tuple(dict.fromkeys(us)) for v, us in cons.items()},
-            missing={u: sum(v not in invars for v in vs) for u, vs in pre_sets.items()},
-            schedule=[((), None, None)] if seed_free else None,
+            missing=missing,
+            schedule=_StepTree(
+                invars == self.outvars,
+                [u for u, n in missing.items() if not n],
+                draw,
+                _TREE_ROOM_PER_ELEMENT * (len(vt) + len(self.units)),
+            ),
         )
 
     def pre_set(self, unit: str) -> frozenset[str]:

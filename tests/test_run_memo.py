@@ -1,19 +1,25 @@
-"""Differential tests: runs that replay a seed-free circuit's known steps against ``reference_run``.
+"""Differential tests: runs that replay a circuit's known steps against ``reference_run``.
 
-On a seed-free circuit (no two units share an input variable set) ``run``
-keeps the value-free step sequence in the circuit's execution tables and
-replays it for later runs, deriving steps live only past the known ones.
-Every run here is compared with ``reference_run``, which derives every
-step afresh, on ``Trace`` equality and on the JSONL bytes, across runs of
-one circuit object: over all its inputs, with step bounds that grow and
-shrink, on write conflicts that depend on the inputs, on loops and
-deadlocks, and interleaved with ``step`` and the set queries. Seeded
-circuits keep the schedule off and draw exactly as the reference does.
+``run`` keeps the value-free steps a circuit's runs have taken in a tree
+in its execution tables, keyed by each step's draws, and replays them for
+later runs, deriving steps live only where a run leaves the tree. A
+seed-free circuit (no two units share an input variable set) draws
+nothing, so its tree is a chain. Every run here is compared with
+``reference_run``, which derives every step afresh, on ``Trace`` equality
+and on the JSONL bytes, across runs of one circuit object: over all its
+inputs and many seeds, with step bounds that grow and shrink, on write
+conflicts that depend on the inputs or on the draws, on loops and
+deadlocks, after interrupted runs, past the tree's size bound, and
+interleaved with ``step`` and the set queries. Seeded circuits draw
+exactly as the reference does.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
+from operator import is_
 
 import pytest
 
@@ -32,13 +38,14 @@ from ctrlcirc import (
     step,
     validate_circuit,
 )
-from ctrlcirc import dynamics
+from ctrlcirc import cli, dynamics
 from ctrlcirc.dynamics import WriteConflictError, is_final
 from ctrlcirc.fixtures import REGISTRY, fixture
-from ctrlcirc.model import Flow
+from ctrlcirc.model import _TREE_ROOM_PER_ELEMENT, Flow
 from ctrlcirc.nanddag import lift_inputs, random_dag, to_control
+from ctrlcirc.operators import branch, parallel
 from ctrlcirc.serialize import dumps_circuit, loads_circuit, trace_to_jsonl
-from conftest import random_circuit
+from conftest import random_circuit, tag_zip
 from test_differential import (
     all_inputs,
     chains_into,
@@ -54,8 +61,52 @@ S, B0, B1 = Value.SIGNAL, Value.ZERO, Value.ONE
 
 
 def known(c):
-    """The circuit's known steps, their ending (or None) and the counts to resume from (or None)."""
-    return c._exec_tables.schedule[0]
+    """A seed-free circuit's known steps and the ending after them (or None).
+
+    The steps are the nodes along its tree's chain below the root, each
+    ``(ready, left, double, enabled, sizes, ending, ident)``.
+    """
+    tree = c._exec_tables.schedule
+    node, steps = tree.root, []
+    while node[6] in tree.children:  # a node without draws keys its child by its id alone
+        node = tree.children[node[6]]
+        steps.append(node)
+    return tuple(steps), node[5]
+
+
+def same(a, b):
+    """Whether two step sequences hold the same objects."""
+    return len(a) == len(b) and all(map(is_, a, b))
+
+
+def has_draws(c):
+    """Whether some group of ``c`` has two or more members, so its runs draw."""
+    return bool(c._exec_tables.draw)
+
+
+def tree_size(c):
+    """The entries of the circuit's step tree, counted as ``run`` counts them against its bound.
+
+    Every child must hang below the root.
+    """
+    tree = c._exec_tables.schedule
+    below = {}
+    for key, node in tree.children.items():
+        below.setdefault(key if type(key) is int else key[0], []).append(node)
+    size, reached, todo = 0, 0, [tree.root]
+    while todo:
+        for node in below.get(todo.pop()[6], ()):
+            ready, left, _, enabled, _, _, _ = node
+            size += 1 + len(ready) + len(left) + len(enabled)
+            reached += 1
+            todo.append(node)
+    assert reached == len(tree.children)
+    return size
+
+
+def tree_bound(c):
+    """The circuit's tree size bound."""
+    return _TREE_ROOM_PER_ELEMENT * (len(c.vars) + len(c.units))
 
 
 def assert_reference(c, init, cfg):
@@ -68,7 +119,7 @@ def assert_reference(c, init, cfg):
 
 
 def seed_free_fixtures():
-    return [name for name in sorted(REGISTRY) if fixture(name)._exec_tables.schedule is not None]
+    return [name for name in sorted(REGISTRY) if not has_draws(fixture(name))]
 
 
 def netlists():
@@ -82,28 +133,28 @@ def vectors(d):
     return [{n: (x >> j) & 1 for j, n in enumerate(ins)} for x in range(2 ** len(ins))]
 
 
-def test_seeded_circuits_keep_no_schedule():
+def test_seeded_circuits_draw_and_netlists_do_not():
     assert {"p53", "flipflop"} <= set(REGISTRY) - set(seed_free_fixtures())
-    assert toggle_loop()._exec_tables.schedule is None
-    assert all(to_control(d).circuit._exec_tables.schedule is not None for d in netlists())
+    assert has_draws(toggle_loop())
+    assert not any(has_draws(to_control(d).circuit) for d in netlists())
 
 
 @pytest.mark.parametrize("d", netlists(), ids=lambda d: f"{len(d.gates())}-gates")
 def test_one_netlist_circuit_serves_every_vector_cold_and_warm(d):
     c = to_control(d).circuit
-    assert known(c) == ((), None, None)
+    assert known(c) == ((), None)
     first = None
     for seed, bits in enumerate(vectors(d) * 2):
         init, cfg = lift_inputs(d, bits), ExecConfig(seed=seed)
         tr = assert_reference(c, init, cfg)
         assert tr.outcome is Outcome.FINAL
-        steps, ending, resume = known(c)
-        assert ending is Outcome.FINAL and resume is None and len(steps) == tr.final_state.time
+        steps, ending = known(c)
+        assert ending is Outcome.FINAL and len(steps) == tr.final_state.time
         # a cold circuit of the same netlist derives the same trace live
         assert run(to_control(d).circuit, init, cfg) == tr
         if first is None:
             first = steps
-        assert steps is first  # later runs replay; they do not add steps
+        assert same(steps, first)  # later runs replay; they do not add steps
 
 
 @pytest.mark.parametrize("name", seed_free_fixtures())
@@ -118,36 +169,45 @@ def test_step_bounds_extend_and_truncate_the_known_steps():
     d = spine_netlist(30, 3, random.Random(7))
     c = to_control(d).circuit
     inputs = vectors(d)
-    lengths = []
+    lengths, endings = [], []
     for k, max_steps in enumerate((3, 7, 2, 7, 9, 10_000, 5, 1)):
         tr = assert_reference(c, lift_inputs(d, inputs[k % len(inputs)]), ExecConfig(seed=k, max_steps=max_steps))
         assert tr.outcome is (Outcome.FINAL if max_steps == 10_000 else Outcome.STEP_LIMIT)
-        steps, ending, resume = known(c)
-        assert (ending is None) == (resume is not None)
+        steps, ending = known(c)
         lengths.append(len(steps))
+        endings.append(ending)
     depth = lengths[-1]
     assert lengths == [3, 7, 7, 7, 9, depth, depth, depth] and depth > 9
+    assert endings == [None] * 5 + [Outcome.FINAL] * 3
 
 
-def test_an_interrupted_run_leaves_the_known_steps_as_they_were(monkeypatch):
+def interrupt_on_call(monkeypatch, name, k):
+    """Make ``dynamics.<name>`` raise ``KeyboardInterrupt`` on its ``k``-th call; return a restorer."""
+    real, calls = getattr(dynamics, name), []
+
+    def interrupted(*args):
+        calls.append(1)
+        if len(calls) == k:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, name, interrupted)
+    return lambda: monkeypatch.setattr(dynamics, name, real)
+
+
+def test_an_interrupted_run_keeps_the_steps_it_attached(monkeypatch):
     d = spine_netlist(30, 3, random.Random(9))
     c = to_control(d).circuit
     init = lift_inputs(d, vectors(d)[5])
     assert_reference(c, init, ExecConfig(max_steps=3))
-    before = known(c)
-    fire, calls = dynamics._fire, []
-
-    def interrupted(*args):
-        calls.append(1)
-        if len(calls) == 3:
-            raise KeyboardInterrupt
-        return fire(*args)
-
-    monkeypatch.setattr(dynamics, "_fire", interrupted)
+    before, _ = known(c)
+    restore = interrupt_on_call(monkeypatch, "_fire", 3)
     with pytest.raises(KeyboardInterrupt):
         run(c, init, ExecConfig())
-    monkeypatch.setattr(dynamics, "_fire", fire)
-    assert known(c) is before
+    restore()
+    # the two steps derived before the interrupt were attached whole; the third was not
+    after, ending = known(c)
+    assert same(after[:3], before) and len(after) == 5 and ending is None
     for max_steps in (5, 10_000):
         assert_reference(c, init, ExecConfig(max_steps=max_steps))
 
@@ -171,7 +231,7 @@ def test_write_conflicts_that_depend_on_the_inputs(n, order):
             if tr.outcome is Outcome.WRITE_CONFLICT:
                 assert tr.conflict == "units 'u1' and 'u2' write different Booleans into 't'"
     assert outcomes == {Outcome.WRITE_CONFLICT, Outcome.FINAL}
-    steps, ending, _ = known(c)
+    steps, ending = known(c)
     assert ending is Outcome.FINAL and steps[n][2]  # the racing step is marked
 
 
@@ -207,8 +267,14 @@ def test_a_seed_free_loop_ends_in_the_step_limit():
         for inputs in all_inputs(c):
             tr = assert_reference(c, initial_state(c, inputs), ExecConfig(max_steps=max_steps))
             assert tr.outcome is Outcome.STEP_LIMIT and tr.final_state.time == max_steps
-    steps, ending, resume = known(c)
-    assert len(steps) == 12 and ending is None and resume is not None
+    steps, ending = known(c)
+    assert len(steps) == 12 and ending is None
+    # a long loop fills the tree; later runs replay what fits and derive the rest
+    for _ in range(2):
+        for inputs in all_inputs(c):
+            assert_reference(c, initial_state(c, inputs), ExecConfig(max_steps=2000))
+    steps, ending = known(c)
+    assert 12 < len(steps) < 2000 and ending is None and tree_size(c) <= tree_bound(c)
 
 
 def test_deadlocks_replay():
@@ -261,7 +327,7 @@ def test_random_seed_free_circuits_replay_under_changing_bounds():
     checked = 0
     while checked < 60:
         c = random_circuit(rnd, 4) if rnd.random() < 0.5 else random_flow_graph(rnd)
-        if c is None or c._exec_tables.schedule is None:
+        if c is None or has_draws(c):
             continue
         for max_steps in (rnd.randint(1, 6), 40, rnd.randint(1, 6), 40):
             for _ in range(3):
@@ -284,7 +350,7 @@ def counted_draws(monkeypatch):
 
 def test_seeded_fixtures_draw_as_the_reference_does(counted_draws):
     for c in (fixture("p53"), fixture("flipflop"), toggle_loop()):
-        assert c._exec_tables.schedule is None
+        assert has_draws(c)
         for inputs in all_inputs(c):
             for seed in range(6):
                 init, cfg = initial_state(c, inputs), ExecConfig(seed=seed, max_steps=200)
@@ -303,3 +369,177 @@ def test_replayed_runs_draw_nothing(counted_draws):
     for seed, bits in enumerate(vectors(d)):
         run(c, lift_inputs(d, bits), ExecConfig(seed=seed))
     assert counted_draws[0] == 0
+
+
+# -- seeded circuits: one tree of steps keyed by their draws ------------------------------
+
+
+def competing_random_circuit(rnd):
+    """Two conftest random circuits of one interface shape, glued by ``branch``: their first units compete.
+
+    Half the time a second such pair runs beside the first, so two groups draw in one step.
+    """
+
+    def shape(c):
+        return [sum(c.var_types[v] is tag for v in side) for side in (c.invars, c.outvars) for tag in (CTRL, BOOL)]
+
+    def one():
+        a = random_circuit(rnd, 4)
+        b = next((b for b in (random_circuit(rnd, 4) for _ in range(20)) if shape(b) == shape(a)), a)
+        return branch(a, b, tag_zip(a, a.invars, b, b.invars), tag_zip(a, a.outvars, b, b.outvars)).circuit
+
+    c = one()
+    return parallel(c, one()) if rnd.random() < 0.5 else c
+
+
+def random_competing_flow_graphs(n):
+    rnd, out = random.Random(0xD4A3), []
+    while len(out) < n:
+        c = random_flow_graph(rnd)
+        if c is not None and has_draws(c):
+            out.append(c)
+    return out
+
+
+def seeded_circuits():
+    rnd = random.Random(0xB4A7C4)
+    cases = [("p53", fixture("p53")), ("flipflop", fixture("flipflop")), ("toggle_loop", toggle_loop())]
+    cases += [(f"branched-{k}", competing_random_circuit(rnd)) for k in range(6)]
+    cases += [(f"flow-graph-{k}", c) for k, c in enumerate(random_competing_flow_graphs(6))]
+    return cases
+
+
+def cold(c):
+    """A copy of ``c`` whose step tree is empty."""
+    return loads_circuit(dumps_circuit(c))
+
+
+@pytest.mark.parametrize("c", [pytest.param(c, id=name) for name, c in seeded_circuits()])
+def test_seeded_circuits_replay_over_many_seeds(c):
+    c = cold(c)
+    assert has_draws(c)
+    inputs = all_inputs(c)
+    traces = []
+    for seed in range(500):
+        init = initial_state(c, inputs[seed % len(inputs)])
+        traces.append(assert_reference(c, init, ExecConfig(seed=seed, max_steps=600)))
+    size = tree_size(c)
+    assert size == tree_bound(c) - c._exec_tables.schedule.room
+    # the second pass replays: same traces, and the tree does not grow
+    for seed, tr in enumerate(traces):
+        assert run(c, initial_state(c, inputs[seed % len(inputs)]), ExecConfig(seed=seed, max_steps=600)) == tr
+    assert tree_size(c) == size
+
+
+def test_step_bounds_grow_and_shrink_on_seeded_circuits():
+    rnd = random.Random(0x57E9)
+    for c in (cold(fixture("p53")), cold(fixture("flipflop")), toggle_loop()):
+        inputs = all_inputs(c)
+        outcomes = set()
+        for seed in range(300):
+            max_steps = rnd.choice((1, 2, 3, 5, 8, 13, 40, 600))
+            init = initial_state(c, inputs[seed % len(inputs)])
+            outcomes.add(assert_reference(c, init, ExecConfig(seed=seed % 40, max_steps=max_steps)).outcome)
+        assert Outcome.STEP_LIMIT in outcomes and len(outcomes) > 1
+
+
+def draw_race():
+    """``a1`` and ``a2`` compete, and ``a1`` and ``b`` both write t.
+
+    So a run conflicts only if it draws ``a1`` and x differs from y.
+    """
+    tags = {"c": CTRL, "x": BOOL, "d": CTRL, "y": BOOL, "t": BOOL, "z1": CTRL, "z2": CTRL, "zb": CTRL}
+    pre = {"a1": ("c", "x"), "a2": ("c", "x"), "b": ("d", "y")}
+    post = {"a1": ("t", "z1"), "a2": ("z2",), "b": ("t", "zb")}
+    ins = {f"i:{u}:{v}": Flow(v, u) for u, vs in pre.items() for v in vs}
+    outs = {f"o:{u}:{v}": Flow(u, v) for u, vs in post.items() for v in vs}
+    return validate_circuit(tags, sorted(pre), ins, outs)
+
+
+def test_a_write_conflict_on_some_draws_only():
+    c = draw_race()
+    seen = {}
+    for _ in range(2):
+        for seed in range(40):
+            for inputs in all_inputs(c):
+                tr = assert_reference(c, initial_state(c, inputs), ExecConfig(seed=seed))
+                seen.setdefault(inputs["x"] is inputs["y"], set()).add((tr.steps[0].ready, tr.outcome))
+                if tr.outcome is Outcome.WRITE_CONFLICT:
+                    assert tr.conflict == "units 'a1' and 'b' write different Booleans into 't'"
+    assert seen[True] == {(("a1", "b"), Outcome.DEADLOCK), (("a2", "b"), Outcome.DEADLOCK)}
+    assert seen[False] == {(("a1", "b"), Outcome.WRITE_CONFLICT), (("a2", "b"), Outcome.DEADLOCK)}
+    children, root = c._exec_tables.schedule.children, c._exec_tables.schedule.root[6]
+    assert children[root, (0,)][2] and not children[root, (1,)][2]  # only drawing a1 makes two units write t
+
+
+@pytest.mark.parametrize("name", ["_fire", "_step_node"])
+@pytest.mark.parametrize("k", [1, 4, 12])
+def test_an_exception_in_a_derived_step_leaves_a_valid_tree(monkeypatch, name, k):
+    for c in (cold(fixture("p53")), cold(fixture("flipflop")), toggle_loop()):
+        inputs = all_inputs(c)
+        restore = interrupt_on_call(monkeypatch, name, k)
+        with pytest.raises(KeyboardInterrupt):
+            for seed in range(200):
+                run(c, initial_state(c, inputs[seed % len(inputs)]), ExecConfig(seed=seed, max_steps=300))
+        restore()
+        assert tree_size(c) == tree_bound(c) - c._exec_tables.schedule.room
+        for seed in range(200):
+            assert_reference(c, initial_state(c, inputs[seed % len(inputs)]), ExecConfig(seed=seed, max_steps=300))
+
+
+def pairs_loop(k):
+    """``k`` independent loops, each a competing pair: ``a{i}`` negates p{i} and goes round again, ``b{i}`` leaves."""
+    tags, pre, post = {}, {}, {}
+    for i in range(k):
+        tags.update({f"s{i}": CTRL, f"q{i}": BOOL, f"c{i}": CTRL, f"p{i}": BOOL, f"o{i}": CTRL, f"r{i}": BOOL})
+        pre.update({f"e{i}": (f"s{i}", f"q{i}"), f"a{i}": (f"c{i}", f"p{i}"), f"b{i}": (f"c{i}", f"p{i}")})
+        post.update({f"e{i}": (f"c{i}", f"p{i}"), f"a{i}": (f"c{i}", f"p{i}"), f"b{i}": (f"o{i}", f"r{i}")})
+    ins = {f"i:{u}:{v}": Flow(v, u) for u, vs in pre.items() for v in vs}
+    outs = {f"o:{u}:{v}": Flow(u, v) for u, vs in post.items() for v in vs}
+    return validate_circuit(tags, sorted(pre), ins, outs)
+
+
+def test_a_high_entropy_loop_fills_the_tree_up_to_its_bound():
+    c = pairs_loop(8)
+    bound, tree = tree_bound(c), c._exec_tables.schedule
+    inputs = all_inputs(c)
+    paths = set()
+    for seed in range(500):
+        tr = assert_reference(c, initial_state(c, inputs[seed % len(inputs)]), ExecConfig(seed=seed, max_steps=40))
+        readies = tuple(s.ready for s in tr.steps[:-1])
+        paths.update(readies[:n] for n in range(1, len(readies) + 1))
+        assert 0 <= tree.room and tree_size(c) == bound - tree.room
+    assert len(tree.children) < len(paths)  # the runs took more steps than the tree could keep
+
+
+@pytest.mark.parametrize(
+    "name, inputs, max_steps",
+    [
+        ("p53", {"ctrl_in": "*", "p53_in": 1, "mdm2_in": 0}, 10_000),
+        ("flipflop", {"ctrl_in": "*", "r_in": 0, "q_in": 1, "s_in": 0}, 600),
+    ],
+)
+def test_exec_runs_summary_matches_a_per_run_sorted_aggregation(tmp_path, capsys, name, inputs, max_steps):
+    circ, ins = tmp_path / f"{name}.circuit", tmp_path / "in.json"
+    assert cli.main(["fixtures", "emit", name, "--out", str(circ)]) == 0
+    ins.write_text(json.dumps(inputs))
+    c = loads_circuit(circ.read_text())
+    init = initial_state(c, {v: S if x == "*" else Value.from_bit(x) for v, x in inputs.items()})
+    outcomes, fired = Counter(), Counter()
+    for seed in range(1000):
+        tr = reference_run(c, init, ExecConfig(seed=seed, max_steps=max_steps))
+        outcomes[tr.outcome.value] += 1
+        fired[tuple(sorted(tr.fired_units()))] += 1
+    payload = {
+        "runs": 1000,
+        "outcomes": dict(sorted(outcomes.items())),
+        "fired_unit_sets": [
+            {"units": list(units), "count": n} for units, n in sorted(fired.items(), key=lambda kv: (-kv[1], kv[0]))
+        ],
+    }
+    argv = ["exec", str(circ), "--inputs", str(ins), "--max-steps", str(max_steps), "--runs", "1000"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--format", "json-lines"]) == 0
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
