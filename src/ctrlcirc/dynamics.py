@@ -28,7 +28,7 @@ from operator import is_not
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import StructureError
-from .model import BOOL, CTRL, Circuit, Outcome, _ExecTables, _step_node
+from .model import _DRAW, _POST, BOOL, CTRL, Circuit, Outcome, _step_node
 
 
 class Value(enum.Enum):
@@ -273,7 +273,7 @@ def is_final(c: Circuit, st: State) -> bool:
 def enabled_units(c: Circuit, st: State) -> frozenset[str]:
     """Units whose full input variable set is assigned."""
     dom = st.values
-    return frozenset(u for u, vs in c._exec_tables.pre.items() if all(v in dom for v in vs))
+    return frozenset(u for u, (vs, _, _, _, _) in c._exec_tables.units.items() if all(v in dom for v in vs))
 
 
 def ready_units(c: Circuit, st: State, rng: SplitMix64) -> frozenset[str]:
@@ -282,22 +282,27 @@ def ready_units(c: Circuit, st: State, rng: SplitMix64) -> frozenset[str]:
     Groups are visited sorted by their least member so draws are
     reproducible; singleton groups do not consume randomness.
     """
-    t = c._exec_tables
+    units = c._exec_tables.units
     enabled = sorted(enabled_units(c, st))
-    return frozenset(_pick_ready(t.group, enabled, map(rng.below, filter(None, map(t.draw.get, enabled)))))
+    sizes = filter(None, map(_DRAW, map(units.__getitem__, enabled)))
+    return frozenset(_pick_ready(units, enabled, map(rng.below, sizes)))
 
 
-def _pick_ready(group: Mapping[str, tuple[str, ...]], enabled: Iterable[str], draws: Iterator[int]) -> list[str]:
-    """The ready picks among the sorted ``enabled`` units, given each unit's competing group and the draws.
+def _pick_ready(units: Mapping[str, tuple], enabled: Iterable[str], draws: Iterator[int]) -> list[str]:
+    """The ready picks among the sorted ``enabled`` units, given the unit rows and the draws.
 
     Members of a group share their input variables, so a group is enabled
-    whole or not at all: it takes the next of ``draws`` at its least member.
+    whole or not at all: it takes the next of ``draws`` at its least
+    member, the one whose row holds the draw size; a unit alone in its
+    group is picked without a draw.
     """
     picks = []
     for u in enabled:
-        g = group[u]
-        if g[0] == u:
-            picks.append(g[next(draws)] if len(g) > 1 else u)
+        _, _, _, g, n = units[u]
+        if n:
+            picks.append(g[next(draws)])
+        elif g[0] == u:
+            picks.append(u)
     return picks
 
 
@@ -313,15 +318,29 @@ def reduce_unit(c: Circuit, u: str, st: State) -> Value:
     """The Boolean a firing unit writes into its Boolean outputs.
 
     With no Boolean inputs the unit is the constant 1; otherwise it negates
-    the conjunction of all assigned Boolean inputs (order-independent).
-    Raises :class:`StructureError` when ``st`` is not a state of ``c``.
+    the conjunction of all its Boolean inputs (order-independent). Raises
+    :class:`StructureError` when ``st`` is not a state of ``c``, when ``u``
+    is not a unit of ``c``, or when a Boolean input of ``u`` is unassigned.
     """
     _check_tags(c, st.values)
-    return _reduce(c._exec_tables.bool_in[u], st.values)
+    row = c._exec_tables.units.get(u) if isinstance(u, str) else None
+    if row is None:
+        raise StructureError(f"{u!r} is not a unit of the circuit")
+    bool_in, values = row[1], st.values
+    unassigned = [v for v in bool_in if v not in values]
+    if unassigned:
+        raise StructureError(f"unit {u!r} has unassigned Boolean inputs {unassigned}")
+    return _reduce(bool_in, values)
+
+
+def _missing_inputs(units: Mapping[str, tuple], values: Mapping[str, Value]) -> dict[str, int]:
+    """Each unit's count of input variables that ``values`` leaves unassigned, O(V + E)."""
+    has = values.__contains__
+    return {u: len(vs) - sum(map(has, vs)) for u, (vs, _, _, _, _) in units.items()}
 
 
 def _write(
-    post: Mapping[str, tuple[tuple[str, bool], ...]], ready: Sequence[str], results: Mapping[str, Value]
+    units: Mapping[str, tuple], ready: Sequence[str], results: Mapping[str, Value]
 ) -> tuple[dict[str, Value], Optional[tuple[str, str]]]:
     """The entries the sorted ``ready`` units produce, and an optional ``(variable, detail)`` conflict.
 
@@ -331,16 +350,16 @@ def _write(
     produced: dict[str, Value] = {}
     for u in ready:
         res = results[u]
-        for v, is_ctrl in post[u]:
+        for v, is_ctrl in units[u][2]:
             val = _SIGNAL if is_ctrl else res
             if produced.setdefault(v, val) is not val:
-                prev = [w for w in ready[: ready.index(u)] if (v, False) in post[w]][-1]
+                prev = [w for w in ready[: ready.index(u)] if (v, False) in units[w][2]][-1]
                 return produced, (v, f"units {prev!r} and {u!r} write different Booleans into {v!r}")
     return produced, None
 
 
 def _fire(
-    t: _ExecTables, ready: Sequence[str], values: dict[str, Value]
+    units: Mapping[str, tuple], ready: Sequence[str], values: dict[str, Value]
 ) -> tuple[dict[str, Value], dict[str, Value], list[str], list[str], Optional[tuple[str, str]]]:
     """Fire the sorted ``ready`` units into the assignment ``values``, in place.
 
@@ -351,16 +370,15 @@ def _fire(
     the domain, and an optional ``(variable, detail)`` conflict, which is
     found before ``values`` changes.
     """
-    bool_in, pre = t.bool_in, t.pre
     results = {}
     for u in ready:
-        results[u] = _reduce(bool_in[u], values)
-    produced, conflict = _write(t.post, ready, results)
+        results[u] = _reduce(units[u][1], values)
+    produced, conflict = _write(units, ready, results)
     if conflict:
         return results, produced, [], [], conflict
     left = []
     for u in ready:
-        for v in pre[u]:
+        for v in units[u][0]:
             if v in values and v not in produced:
                 del values[v]
                 left.append(v)
@@ -378,7 +396,7 @@ def step(c: Circuit, st: State, rng: SplitMix64) -> State:
     """
     _check_tags(c, st.values)
     values = dict(st.values)
-    conflict = _fire(c._exec_tables, sorted(ready_units(c, st, rng)), values)[4]
+    conflict = _fire(c._exec_tables.units, sorted(ready_units(c, st, rng)), values)[4]
     if conflict:
         raise WriteConflictError(*conflict)
     return State(st.time + 1, values)
@@ -398,10 +416,11 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
 
     One assignment, copied once from ``init``, is updated in place; a step
     touches only the fired units' pre- and post-sets. The circuit's
-    execution tables (pre- and post-sets, Boolean inputs, consumers,
-    competing groups and their draw sizes, which are static because units
-    compete exactly when their input variable sets coincide) are built once
-    per circuit and reused by every run.
+    execution tables (one row per unit holding its pre- and post-set,
+    Boolean inputs, competing group and draw size, which are static because
+    units compete exactly when their input variable sets coincide, plus each
+    variable's consumers) are built once per circuit and reused by every
+    run.
 
     Which units are enabled and ready depends on which variables hold
     values, never on their Booleans, so a run's steps depend only on its
@@ -417,9 +436,9 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     depends on the Booleans; it costs O(firing units' flows).
 
     A step not in the tree is derived live. Each unit counts its input
-    variables still unassigned (as in Kahn's topological sort): copied from
-    the initial counts when the run leaves the tree at the root, recounted
-    from the domain, O(V + E), when it leaves lower down. After a step only
+    variables still unassigned (as in Kahn's topological sort), recounted
+    from the domain, O(V + E), once, wherever the run leaves the tree (at
+    the root the domain is exactly the invars). After a step only
     the consumers of variables that entered or left the domain are updated,
     so a derived step costs O(firing units' flows + changed variables x
     their consumers). Each derived step is attached as a new node in one
@@ -437,7 +456,7 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
         raise StructureError("run() needs an initial state (time 0, exactly the invars)")
     _check_tags(c, init.values)
     t = c._exec_tables
-    bool_in, post, tree = t.bool_in, t.post, t.schedule
+    units, tree = t.units, t.schedule
     lookup = tree.children.get
     _, _, _, enabled, sizes, ending, ident = tree.root  # the situation the run has reached
     below = SplitMix64(cfg.seed).below
@@ -465,35 +484,33 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
             # loops, not comprehensions: a comprehension is a function call, which a step of one
             # or two units pays for again and again
             results = {}
-            for u in ready:
-                results[u] = _reduce(bool_in[u], values)
             if double:
-                produced, conflict = _write(post, ready, results)
+                for u in ready:
+                    results[u] = _reduce(units[u][1], values)
+                produced, conflict = _write(units, ready, results)
                 if conflict:
                     outcome, last = Outcome.WRITE_CONFLICT, (enabled, ready, results)
                     break
             else:
+                # no variable is written twice, so each unit is reduced and written in one pass
                 produced = {}
                 for u in ready:
-                    res = results[u]
-                    for v, is_ctrl in post[u]:
+                    _, bool_in, post, _, _ = units[u]
+                    results[u] = res = _reduce(bool_in, values)
+                    for v, is_ctrl in post:
                         produced[v] = _SIGNAL if is_ctrl else res
             for v in left:
                 del values[v]
             values.update(produced)
         else:
             if missing is None:  # the run leaves the tree here; set up what deriving reads
-                group, draw, consumers, outvars, ids = t.group, t.draw, t.consumers, c.outvars, tree.ids
-                if time:
-                    has = values.__contains__
-                    missing = {u: len(vs) - sum(map(has, vs)) for u, vs in t.pre.items()}
-                else:
-                    missing = dict(t.missing)
+                consumers, outvars, ids = t.consumers, c.outvars, tree.ids
+                missing = _missing_inputs(units, values)
                 enabled_set = set(enabled)
                 peak = len(enabled_set)
             # without draws every enabled group is a single unit, so every enabled unit is ready
-            ready = tuple(sorted(_pick_ready(group, enabled, iter(key[1])))) if sizes else enabled
-            results, produced, left, entered, conflict = _fire(t, ready, values)
+            ready = tuple(sorted(_pick_ready(units, enabled, iter(key[1])))) if sizes else enabled
+            results, produced, left, entered, conflict = _fire(units, ready, values)
             if conflict:
                 outcome, last = Outcome.WRITE_CONFLICT, (enabled, ready, results)
                 break
@@ -515,8 +532,8 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
                 enabled_set = set(enabled_set)
                 peak = n
             left = tuple(left)
-            double = len(produced) < sum(map(len, map(post.__getitem__, ready)))
-            node = _step_node(ready, left, double, values.keys() == outvars, enabled_set, draw, ids)
+            double = len(produced) < sum(map(len, map(_POST, map(units.__getitem__, ready))))
+            node = _step_node(ready, left, double, values.keys() == outvars, enabled_set, units, ids)
             _, _, _, reached, sizes, ending, ident = node
             size = 1 + len(ready) + len(left) + len(reached)
             if grow and tree.room >= size:

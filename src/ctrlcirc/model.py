@@ -24,6 +24,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import StructureError, ValidationError
@@ -72,8 +73,9 @@ class _StepTree:
     sorted ready units, the variables that leave the domain, and whether
     two ready units write one variable (``()``, ``()`` and ``False`` at the
     root); then the sorted units enabled after it, the sizes of the draws a
-    step makes there (one per enabled group of two or more members, at its
-    least member, in sorted order), ``Outcome.FINAL``, ``Outcome.DEADLOCK``
+    step makes there (the nonzero ``draw`` fields of their unit rows in
+    ``_ExecTables.units``: one per enabled group of two or more members, at
+    its least member, in sorted order), ``Outcome.FINAL``, ``Outcome.DEADLOCK``
     or ``None``, and an id unique in the tree (``None`` at an ending, which
     enables nothing and makes no draws). ``children`` maps ``(ident, draw
     results)``, or ``ident`` alone at a node without draws, to the node
@@ -88,10 +90,10 @@ class _StepTree:
 
     __slots__ = ("root", "children", "ids", "room")
 
-    def __init__(self, final: bool, enabled: Iterable[str], draw: Mapping[str, int], room: int):
-        """A tree of just the root, given whether the invars are final and the units they enable."""
+    def __init__(self, final: bool, enabled: Iterable[str], units: Mapping[str, tuple], room: int):
+        """A tree of just the root, given whether the invars are final, the units they enable and the unit rows."""
         self.ids = itertools.count()
-        self.root = _step_node((), (), False, final, enabled, draw, self.ids)
+        self.root = _step_node((), (), False, final, enabled, units, self.ids)
         self.children: dict = {}
         self.room = room
 
@@ -102,31 +104,31 @@ def _step_node(
     double: bool,
     final: bool,
     enabled: Iterable[str],
-    draw: Mapping[str, int],
+    units: Mapping[str, tuple],
     ids: Iterator[int],
 ) -> tuple:
-    """The step-tree node of a step, given whether the domain it reaches is final and the units it enables."""
+    """The step-tree node of a step, given whether the domain it reaches is final, the units it enables and the rows."""
     if final:
         return ready, left, double, (), (), Outcome.FINAL, None
     enabled = tuple(sorted(enabled))
     if not enabled:
         return ready, left, double, (), (), Outcome.DEADLOCK, None
-    return ready, left, double, enabled, tuple(filter(None, map(draw.get, enabled))), None, next(ids)
+    sizes = tuple(filter(None, map(_DRAW, map(units.__getitem__, enabled))))
+    return ready, left, double, enabled, sizes, None, next(ids)
 
 
 class _ExecTables(NamedTuple):
-    """What execution reads of a circuit, keyed by unit or by variable.
+    """What execution reads of a circuit: one row per unit, the consumers of each variable, and the step tree.
 
-    ``pre`` holds a unit's input variables, sorted, and ``bool_in`` the
-    Boolean ones among them; ``post`` holds its output variables, sorted,
-    each with whether it is a control variable; ``group`` holds the sorted
-    units that share its input variable set (the units it competes with,
-    itself included), and ``draw`` maps the least member of each group of
-    two or more to its size, the draw the group makes when enabled.
-    ``consumers`` holds the units a variable feeds, and
-    ``missing`` each unit's count of input variables that are unassigned
-    when exactly the invars hold values. Repeated flows between one
-    variable and one unit count once everywhere.
+    ``units`` maps each unit to its row ``(pre, bool_in, post, group,
+    draw)``: its input variables, sorted; the Boolean ones among them; its
+    output variables, sorted, each with whether it is a control variable;
+    the sorted units that share its input variable set (the units it
+    competes with, itself included); and the size of the draw that group
+    makes when enabled, kept at the group's least member when it has two or
+    more members and 0 otherwise. ``consumers`` holds the units a variable
+    feeds. Repeated flows between one variable and one unit count once
+    everywhere.
 
     ``schedule`` is the circuit's step tree, rooted at the invars, in which
     :func:`~ctrlcirc.dynamics.run` keeps the steps its runs derive. A
@@ -134,14 +136,13 @@ class _ExecTables(NamedTuple):
     its tree is a chain.
     """
 
-    pre: dict[str, tuple[str, ...]]
-    bool_in: dict[str, tuple[str, ...]]
-    post: dict[str, tuple[tuple[str, bool], ...]]
-    group: dict[str, tuple[str, ...]]
-    draw: dict[str, int]
+    units: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[tuple[str, bool], ...], tuple[str, ...], int]]
     consumers: dict[str, tuple[str, ...]]
-    missing: dict[str, int]
     schedule: _StepTree
+
+
+# Fields of a unit row in ``_ExecTables.units``, for reading many rows in one C-level ``map``.
+_PRE, _POST, _DRAW = itemgetter(0), itemgetter(2), itemgetter(4)
 
 
 @dataclass(frozen=True, eq=True)
@@ -209,6 +210,8 @@ class Circuit:
     @cached_property
     def _exec_tables(self) -> _ExecTables:
         vt = self.var_types
+        # one ``(variable, is control)`` entry per variable, shared by every post tuple that holds it
+        entry = {v: (v, t is CTRL) for v, t in vt.items()}
         pre: dict[str, list[str]] = {u: [] for u in self.units}
         post: dict[str, list[str]] = {u: [] for u in self.units}
         cons: dict[str, list[str]] = {v: [] for v in vt}
@@ -217,40 +220,44 @@ class Circuit:
             cons[f.src].append(f.dst)
         for f in self.out_flows.values():
             post[f.src].append(f.dst)
-        pre_sets = {u: tuple(sorted(set(vs))) for u, vs in pre.items()}
+        # every part of a row is built before any row: the garbage collector checks a row before the
+        # parts only rows hold, so a row built with its parts would stay tracked one collection longer
+        post_of = {u: tuple(map(entry.__getitem__, sorted(set(vs)))) for u, vs in post.items()}
         groups: dict[tuple[str, ...], list[str]] = {}
         for u in sorted(self.units):
-            groups.setdefault(pre_sets[u], []).append(u)
+            groups.setdefault(tuple(sorted(set(pre[u]))), []).append(u)
+        parts = [(vs, tuple(v for v in vs if vt[v] is BOOL), tuple(g)) for vs, g in groups.items()]
+        units = {}
+        for vs, bool_in, g in parts:
+            draw = len(g) if len(g) > 1 else 0
+            for u in g:
+                units[u] = (vs, bool_in, post_of[u], g, draw)
+                draw = 0
         invars = self.invars
-        draw = {g[0]: len(g) for g in groups.values() if len(g) > 1}
-        missing = {u: sum(v not in invars for v in vs) for u, vs in pre_sets.items()}
         return _ExecTables(
-            pre=pre_sets,
-            bool_in={u: tuple(v for v in vs if vt[v] is BOOL) for u, vs in pre_sets.items()},
-            post={u: tuple((v, vt[v] is CTRL) for v in sorted(set(vs))) for u, vs in post.items()},
-            group={u: g for g in map(tuple, groups.values()) for u in g},
-            draw=draw,
+            units=units,
             consumers={v: tuple(dict.fromkeys(us)) for v, us in cons.items()},
-            missing=missing,
             schedule=_StepTree(
                 invars == self.outvars,
-                [u for u, n in missing.items() if not n],
-                draw,
+                itertools.compress(units, map(invars.issuperset, map(_PRE, units.values()))),
+                units,
                 _TREE_ROOM_PER_ELEMENT * (len(vt) + len(self.units)),
             ),
         )
 
     def pre_set(self, unit: str) -> frozenset[str]:
-        """Variables connected into ``unit``: a copy of its execution-table row, O(|pre-set|).
+        """Variables connected into ``unit``: a copy of the inputs in its execution-table row, O(|pre-set|).
 
         The execution tables are the circuit's one cached adjacency; the first
-        query that reads them builds them, O(V + E).
+        query that reads them builds them, O(V + E). Two units compete for
+        firing exactly when their pre-sets are equal, so a circuit's runs can
+        draw iff two of its units share a pre-set.
         """
-        return frozenset(self._exec_tables.pre[unit])
+        return frozenset(self._exec_tables.units[unit][0])
 
     def post_set(self, unit: str) -> frozenset[str]:
-        """Variables connected from ``unit``: a copy of its execution-table row, O(|post-set|)."""
-        return frozenset(v for v, _ in self._exec_tables.post[unit])
+        """Variables connected from ``unit``: a copy of the outputs in its execution-table row, O(|post-set|)."""
+        return frozenset(v for v, _ in self._exec_tables.units[unit][2])
 
     def consumers(self, var: str) -> frozenset[str]:
         """Units fed by ``var``: a copy of its execution-table row, O(|consumers|)."""

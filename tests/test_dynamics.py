@@ -130,6 +130,18 @@ def test_reduction_rules():
         assert reduce_unit(nand2, "u1", st) is want
 
 
+def test_reduce_unit_names_an_unknown_unit_or_an_unassigned_boolean_input():
+    nand2 = mk_primitive(1, 2, 1, 1)  # u1 reads v1 (ctrl), v2 and v3 (bool)
+    st = initial_state(nand2, {"v1": S, "v2": B1, "v3": B1})
+    for u in ("zz", "v1", None, ["u1"]):
+        with pytest.raises(StructureError, match="not a unit of the circuit"):
+            reduce_unit(nand2, u, st)
+    with pytest.raises(StructureError, match=r"unit 'u1' has unassigned Boolean inputs \['v2'\]"):
+        reduce_unit(nand2, "u1", State(0, {"v1": S, "v3": B1}))
+    # the control input is not read, so only Boolean inputs must hold values
+    assert reduce_unit(nand2, "u1", State(0, {"v2": B1, "v3": B1})) is B0
+
+
 def test_execution_patterns():
     # control-only units emit only signals
     fork = build_fork(3)

@@ -403,7 +403,8 @@ def test_member_runs_make_no_random_draws(monkeypatch):
     for k in range(6):
         table = [gen.randint(0, 1) for _ in range(2**k)]
         member = synth_family({k: table}).members[k]
-        assert all(len(g) == 1 for g in member.circuit._exec_tables.group.values())
+        c = member.circuit
+        assert len({c.pre_set(u) for u in c.units}) == len(c.units)
         for row in gen.sample(range(2**k), min(2**k, 8)):
             assert member.evaluate([(row >> i) & 1 for i in range(k)]) == table[row]
     assert draws == []

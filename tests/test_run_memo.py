@@ -80,8 +80,9 @@ def same(a, b):
 
 
 def has_draws(c):
-    """Whether some group of ``c`` has two or more members, so its runs draw."""
-    return bool(c._exec_tables.draw)
+    """Whether two units of ``c`` share a pre-set, so they compete and its runs draw."""
+    pre_sets = [c.pre_set(u) for u in c.units]
+    return len(set(pre_sets)) < len(pre_sets)
 
 
 def tree_size(c):
