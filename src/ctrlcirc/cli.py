@@ -13,7 +13,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import CircuitError, CompositionError, StructureError, ValidationError
 from .model import classify, is_sound
@@ -34,8 +34,14 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    _write_pieces(path, (text,))
+
+
+def _write_pieces(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces to ``path`` one after another, as UTF-8 text, as ``Path.write_text`` writes one string."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
     except OSError as e:
         raise SystemExit(f"io error: {e}")
 
@@ -240,7 +246,8 @@ def cmd_exec(args) -> int:
 
     tr = run(c, init, cfg)
     if args.trace:
-        _write(args.trace, ser.trace_to_jsonl(tr))
+        # streamed: the trace's text is never held whole
+        _write_pieces(args.trace, ser._trace_pieces(tr))
     final = {v: ser.value_to_json(val) for v, val in sorted(tr.final_state.values.items())}
     payload = {"outcome": tr.outcome.value, "time": tr.final_state.time, "state": final}
     human = f"outcome: {tr.outcome.value} at t={tr.final_state.time}; state: " + ", ".join(

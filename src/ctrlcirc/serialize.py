@@ -19,7 +19,7 @@ import json
 import re
 from bisect import bisect_left
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .errors import StructureError
 from .model import CTRL, Circuit, Flow, validate_circuit
@@ -281,34 +281,34 @@ def assignments_from_dict(d: Mapping[str, Any]) -> dict[str, Value]:
     return {v: value_from_json(x) for v, x in d.items()}
 
 
-# ``json.dumps(obj, sort_keys=True)`` with the encoder built once. A trace
-# record is assembled by hand and must equal this encoder's output for the
-# record dict: keys in sorted order (enabled, ready, results, state, time),
-# ", " between items, ": " after keys, and every id escaped by ``_quote``, the
-# escaper this encoder runs on strings.
+# ``json.dumps(obj, sort_keys=True)`` with the encoder built once, for the
+# scalars ``_indented`` does not format itself and for a trace's outcome line.
 _SORTED_JSON = json.JSONEncoder(sort_keys=True)
-# A state entry's value text, by identity: '"*"' for the signal, else the bit's
+# A value's text, by identity: '"*"' for the signal, else the bit's
 # ``_value_`` (0 or 1), which formats as its JSON text.
 _SIGNAL, _SIGNAL_TEXT = Value.SIGNAL, _SORTED_JSON.encode(Value.SIGNAL.value)
 
 
-def trace_to_jsonl(trace: Trace) -> str:
-    """One record per step plus a final outcome line, byte-stable.
+def _trace_pieces(trace: Trace) -> Iterator[str]:
+    """The text of ``trace_to_jsonl(trace)``, in pieces: three per record, one for the outcome line.
 
-    The writer walks each step's changes (recorded by ``run``, or diffed
-    for a hand-built trace) and keeps the state's ids sorted, with each
-    entry's ``"id": value`` text beside its id: a change costs one C escape
-    and one ``bisect`` into that list, and a record one join of the texts.
-    A step that changes more than an eighth of the state (the first step
-    among them) sorts the state afresh instead, as so many list inserts and
-    deletes would cost O(changes x |state|). Writing costs O(output bytes +
-    sum of changes x log |state|) and reads no step's ``state`` that ``run``
-    did not keep.
+    A record's pieces are its text up to the state's opening brace, the
+    state's entries joined by ``", "``, and the rest of the line. Each
+    record equals ``json.dumps(record, sort_keys=True)`` for the record
+    dict: keys in sorted order (enabled, ready, results, state, time), ", "
+    between items, ": " after keys, and every id escaped by ``_quote``, the
+    escaper that encoder runs on strings.
+
+    The generator walks each step's changes (recorded by ``run``, or
+    diffed for a hand-built trace) and keeps the state's ids sorted, with
+    each entry's ``"id": value`` text beside its id: a change costs one C
+    escape and one ``bisect`` into that list, and a record one join of the
+    texts. A step that changes more than an eighth of the state (the first
+    step among them) sorts the state afresh instead, as so many list
+    inserts and deletes would cost O(changes x |state|).
     """
-    encode = _SORTED_JSON.encode
     ids: list[str] = []  # the current state's ids, sorted
     texts: list[str] = []  # their '"id": value' texts, in the same order
-    lines = []
     for s, assigned, left in trace._changes():
         if 8 * (len(assigned) + len(left)) > len(ids):
             entries = dict(zip(ids, texts))
@@ -330,13 +330,28 @@ def trace_to_jsonl(trace: Trace) -> str:
                 else:
                     ids.insert(i, v)
                     texts.insert(i, entry)
-        results = encode({u: x._value_ for u, x in s.results.items()})
-        lines.append(
-            f'{{"enabled": {encode(s.enabled)}, "ready": {encode(s.ready)}, '
-            f'"results": {results}, "state": {{{", ".join(texts)}}}, "time": {encode(s.time)}}}'
+        results = ", ".join([
+            f"{_quote(u)}: {_SIGNAL_TEXT if x is _SIGNAL else x._value_}" for u, x in sorted(s.results.items())
+        ])
+        yield (
+            f'{{"enabled": [{", ".join(map(_quote, s.enabled))}], "ready": [{", ".join(map(_quote, s.ready))}], '
+            f'"results": {{{results}}}, "state": {{'
         )
+        yield ", ".join(texts)
+        yield f'}}, "time": {s.time}}}\n'
     tail: dict[str, Any] = {"outcome": trace.outcome.value}
     if trace.conflict:
         tail["conflict"] = trace.conflict
-    lines.append(encode(tail))
-    return "\n".join(lines) + "\n"
+    yield _SORTED_JSON.encode(tail) + "\n"
+
+
+def trace_to_jsonl(trace: Trace) -> str:
+    """One record per step plus a final outcome line, byte-stable.
+
+    The text is one ``"".join`` of :func:`_trace_pieces`, which ``ctrlcirc
+    exec --trace`` writes to its file piece by piece instead, so the text is
+    built once and never copied into lines. Writing costs O(output bytes +
+    sum of changes x log |state|) and reads no step's ``state`` that ``run``
+    did not keep.
+    """
+    return "".join(_trace_pieces(trace))
