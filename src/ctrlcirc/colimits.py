@@ -266,6 +266,11 @@ def pushout(span: Span, tag: str = "po") -> Cospan:
     return Cospan(*_glue(alpha.dst, beta.dst, [[(fa[x], fb[x]) for x in fa] for fa, fb in comps], tag))
 
 
+def glue_pairs(left: Circuit, right: Circuit, pairs: Sequence[tuple[str, str]], tag: str) -> Cospan:
+    """:func:`pushout` along a trivial apex given as same-type (left, right) pairs of interface variables."""
+    return Cospan(*_glue(left, right, (pairs, (), (), ()), tag))
+
+
 # ---------------------------------------------------------------------------
 # coproduct
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -474,20 +474,23 @@ def classify(c: Circuit) -> CircuitClass:
 # constructors
 
 
-def mk_trivial(tags: Sequence[TypeTag | str], prefix: str = "v") -> Circuit:
-    """A circuit of bare variables: no units, no flows.
+def trivial_violations(tags: Collection[TypeTag]) -> list[str]:
+    """What :func:`circuit_violations` lists for bare variables of these tags: only a missing control tag."""
+    no_vars = ["no-vars", "sigma-empty"] if not tags else []
+    return [] if CTRL in tags else no_vars + ["no-control-invar", "no-control-outvar"]
 
-    Variables are named ``v1..vn`` in the given order. Without units or
-    flows every variable is both an invar and an outvar, and sigma is the
-    set of tags used, so only a missing control tag breaks a model rule;
-    then :class:`ValidationError` lists what :func:`circuit_violations`
-    would.
-    """
-    c = _assemble({f"{prefix}{i + 1}": t for i, t in enumerate(tags)}, (), {}, {}, None)
-    if CTRL not in c.sigma:
-        no_vars = ["no-vars", "sigma-empty"] if not c.var_types else []
-        raise ValidationError(no_vars + ["no-control-invar", "no-control-outvar"])
-    return c
+
+def _flowless(var_types: dict[str, TypeTag]) -> Circuit:
+    """The circuit of bare variables ``var_types``, refused as :func:`trivial_violations` says."""
+    bad = trivial_violations(var_types.values())
+    if bad:
+        raise ValidationError(bad)
+    return Circuit(var_types, frozenset(), {}, {}, frozenset(var_types.values()))
+
+
+def mk_trivial(tags: Sequence[TypeTag | str], prefix: str = "v") -> Circuit:
+    """A circuit of bare variables named ``v1..vn`` in the given order: no units, no flows."""
+    return _flowless({f"{prefix}{i + 1}": _as_tag(t) for i, t in enumerate(tags)})
 
 
 def unit_circuit() -> Circuit:
@@ -510,7 +513,8 @@ def mk_primitive(n_ctrl_in: int, n_bool_in: int, n_ctrl_out: int, n_bool_out: in
     vt = {f"v{i + 1}": t for i, t in enumerate(order)}
     ins = {f"i{k + 1}": Flow(f"v{k + 1}", "u1") for k in range(n_in)}
     outs = {f"o{k + 1}": Flow("u1", f"v{n_in + k + 1}") for k in range(len(order) - n_in)}
-    return validate_circuit(vt, ["u1"], ins, outs)
+    c = Circuit(vt, frozenset(("u1",)), ins, outs, frozenset(order))
+    return c if n_ctrl_in and n_ctrl_out else revalidate(c)  # only a zero control count can break a rule
 
 
 # ---------------------------------------------------------------------------

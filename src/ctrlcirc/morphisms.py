@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Collection, Iterable, Mapping
 
 from .errors import StructureError, ValidationError
-from .model import Circuit, validate_circuit
+from .model import Circuit, _flowless
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,7 @@ def check_morphism(
             bad.append("target-square-broken")
             break
 
-    # Trivial sources have no flows at all, so the boundary condition is
-    # vacuous; this is the dominant case in practice (spans for operators).
+    # Trivial sources have no flows at all, so the boundary condition is vacuous.
     if src.units or src.in_flows or src.out_flows:
         gain_in, gain_out = boundary_sets(src, dst, f_v, f_u)
         boundary = src.invars | src.outvars
@@ -190,7 +189,7 @@ def _adjoint(c: Circuit, vs: frozenset[str], kind: str) -> Adjoint:
     # Domain variables reuse the codomain's interface ids, which makes "the"
     # adjoint an actual canonical object rather than one up to isomorphism.
     # An inclusion of a flowless circuit that keeps types is a mono morphism.
-    dom = validate_circuit({v: c.var_types[v] for v in sorted(vs)})
+    dom = _flowless({v: c.var_types[v] for v in sorted(vs)})
     return Adjoint(kind, CircuitMorphism(dom, c, {v: v for v in dom.var_types}, {}, {}, {}))
 
 

@@ -1,14 +1,12 @@
 """User-facing composition operators.
 
 Every operator reduces to pushouts and coproducts. Callers describe what to
-glue with variable pairings or iteration rows (never raw spans); one helper
-synthesises the trivial apex of a list of rows and its monos into each
-operand. Branching and both iterations end with one shared step: two
-operands are glued at both ends at once, by a pushout along the coproduct
-of a head apex and a tail apex. The two iterations differ only in whether
-the exit column joins the head rows or the tail rows. Results carry the leg
-morphisms, so each original element can be traced to its representative in
-the composite.
+glue with variable pairings or iteration rows (never raw spans); an operator
+checks its rows once and hands the pairs they identify to the gluing kernel,
+building no apex circuit, mono or span. The two iterations differ only in
+whether the exit column joins the head rows or the tail rows. Results carry
+the leg morphisms, so each original element can be traced to its
+representative in the composite.
 """
 
 from __future__ import annotations
@@ -16,20 +14,28 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import CompositionError, StructureError, ValidationError
-from .model import Circuit, CircuitClass, TypeTag, classify, is_sound, mk_trivial
-from .morphisms import CircuitMorphism, compose_morphisms, is_mono
-from .colimits import Cospan, Span, copair, coproduct, pushout
+from .errors import CompositionError, StructureError
+from .model import Circuit, CircuitClass, TypeTag, classify, is_sound, mk_trivial, trivial_violations
+from .morphisms import CircuitMorphism, is_mono
+from .colimits import Span, coproduct, glue_pairs, pushout
 
 Pairing = Sequence[tuple[str, str]]
 
 
 def _check_rows(rows: Sequence[Sequence[str]], width: int | None = None) -> None:
-    """Every row must be a sequence of string ids, ``width`` of them when given."""
+    """Every row must be a sequence of string ids, ``width`` of them when given; a string is not one."""
     for row in rows:
-        if not (isinstance(row, Sequence) and width in (None, len(row)) and all(isinstance(v, str) for v in row)):
+        ok = isinstance(row, Sequence) and not isinstance(row, str) and width in (None, len(row))
+        if not (ok and all(isinstance(v, str) for v in row)):
             shape = "a (left, right) pair" if width == 2 else "a sequence"
             raise StructureError(f"every row must be {shape} of variable ids, got {row!r}")
+
+
+def _check_control(tags: Sequence[TypeTag]) -> None:
+    """The trivial apex with these tags must be a circuit: one of them is control."""
+    bad = trivial_violations(tags)
+    if bad:
+        raise CompositionError("pairing-needs-control", f"synthesised apex is invalid: {bad}")
 
 
 def _check_pairing(left: Circuit, right: Circuit, pairs: Pairing) -> None:
@@ -43,36 +49,22 @@ def _check_pairing(left: Circuit, right: Circuit, pairs: Pairing) -> None:
             raise CompositionError("pairing-unknown-variable", f"({l}, {r})")
         if left.var_types[l] is not right.var_types[r]:
             raise CompositionError("pair-tag-mismatch", f"({l}, {r})")
-
-
-def _apex(
-    rows: Sequence[Sequence[str]], targets: Sequence[Circuit], prefix: str
-) -> tuple[Circuit, list[CircuitMorphism]]:
-    """A trivial apex with one variable per row, and its mono into each target.
-
-    Variable ``<prefix><i + 1>`` maps to ``rows[i][k]`` in ``targets[k]``;
-    the entries of a row must share one type.
-    """
-    try:
-        apex = mk_trivial([targets[0].var_types[row[0]] for row in rows], prefix)
-    except ValidationError as e:
-        raise CompositionError("pairing-needs-control", f"synthesised apex is invalid: {e.violations}") from None
-    # callers checked that each column names distinct variables and each row one type: monos
-    names = [f"{prefix}{i + 1}" for i in range(len(rows))]
-    return apex, [CircuitMorphism(apex, c, dict(zip(names, col)), {}, {}, {}) for c, col in zip(targets, zip(*rows))]
+    _check_control([left.var_types[l] for l, _ in pairs])
 
 
 def span_from_pairing(left: Circuit, right: Circuit, pairs: Pairing, prefix: str = "p") -> Span:
     """Synthesise the trivial apex and the two mono legs a pairing describes."""
     _check_pairing(left, right, pairs)
-    apex, (to_left, to_right) = _apex(pairs, (left, right), prefix)
-    return Span(apex, to_left, to_right)
+    apex = mk_trivial([left.var_types[l] for l, _ in pairs], prefix)
+    # each side names distinct variables of the apex's types: monos
+    ls, rs = (dict(zip(apex.var_types, side)) for side in zip(*pairs))
+    return Span(apex, CircuitMorphism(apex, left, ls, {}, {}, {}), CircuitMorphism(apex, right, rs, {}, {}, {}))
 
 
-def _glue_both_ends(head: Span, tail: Span, tag: str) -> Cospan:
-    """Glue the spans' left and right operands at both ends: a pushout along the apexes' coproduct."""
-    cp = coproduct(head.apex, tail.apex, tag=f"{tag}0")
-    return pushout(Span(cp.circuit, copair(head.left, tail.left, cp), copair(head.right, tail.right, cp)), tag=tag)
+def _compose(g: CircuitMorphism, f: CircuitMorphism) -> CircuitMorphism:
+    """``g`` after ``f``, unchecked: a composite of morphisms is one."""
+    maps = zip((f.f_v, f.f_u, f.f_i, f.f_o), (g.f_v, g.f_u, g.f_i, g.f_o))
+    return CircuitMorphism(f.src, g.dst, *({x: gm[y] for x, y in fm.items()} for fm, gm in maps))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +87,8 @@ def sequence(left: Circuit, right: Circuit, pairs: Pairing, tag: str = "seq") ->
     whole left outvar set and the whole right invar set) is detected and
     reported, not declared.
     """
-    return sequence_span(span_from_pairing(left, right, pairs), tag=tag)
+    _check_pairing(left, right, pairs)
+    return _sequence(left, right, pairs, tag)
 
 
 def sequence_span(span: Span, tag: str = "seq") -> SequenceResult:
@@ -108,15 +101,20 @@ def sequence_span(span: Span, tag: str = "seq") -> SequenceResult:
         raise CompositionError("span-apex-not-trivial")
     if not (is_mono(span.left) and is_mono(span.right)):
         raise CompositionError("span-legs-not-mono")
-    left, right = span.left.dst, span.right.dst
-    img_l = {span.left.f_v[v] for v in span.apex.vars}
-    img_r = {span.right.f_v[v] for v in span.apex.vars}
+    pairs = [(span.left.f_v[v], span.right.f_v[v]) for v in span.apex.var_types]
+    return _sequence(span.left.dst, span.right.dst, pairs, tag)
+
+
+def _sequence(left: Circuit, right: Circuit, pairs: Pairing, tag: str) -> SequenceResult:
+    """Glue checked pairs that must land in ``left``'s outvars and ``right``'s invars."""
+    img_l = {l for l, _ in pairs}
+    img_r = {r for _, r in pairs}
     if not img_l <= left.outvars:
         raise CompositionError("pair-left-not-outvar", ", ".join(sorted(img_l - left.outvars)))
     if not img_r <= right.invars:
         raise CompositionError("pair-right-not-invar", ", ".join(sorted(img_r - right.invars)))
     total = img_l == left.outvars and img_r == right.invars
-    cs = pushout(span, tag=tag)
+    cs = glue_pairs(left, right, pairs, tag)
     return SequenceResult(cs.result, cs.left_leg, cs.right_leg, total)
 
 
@@ -164,7 +162,7 @@ def branch(a: Circuit, b: Circuit, in_pairs: Pairing, out_pairs: Pairing, tag: s
     (equal types), ``out_pairs`` their outvars; the composite's interface
     stays in bijection with each operand's.
     """
-    spans = []
+    domains = []
     for pairs, avs, bvs, side, prefix in (
         (in_pairs, a.invars, b.invars, "invars", "p"),
         (out_pairs, a.outvars, b.outvars, "outvars", "q"),
@@ -173,11 +171,12 @@ def branch(a: Circuit, b: Circuit, in_pairs: Pairing, out_pairs: Pairing, tag: s
         if {l for l, _ in pairs} != avs or {r for _, r in pairs} != bvs:
             raise CompositionError("branch-interface-mismatch", f"{side} not covered bijectively")
         try:
-            spans.append(span_from_pairing(a, b, pairs, prefix))
+            _check_pairing(a, b, pairs)
         except CompositionError as e:
             raise CompositionError("branch-interface-mismatch", str(e)) from None
-    cs = _glue_both_ends(*spans, tag)
-    return BranchResult(cs.result, cs.left_leg, cs.right_leg, spans[0].apex, spans[1].apex)
+        domains.append(mk_trivial([a.var_types[l] for l, _ in pairs], prefix))
+    cs = glue_pairs(a, b, [*in_pairs, *out_pairs], tag)
+    return BranchResult(cs.result, cs.left_leg, cs.right_leg, *domains)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +224,10 @@ class IterationResult:
     exit_map: CircuitMorphism
 
 
-def _shared_domain(
-    rows: Sequence[tuple[str, ...]], columns: Sequence[tuple[Circuit, frozenset[str], str]], prefix: str, what: str
-) -> tuple[Circuit, list[CircuitMorphism]]:
-    """Check ``rows`` against ``columns``, then build their shared apex and its monos.
-
-    ``columns`` lists, per row position, the target circuit, the interface
-    set the column must cover, and a label for error messages.
-    """
+def _check_wiring(
+    rows: Sequence[tuple[str, ...]], columns: Sequence[tuple[Circuit, frozenset[str], str]], what: str
+) -> None:
+    """Check ``rows`` against ``columns``: per row position, the circuit, the interface set it must cover, a label."""
     _check_rows(rows)
     if any(len(row) != len(columns) for row in rows):
         raise CompositionError("iteration-wiring-mismatch", f"{what} rows must have {len(columns)} entries")
@@ -248,7 +243,7 @@ def _shared_domain(
     for row in rows:
         if len({c.var_types[v] for c, v in zip(targets, row)}) != 1:
             raise CompositionError("iteration-wiring-mismatch", f"{what} row {row} mixes types")
-    return _apex(rows, targets, prefix)
+    _check_control([targets[0].var_types[row[0]] for row in rows])
 
 
 def _iterate(w: IterationWiring, exit_at_head: bool, tag: str) -> IterationResult:
@@ -263,42 +258,37 @@ def _iterate(w: IterationWiring, exit_at_head: bool, tag: str) -> IterationResul
     ]
     tail_cols = [(w.body, w.body.outvars, "body-outvars"), (w.end, w.end.invars, "end-invars")]
     (head_cols if exit_at_head else tail_cols).append((w.exit, w.exit.invars, "exit-invars"))
-    lam0, (m_entry, m_end_out, m_body_in, *exit_h) = _shared_domain(w.head, head_cols, prefix="h", what="head")
-    lam1, (m_body_out, m_end_in, *exit_t) = _shared_domain(w.tail, tail_cols, prefix="t", what="tail")
-    [m_exit] = exit_h + exit_t
+    _check_wiring(w.head, head_cols, "head")
+    _check_wiring(w.tail, tail_cols, "tail")
 
     if exit_at_head:
         # exit and body compete for the loop head, which entry and end feed
-        pl = pushout(Span(lam0, m_exit, m_body_in), tag=f"{tag}1")
-        pr = pushout(Span(lam0, m_entry, m_end_out), tag=f"{tag}2")
-        cs = _glue_both_ends(
-            Span(lam0, compose_morphisms(pl.left_leg, m_exit), compose_morphisms(pr.left_leg, m_entry)),
-            Span(lam1, compose_morphisms(pl.right_leg, m_body_out), compose_morphisms(pr.right_leg, m_end_in)),
-            tag,
-        )
+        pl = glue_pairs(w.exit, w.body, [(x, b) for _, _, b, x in w.head], f"{tag}1")
+        pr = glue_pairs(w.entry, w.end, [(s, e) for s, e, _, _ in w.head], f"{tag}2")
+        ends = [(pl.left_leg.f_v[x], pr.left_leg.f_v[s]) for s, _, _, x in w.head]
+        ends += [(pl.right_leg.f_v[b], pr.right_leg.f_v[e]) for b, e in w.tail]
+        cs = glue_pairs(pl.result, pr.result, ends, tag)
         return IterationResult(
             circuit=cs.result,
-            entry_map=compose_morphisms(cs.right_leg, pr.left_leg),
-            body_map=compose_morphisms(cs.left_leg, pl.right_leg),
-            end_map=compose_morphisms(cs.right_leg, pr.right_leg),
-            exit_map=compose_morphisms(cs.left_leg, pl.left_leg),
+            entry_map=_compose(cs.right_leg, pr.left_leg),
+            body_map=_compose(cs.left_leg, pl.right_leg),
+            end_map=_compose(cs.right_leg, pr.right_leg),
+            exit_map=_compose(cs.left_leg, pl.left_leg),
         )
 
-    # entry, end and exit form one operand around the body's two ends
-    p1 = pushout(Span(lam0, m_entry, m_end_out), tag=f"{tag}1")
-    p2 = pushout(Span(lam1, m_end_in, m_exit), tag=f"{tag}2")
+    # entry, end and exit form one operand (a pushout along end) around the body's two ends
+    p1 = glue_pairs(w.entry, w.end, [(s, e) for s, e, _ in w.head], f"{tag}1")
+    p2 = glue_pairs(w.end, w.exit, [(e, x) for _, e, x in w.tail], f"{tag}2")
     p3 = pushout(Span(w.end, p1.right_leg, p2.left_leg), tag=f"{tag}3")
-    cs = _glue_both_ends(
-        Span(lam0, compose_morphisms(p3.left_leg, compose_morphisms(p1.left_leg, m_entry)), m_body_in),
-        Span(lam1, compose_morphisms(p3.right_leg, compose_morphisms(p2.right_leg, m_exit)), m_body_out),
-        tag,
-    )
+    ends = [(p3.left_leg.f_v[p1.left_leg.f_v[s]], b) for s, _, b in w.head]
+    ends += [(p3.right_leg.f_v[p2.right_leg.f_v[x]], b) for b, _, x in w.tail]
+    cs = glue_pairs(p3.result, w.body, ends, tag)
     return IterationResult(
         circuit=cs.result,
-        entry_map=compose_morphisms(cs.left_leg, compose_morphisms(p3.left_leg, p1.left_leg)),
+        entry_map=_compose(cs.left_leg, _compose(p3.left_leg, p1.left_leg)),
         body_map=cs.right_leg,
-        end_map=compose_morphisms(cs.left_leg, compose_morphisms(p3.left_leg, p1.right_leg)),
-        exit_map=compose_morphisms(cs.left_leg, compose_morphisms(p3.right_leg, p2.right_leg)),
+        end_map=_compose(cs.left_leg, _compose(p3.left_leg, p1.right_leg)),
+        exit_map=_compose(cs.left_leg, _compose(p3.right_leg, p2.right_leg)),
     )
 
 

@@ -1,7 +1,8 @@
 """Claims that the builders guarantee by construction, checked here once.
 
-``to_control``, ``relabel`` and ``is_isomorphic`` build their results
-without re-running the library's checks on them:
+``to_control``, ``relabel``, ``is_isomorphic``, ``mk_primitive``, the
+interface adjoints and the operators build their results without
+re-running the library's checks on them:
 
 * every validated netlist imports to a valid, sound circuit whose flows
   and interface are exactly those its edges prescribe;
@@ -9,14 +10,19 @@ without re-running the library's checks on them:
   ``validate_morphism`` of its maps and is a bijection;
 * every isomorphism witness validates as a morphism and is mono;
 * ``mk_trivial`` refuses exactly the tag lists the model check refuses,
-  with the same violations.
+  with the same violations, and ``mk_primitive`` exactly the count tuples;
+* an adjoint's domain is the flowless circuit the model check builds of
+  the interface, and its inclusion is the morphism ``validate_morphism``
+  builds.
 
 The subjects are ``random_dag`` netlists, the benchmark's deep netlists,
 spine netlists and synthesised family members for k = 0..8 on the one side,
 and every fixture, random circuits and operator composites on the other.
-The checker test makes each checker raise and runs the three builders, so
-none of them calls one; then it makes ``circuit_violations`` alone raise
-and glues a 40-inverter chain, a 40-inverter row, a branch and a coproduct.
+The checker test makes each checker raise and runs the first three
+builders, so none of them calls one; then it makes every checker but
+``is_sound`` raise and builds a 40-inverter chain, a 40-inverter row, a
+branch, a coproduct, a head iteration and the ``p53`` and ``flipflop``
+fixtures.
 The gluing kernel's own claims are checked in ``test_glue_local_checks.py``.
 """
 
@@ -38,11 +44,14 @@ from ctrlcirc import (
     branch,
     circuit_violations,
     coproduct,
+    in_adjoint,
     is_isomorphic,
     is_mono,
     is_sound,
     iterate_head,
+    mk_primitive,
     mk_trivial,
+    out_adjoint,
     parallel,
     relabel,
     sequence,
@@ -270,10 +279,14 @@ def test_builders_call_none_of_the_checkers(monkeypatch):
         assert is_isomorphic(c, copy) is not None
 
     # Gluings test only the two control-interface rules, on an interface
-    # derived from their operands', and never run the whole model check.
+    # derived from their operands', and never run the whole model check; the
+    # operators hand checked variable pairs to the kernel and build no apex
+    # monos, and ``mk_primitive`` checks nothing when both control counts are
+    # positive. ``is_sound`` stays: the iterations check their operands with it.
     monkeypatch.undo()
+    glue_checkers = [circuit_violations, revalidate, validate_morphism, is_mono]
+    assert refuse_everywhere(monkeypatch, glue_checkers) == {checker.__name__ for checker in glue_checkers}
     inv, buf = build_not(), build_buffer()
-    assert refuse_everywhere(monkeypatch, [circuit_violations]) == {"circuit_violations"}
     chain, c_out, b_out = inv, "v3", "v4"
     for _ in range(39):
         res = sequence(chain, inv, [(c_out, "v1"), (b_out, "v2")])
@@ -286,6 +299,39 @@ def test_builders_call_none_of_the_checkers(monkeypatch):
     wiring = [("c_in", "c_in"), ("b_in", "b_in")], [("c_out", "c_out"), ("b_out", "b_out")]
     assert len(branch(buf, buf, *wiring).circuit.units) == 2 * len(buf.units)
     assert len(coproduct(row, row).circuit.units) == 80
+    assert len(buffer_loop().units) == 3 * len(buf.units) + 1
+    for name in ("p53", "flipflop"):
+        assert fixture(name).units
+
+
+@pytest.mark.parametrize("counts", list(itertools.product(range(3), repeat=4)), ids=str)
+def test_a_primitive_is_refused_as_the_model_check_refuses_it(counts):
+    """``mk_primitive`` checks only a zero control count; it builds what ``validate_circuit`` builds of its parts."""
+    ci, bi, co, bo = counts
+    tags = [CTRL] * ci + [BOOL] * bi + [CTRL] * co + [BOOL] * bo
+    n_in = ci + bi
+    parts = (
+        {f"v{k + 1}": t for k, t in enumerate(tags)},
+        ["u1"],
+        {f"i{k + 1}": (f"v{k + 1}", "u1") for k in range(n_in)},
+        {f"o{k + 1}": ("u1", f"v{n_in + k + 1}") for k in range(len(tags) - n_in)},
+    )
+    try:
+        want = validate_circuit(*parts)
+    except ValidationError as e:
+        with pytest.raises(ValidationError) as got:
+            mk_primitive(*counts)
+        assert (got.value.violations, str(got.value)) == (e.violations, str(e))
+    else:
+        assert mk_primitive(*counts) == want
+
+
+@pytest.mark.parametrize("name, c", CIRCUITS, ids=[name for name, _ in CIRCUITS])
+def test_adjoint_domains_are_the_model_checked_flowless_circuits(name, c):
+    for adj, vs in ((in_adjoint(c), c.invars), (out_adjoint(c), c.outvars)):
+        dom = validate_circuit({v: c.var_types[v] for v in sorted(vs)})
+        assert adj.morphism == validate_morphism(dom, c, {v: v for v in dom.var_types}, {}, {}, {})
+        assert list(adj.domain.var_types) == list(dom.var_types)
 
 
 @pytest.mark.parametrize("n", range(4))

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from ctrlcirc import (
     parallel,
     sequence,
     unit_circuit,
+    validate_circuit,
 )
 from ctrlcirc.fixtures import (
     build_action,
@@ -80,14 +82,7 @@ def test_rows_must_hold_string_ids(bad):
         branch(a, b, [("v1", "v1"), (bad, "v2")], [("v3", "v3"), ("v4", "v4")])
     with pytest.raises(StructureError):
         branch(a, b, [("v1", "v1"), ("v2", "v2")], [("v3", bad), ("v4", "v4")])
-    toggle = IterationWiring(
-        entry=build_buffer(),
-        body=build_not(),
-        end=build_buffer(),
-        exit=build_eater(1),
-        head=(("c_out", "c_out", "v1", "v1"), ("b_out", "b_out", "v2", "v2")),
-        tail=(("v3", "c_in"), ("v4", "b_in")),
-    )
+    toggle = _toggle_wiring()
     iterate_head(toggle)  # well formed
     with pytest.raises(StructureError):
         iterate_head(replace(toggle, head=(("c_out", "c_out", bad, "v1"), ("b_out", "b_out", "v2", "v2"))))
@@ -97,6 +92,27 @@ def test_rows_must_hold_string_ids(bad):
     iterate_tail(w)
     with pytest.raises(StructureError):
         iterate_tail(replace(w, tail=(("ctrl_out", "ctrl_in", "v1"), ("q_next_out", bad, "v2"))))
+
+
+def test_a_string_is_not_a_row():
+    # a string is a sequence of one-character strings, so "ab" used to pair a with b
+    a, b = validate_circuit({"a": "ctrl"}), validate_circuit({"b": "ctrl"})
+    pair_msg = "every row must be a (left, right) pair of variable ids, got 'ab'"
+    with pytest.raises(StructureError, match=re.escape(pair_msg)):
+        sequence(a, b, ["ab"])
+    with pytest.raises(StructureError, match=re.escape(pair_msg)):
+        branch(a, b, ["ab"], ["ab"])
+    with pytest.raises(StructureError, match=re.escape(pair_msg)):
+        branch(a, b, [("a", "b")], ["ab"])
+    inv = build_not()
+    with pytest.raises(StructureError, match=re.escape("got 'v3v1'")):
+        sequence(inv, inv, ["v3v1"])  # used to be refused as an unknown pair (v, 3)
+    w = _flipflop_wiring()
+    row_msg = "every row must be a sequence of variable ids, got "
+    with pytest.raises(StructureError, match=re.escape(row_msg + "'xyz'")):
+        iterate_tail(replace(w, tail=(("ctrl_out", "ctrl_in", "v1"), "xyz")))
+    with pytest.raises(StructureError, match=re.escape(row_msg + "'wxyz'")):
+        iterate_head(replace(_toggle_wiring(), head=("wxyz", ("b_out", "b_out", "v2", "v2"))))
 
 
 def test_unit_is_left_and_right_identity(rnd):
@@ -260,6 +276,18 @@ def test_branch_associative(rnd):
 
 
 # -- iteration ----------------------------------------------------------------
+
+
+def _toggle_wiring() -> IterationWiring:
+    """A one-bit toggle: inverter body, buffer entry and end, an eater exit."""
+    return IterationWiring(
+        entry=build_buffer(),
+        body=build_not(),
+        end=build_buffer(),
+        exit=build_eater(1),
+        head=(("c_out", "c_out", "v1", "v1"), ("b_out", "b_out", "v2", "v2")),
+        tail=(("v3", "c_in"), ("v4", "b_in")),
+    )
 
 
 def _flipflop_wiring() -> IterationWiring:
