@@ -27,11 +27,13 @@ carries every flow with its endpoints, so the legs are morphisms by
 construction except for the boundary condition at seeded variables off an
 operand's interface, and two flow images can only meet at a seeded flow.
 ``pushout`` scans an operand for variables that gain flows only when the
-other leg sends an apex variable off its operand's interface. A gluing
-costs a C-level copy of the left operand and of its interface (the
-composite shares its ``Flow`` objects), plus O(|right|) Python work and
-near-linear work in the seeds. Only a leg that is not mono, gluing two left
-elements together, makes the kernel re-image the left operand.
+other leg sends an apex variable off its operand's interface. The left leg
+copies nothing: each of its maps is a read-only view over the left
+operand's own ids. The composite still costs a C-level copy of the left
+operand's three dicts, its unit set and its interface (it shares their
+``Flow`` objects), plus O(|right|) Python work and near-linear work in the
+seeds. Only a leg that is not mono, gluing two left elements together,
+makes the kernel re-image the left operand.
 
 Isomorphism is decided on the var/unit graph whose edges carry flow
 multiplicities: joint colour refinement (Weisfeiler-Leman, a few rounds)
@@ -44,8 +46,9 @@ isomorphism by construction and is not validated again.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Optional
 
 from .errors import CompositionError, StructureError, ValidationError
 from .model import CTRL, Circuit, Flow, TypeTag
@@ -109,6 +112,40 @@ def _seed_classes(pairs: Iterable[tuple[str, str]]) -> tuple[dict[str, str], dic
     return merged, seeded_right
 
 
+class _IdentityLeg(Mapping):
+    """One map of a gluing's left leg: a read-only view over the left operand's ids.
+
+    Each id maps to itself, or to the least left id of its seeded class when
+    a leg that is not mono merged it into another (``merged``, usually
+    empty). Keys, iteration order, length and membership are those of
+    ``ids``, a key view of one of the left operand's own containers (its
+    unit set is its own), so the view holds no per-element storage and
+    ``keys()`` compares with a set at C level.
+    """
+
+    __slots__ = ("_keys", "_merged")
+
+    def __init__(self, ids: AbstractSet[str], merged: Mapping[str, str]):
+        self._keys, self._merged = ids, merged
+
+    def __getitem__(self, x: str) -> str:
+        if x in self._keys:
+            return self._merged.get(x, x)
+        raise KeyError(x)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, x) -> bool:
+        return x in self._keys
+
+    def keys(self):
+        return self._keys
+
+
 def _glue_flows(kind: str, out: dict[str, Flow], flows: Mapping[str, Flow], f_flow, f_src, f_dst) -> None:
     """Add the images of ``flows`` to ``out``; identified flows must agree on endpoints.
 
@@ -129,12 +166,14 @@ def _glued_side(l_side, r_side, lv, rv, l_seeded, r_seeded, merges: bool) -> fro
     With ``l_side``/``r_side`` an operand's invars (outvars), these are the
     result's invars (outvars): the images of both sides, minus the images of
     seeded variables off their side. While no left elements merge, the left
-    side is its own image and is copied at C level.
+    side is its own image and is copied at C level, once when nothing is
+    cut, as in a coproduct.
     """
     cut = {lv[v] for v in l_seeded if v not in l_side}
     cut.update(rv[v] for v in r_seeded if v not in r_side)
     images = frozenset(map(lv.__getitem__, l_side)) if merges else l_side
-    return images.union(map(rv.__getitem__, r_side)).difference(cut)
+    side = images.union(map(rv.__getitem__, r_side))
+    return side.difference(cut) if cut else side
 
 
 def _glue(
@@ -155,13 +194,14 @@ def _glue(
     both operands, and the result's greatest id is the image of the right's
     greatest unseeded id (the left's when the right adds none).
 
-    Cost: while no two left elements are glued together, the left
-    operand's four parts and its interface are copied at C level and the
-    composite shares its ``Flow`` objects; Python work is O(|right| +
-    seeds). When a leg that is not mono glues two left elements, the merged
-    element keeps the lesser id and every left element is re-imaged,
-    O(|left|) more, and the result's greatest ids are left to be computed
-    when read.
+    Cost: the left leg's four maps are views over the left operand's id
+    containers (see :class:`_IdentityLeg`), O(1) each. While no two left
+    elements are glued together, the left operand's four parts and its
+    interface are copied at C level into the composite, which shares their
+    ``Flow`` objects; Python work is O(|right| + seeds). When a leg that is
+    not mono glues two left elements, the merged element keeps the lesser
+    id and every left element is re-imaged through the view, O(|left|)
+    more, and the result's greatest ids are left to be computed when read.
 
     Checks, for valid operands: every result unit, flow and type comes from
     an operand, so only the control invar and control outvar rules can
@@ -173,26 +213,23 @@ def _glue(
     from its own operand, so the boundary condition is tested only at
     seeded variables off an operand's interface.
     """
-    left_maps: list[dict[str, str]] = []
+    left_maps: list[_IdentityLeg] = []
     right_maps: list[dict[str, str]] = []
     greatest: list[Optional[str]] = []
     merges = False
     for pairs, l_ids, r_ids, l_max, r_max in zip(
         seeds,
-        (left.var_types, left.units, left.in_flows, left.out_flows),
+        (left.var_types.keys(), left.units, left.in_flows.keys(), left.out_flows.keys()),
         (right.var_types, right.units, right.in_flows, right.out_flows),
         left._greatest_ids,
         right._greatest_ids,
     ):
         merged, seeded_right = _seed_classes(pairs)
-        l_map = dict(zip(l_ids, l_ids))
-        if merged:
-            l_map.update(merged)
-            merges = True
+        merges = merges or bool(merged)
         prefix = f"{l_max}/{tag}/" if l_max is not None else f"{tag}/"
         r_map = {x: prefix + x for x in r_ids}
         r_map.update(seeded_right)
-        left_maps.append(l_map)
+        left_maps.append(_IdentityLeg(l_ids, merged))
         right_maps.append(r_map)
         if r_max in seeded_right:
             r_max = max((x for x in r_ids if x not in seeded_right), default=None)
@@ -227,7 +264,7 @@ def _glue(
     ]
     if bad:  # a coproduct of valid circuits never gets here; a pushout can
         raise CompositionError("pushout-does-not-exist", f"the glued structure is not a valid circuit: {bad}")
-    result.__dict__.update(invars=invars, outvars=outvars)  # the cached properties' slots
+    result.__dict__.update(invars=invars, outvars=outvars)  # the cached views' slots
     if not merges:
         result.__dict__["_greatest_ids"] = tuple(greatest)
     for base, f_v, f_u, vs in ((left, lv, lu, l_seeded), (right, rv, ru, r_seeded)):

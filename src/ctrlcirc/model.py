@@ -23,7 +23,6 @@ import itertools
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -145,6 +144,28 @@ class _ExecTables(NamedTuple):
 _PRE, _POST, _DRAW = itemgetter(0), itemgetter(2), itemgetter(4)
 
 
+class _cached_view:
+    """A derived view computed on first read and stored in the instance ``__dict__``.
+
+    Like ``functools.cached_property`` without its lock, which Python 3.10
+    and 3.11 take on every first read: a non-data descriptor is shadowed by
+    the stored value, so later reads never reach it. Two threads may both
+    compute a view on its first read; both get an equal value.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=True)
 class Circuit:
     """A validated circuit. Treat all fields as immutable.
@@ -169,35 +190,35 @@ class Circuit:
 
     # -- derived views (cached; cheap to recompute but used everywhere) -----
 
-    @cached_property
+    @_cached_view
     def vars(self) -> frozenset[str]:
         return frozenset(self.var_types)
 
-    @cached_property
+    @_cached_view
     def flow_sources(self) -> frozenset[str]:
         """Variables with at least one outgoing flow (s(I))."""
         return frozenset(f.src for f in self.in_flows.values())
 
-    @cached_property
+    @_cached_view
     def flow_targets(self) -> frozenset[str]:
         """Variables with at least one incoming flow (t(O))."""
         return frozenset(f.dst for f in self.out_flows.values())
 
-    @cached_property
+    @_cached_view
     def invars(self) -> frozenset[str]:
         """Variables with no incoming flows."""
         return self.vars - self.flow_targets
 
-    @cached_property
+    @_cached_view
     def outvars(self) -> frozenset[str]:
         """Variables with no outgoing flows."""
         return self.vars - self.flow_sources
 
-    @cached_property
+    @_cached_view
     def inoutvars(self) -> frozenset[str]:
         return self.invars & self.outvars
 
-    @cached_property
+    @_cached_view
     def _greatest_ids(self) -> tuple[Optional[str], Optional[str], Optional[str], Optional[str]]:
         """The greatest variable, unit, in-flow and out-flow id; ``None`` for a kind without ids.
 
@@ -207,7 +228,7 @@ class Circuit:
         """
         return tuple(max(ids, default=None) for ids in (self.var_types, self.units, self.in_flows, self.out_flows))
 
-    @cached_property
+    @_cached_view
     def _exec_tables(self) -> _ExecTables:
         vt = self.var_types
         # one ``(variable, is control)`` entry per variable, shared by every post tuple that holds it

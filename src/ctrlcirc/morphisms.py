@@ -21,6 +21,9 @@ class CircuitMorphism:
 
     The class checks nothing itself: ``validate_morphism`` checks the maps
     and builds one; builders that make a morphism by construction build it directly.
+    The maps are read-only ``Mapping``s and may be shared, so never mutate
+    one: a gluing's left leg is a view over its left operand's ids, each
+    mapped to itself (or to the id it was merged into), not a dict.
     """
 
     src: Circuit
