@@ -84,11 +84,8 @@ def cmd_validate(args) -> int:
     except ValidationError as e:
         _emit(args, {"valid": False, "violations": e.violations}, "invalid: " + ", ".join(e.violations))
         return 1
-    _emit(
-        args,
-        {"valid": True, "class": classify(c).value, "sound": is_sound(c)},
-        f"valid ({classify(c).value}, {'sound' if is_sound(c) else 'not sound'})",
-    )
+    kind, sound = classify(c).value, is_sound(c)
+    _emit(args, {"valid": True, "class": kind, "sound": sound}, f"valid ({kind}, {'sound' if sound else 'not sound'})")
     return 0
 
 

@@ -12,23 +12,25 @@ negated conjunction of all of them.
 Which units are enabled and ready depends only on which variables hold
 values, never on the Booleans, so the units a run fires, step by step,
 depend only on its draws. :func:`run` keeps the steps each circuit's runs
-have taken in a tree keyed by the draws and replays a known step,
-computing only the Booleans. A circuit without competing units (a
-seed-free circuit, such as every imported netlist) draws nothing, so it
-fires the same units in the same order from every input and its tree is
-one chain.
+have taken in a tree keyed by the draws, planted on the circuit by its
+first run, and replays a known step, computing only the Booleans. Every
+situation, the tree's root included, is derived from each unit's count of
+missing inputs. A circuit without competing units (a seed-free circuit,
+such as every imported netlist) draws nothing, so it fires the same units
+in the same order from every input and its tree is one chain. A run ends
+in one of the :class:`Outcome` members.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import compress
-from operator import is_not
+from itertools import compress, count
+from operator import is_not, itemgetter, not_
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import StructureError
-from .model import _DRAW, _POST, BOOL, CTRL, Circuit, Outcome, _step_node
+from .model import BOOL, CTRL, Circuit
 
 
 class Value(enum.Enum):
@@ -78,6 +80,15 @@ class ExecConfig:
                 raise StructureError(f"{name} must be an int, got {val!r}")
         if self.max_steps < 1:
             raise StructureError("max_steps must be at least 1")
+
+
+class Outcome(enum.Enum):
+    """How a run ended."""
+
+    FINAL = "final"
+    DEADLOCK = "deadlock"
+    STEP_LIMIT = "step-limit"
+    WRITE_CONFLICT = "write-conflict"
 
 
 class SplitMix64:
@@ -272,8 +283,7 @@ def is_final(c: Circuit, st: State) -> bool:
 
 def enabled_units(c: Circuit, st: State) -> frozenset[str]:
     """Units whose full input variable set is assigned."""
-    dom = st.values
-    return frozenset(u for u, (vs, _, _, _, _) in c._exec_tables.units.items() if all(v in dom for v in vs))
+    return frozenset(_enabled(_missing_inputs(c._exec_tables.units, st.values)))
 
 
 def ready_units(c: Circuit, st: State, rng: SplitMix64) -> frozenset[str]:
@@ -337,6 +347,71 @@ def _missing_inputs(units: Mapping[str, tuple], values: Mapping[str, Value]) -> 
     """Each unit's count of input variables that ``values`` leaves unassigned, O(V + E)."""
     has = values.__contains__
     return {u: len(vs) - sum(map(has, vs)) for u, (vs, _, _, _, _) in units.items()}
+
+
+def _enabled(missing: Mapping[str, int]) -> Iterator[str]:
+    """The units that miss no input, given each unit's count of missing inputs."""
+    return compress(missing, map(not_, missing.values()))
+
+
+# Fields of a unit row in ``Circuit._exec_tables.units``, for reading many rows in one C-level ``map``.
+_POST, _DRAW = itemgetter(2), itemgetter(4)
+
+# A circuit's step tree holds at most this many entries per variable and unit (see ``_StepTree``).
+_TREE_ROOM_PER_ELEMENT = 64
+
+
+class _StepTree:
+    """The value-free steps the runs of one circuit have taken, keyed by their draws.
+
+    :func:`run` plants it on the circuit, at ``"_step_tree"`` in its
+    ``__dict__``, on the circuit's first run. A node is a step and the
+    situation it reaches from the invars, a tuple ``(ready, left, double,
+    enabled, sizes, ending, ident)``: the step's sorted ready units, the
+    variables that leave the domain, and whether two ready units write one
+    variable (``()``, ``()`` and ``False`` at the root); then the sorted
+    units enabled after it, the sizes of the draws a step makes there (the
+    nonzero ``draw`` fields of their unit rows: one per enabled group of two
+    or more members, at its least member, in sorted order),
+    ``Outcome.FINAL``, ``Outcome.DEADLOCK`` or ``None``, and an id unique in
+    the tree (``None`` at an ending, which enables nothing and makes no
+    draws). ``children`` maps ``(ident, draw results)``, or ``ident`` alone
+    at a node without draws, to the node that step reaches. One flat dict
+    for the whole tree keeps nodes free of containers, so the cyclic garbage
+    collector stops tracking them. ``ids`` numbers new nodes, one ``next``
+    each, so runs in two threads never give two nodes one id; ``room`` is
+    what is left of the tree's size bound, counted as one entry per node
+    below the root plus the ids its ready, left and enabled tuples hold.
+    :func:`run` attaches a node only while it fits.
+    """
+
+    __slots__ = ("root", "children", "ids", "room")
+
+    def __init__(self, c: Circuit, units: Mapping[str, tuple], missing: Mapping[str, int]):
+        """The tree of just the root, given the unit rows of ``c`` and their missing-input counts at its invars."""
+        self.ids = count()
+        self.root = _step_node((), (), False, c.invars == c.outvars, _enabled(missing), units, self.ids)
+        self.children: dict = {}
+        self.room = _TREE_ROOM_PER_ELEMENT * (len(c.var_types) + len(units))
+
+
+def _step_node(
+    ready: tuple[str, ...],
+    left: tuple[str, ...],
+    double: bool,
+    final: bool,
+    enabled: Iterable[str],
+    units: Mapping[str, tuple],
+    ids: Iterator[int],
+) -> tuple:
+    """The step-tree node of a step, given whether the domain it reaches is final, the units it enables and the rows."""
+    if final:
+        return ready, left, double, (), (), Outcome.FINAL, None
+    enabled = tuple(sorted(enabled))
+    if not enabled:
+        return ready, left, double, (), (), Outcome.DEADLOCK, None
+    sizes = tuple(filter(None, map(_DRAW, map(units.__getitem__, enabled))))
+    return ready, left, double, enabled, sizes, None, next(ids)
 
 
 def _write(
@@ -425,7 +500,7 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     Which units are enabled and ready depends on which variables hold
     values, never on their Booleans, so a run's steps depend only on its
     draws. The circuit keeps the steps its runs have taken in its step
-    tree (see ``model._StepTree``): a node per step and the situation it
+    tree (see ``_StepTree``): a node per step and the situation it
     reaches from the invars, with the step's ready units, the variables
     that left the domain and whether two ready units write one variable,
     and the situation's enabled units, draw sizes and ending; below a node
@@ -435,17 +510,22 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     where two units write one variable checks for a conflict, as that
     depends on the Booleans; it costs O(firing units' flows).
 
-    A step not in the tree is derived live. Each unit counts its input
-    variables still unassigned (as in Kahn's topological sort), recounted
-    from the domain, O(V + E), once, wherever the run leaves the tree (at
-    the root the domain is exactly the invars). After a step only
-    the consumers of variables that entered or left the domain are updated,
-    so a derived step costs O(firing units' flows + changed variables x
-    their consumers). Each derived step is attached as a new node in one
-    dict store, so an interrupted run leaves a valid tree, while the tree
-    holds at most ``model._TREE_ROOM_PER_ELEMENT`` entries per variable and
-    unit; past that, runs derive their new steps without keeping them. A
-    seed-free circuit only ever draws ``()``, so its tree is one chain.
+    Every situation is derived from each unit's count of input variables
+    still unassigned (as in Kahn's topological sort): the units that miss
+    nothing are enabled. The counts are taken from the domain, O(V + E):
+    on the circuit's first run, at the invars, where they give the tree's
+    root, and on a later run wherever it leaves the tree (once, unless
+    another thread attaches steps below the ones this run derives).
+    After a derived step only the consumers of variables that entered or
+    left the domain have their counts updated; the units enabled then are
+    the units enabled before that still miss nothing, and those whose count
+    reached zero. So a derived step costs O(firing units' flows + changed
+    variables x their consumers + enabled units). Each derived step is
+    attached as a new node in one dict store, so an interrupted run leaves
+    a valid tree, while the tree holds at most ``_TREE_ROOM_PER_ELEMENT``
+    entries per variable and unit; past that, runs derive their new steps
+    without keeping them. A seed-free circuit only ever draws ``()``, so its
+    tree is one chain.
 
     The trace records each step's change, not its state (see
     :class:`Trace`): the first step holds ``init``, the last a state of its
@@ -455,15 +535,18 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     if init.time != 0 or init.values.keys() != c.invars:
         raise StructureError("run() needs an initial state (time 0, exactly the invars)")
     _check_tags(c, init.values)
-    t = c._exec_tables
-    units, tree = t.units, t.schedule
+    units, consumers = c._exec_tables
+    values = dict(init.values)
+    missing: Optional[dict[str, int]] = None  # the counts, set up where the run first derives a situation
+    tree = c.__dict__.get("_step_tree")
+    if tree is None:
+        missing = _missing_inputs(units, values)
+        tree = c.__dict__.setdefault("_step_tree", _StepTree(c, units, missing))  # one tree if two threads race
     lookup = tree.children.get
     _, _, _, enabled, sizes, ending, ident = tree.root  # the situation the run has reached
     below = SplitMix64(cfg.seed).below
     max_steps = cfg.max_steps
     steps: list[TraceStep] = []
-    values = dict(init.values)
-    missing: Optional[dict[str, int]] = None  # the counts, set up when the run leaves the tree
     grow = True  # false once a derived step did not fit the tree, so its node is not in the tree
     time = 0
     state: Optional[State] = init  # the state this step holds, or None when only its change is kept
@@ -502,12 +585,11 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
             for v in left:
                 del values[v]
             values.update(produced)
+            # counts taken before a replayed step are stale: another thread may attach below a node this run derived
+            missing = None
         else:
-            if missing is None:  # the run leaves the tree here; set up what deriving reads
-                consumers, outvars, ids = t.consumers, c.outvars, tree.ids
+            if missing is None:  # the run leaves the tree here
                 missing = _missing_inputs(units, values)
-                enabled_set = set(enabled)
-                peak = len(enabled_set)
             # without draws every enabled group is a single unit, so every enabled unit is ready
             ready = tuple(sorted(_pick_ready(units, enabled, iter(key[1])))) if sizes else enabled
             results, produced, left, entered, conflict = _fire(units, ready, values)
@@ -517,23 +599,17 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
             for v in left:
                 for u in consumers[v]:
                     missing[u] += 1
-                    enabled_set.discard(u)
+            # no input of a unit enabled before the step entered the domain, so no unit is listed twice
+            now = [u for u in enabled if not missing[u]]
             for v in entered:
                 for u in consumers[v]:
                     n = missing[u] - 1
                     missing[u] = n
                     if not n:
-                        enabled_set.add(u)
-            n = len(enabled_set)
-            if n > peak:
-                peak = n
-            elif n * 8 < peak:
-                # a set keeps its table when it shrinks, and sorting it visits every slot
-                enabled_set = set(enabled_set)
-                peak = n
+                        now.append(u)
             left = tuple(left)
             double = len(produced) < sum(map(len, map(_POST, map(units.__getitem__, ready))))
-            node = _step_node(ready, left, double, values.keys() == outvars, enabled_set, units, ids)
+            node = _step_node(ready, left, double, values.keys() == c.outvars, now, units, tree.ids)
             _, _, _, reached, sizes, ending, ident = node
             size = 1 + len(ready) + len(left) + len(reached)
             if grow and tree.room >= size:

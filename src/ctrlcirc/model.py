@@ -19,11 +19,9 @@ Structural rules enforced by :func:`validate_circuit`:
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import StructureError, ValidationError
@@ -51,73 +49,8 @@ class Flow:
     dst: str
 
 
-class Outcome(enum.Enum):
-    """How a run ended."""
-
-    FINAL = "final"
-    DEADLOCK = "deadlock"
-    STEP_LIMIT = "step-limit"
-    WRITE_CONFLICT = "write-conflict"
-
-
-# A circuit's step tree holds at most this many entries per variable and unit (see ``_StepTree``).
-_TREE_ROOM_PER_ELEMENT = 64
-
-
-class _StepTree:
-    """The value-free steps the runs of one circuit have taken, keyed by their draws.
-
-    A node is a step and the situation it reaches from the invars, a tuple
-    ``(ready, left, double, enabled, sizes, ending, ident)``: the step's
-    sorted ready units, the variables that leave the domain, and whether
-    two ready units write one variable (``()``, ``()`` and ``False`` at the
-    root); then the sorted units enabled after it, the sizes of the draws a
-    step makes there (the nonzero ``draw`` fields of their unit rows in
-    ``_ExecTables.units``: one per enabled group of two or more members, at
-    its least member, in sorted order), ``Outcome.FINAL``, ``Outcome.DEADLOCK``
-    or ``None``, and an id unique in the tree (``None`` at an ending, which
-    enables nothing and makes no draws). ``children`` maps ``(ident, draw
-    results)``, or ``ident`` alone at a node without draws, to the node
-    that step reaches. One flat dict for the whole tree keeps nodes free of
-    containers, so the cyclic garbage collector stops tracking them.
-    ``ids`` numbers new nodes, one ``next`` each, so runs in two threads
-    never give two nodes one id; ``room`` is what is left of the tree's size
-    bound, counted as one entry per node below the root plus the ids its
-    ready, left and enabled tuples hold. :func:`~ctrlcirc.dynamics.run`
-    attaches a node only while it fits.
-    """
-
-    __slots__ = ("root", "children", "ids", "room")
-
-    def __init__(self, final: bool, enabled: Iterable[str], units: Mapping[str, tuple], room: int):
-        """A tree of just the root, given whether the invars are final, the units they enable and the unit rows."""
-        self.ids = itertools.count()
-        self.root = _step_node((), (), False, final, enabled, units, self.ids)
-        self.children: dict = {}
-        self.room = room
-
-
-def _step_node(
-    ready: tuple[str, ...],
-    left: tuple[str, ...],
-    double: bool,
-    final: bool,
-    enabled: Iterable[str],
-    units: Mapping[str, tuple],
-    ids: Iterator[int],
-) -> tuple:
-    """The step-tree node of a step, given whether the domain it reaches is final, the units it enables and the rows."""
-    if final:
-        return ready, left, double, (), (), Outcome.FINAL, None
-    enabled = tuple(sorted(enabled))
-    if not enabled:
-        return ready, left, double, (), (), Outcome.DEADLOCK, None
-    sizes = tuple(filter(None, map(_DRAW, map(units.__getitem__, enabled))))
-    return ready, left, double, enabled, sizes, None, next(ids)
-
-
 class _ExecTables(NamedTuple):
-    """What execution reads of a circuit: one row per unit, the consumers of each variable, and the step tree.
+    """What execution reads of a circuit: one row per unit and the consumers of each variable.
 
     ``units`` maps each unit to its row ``(pre, bool_in, post, group,
     draw)``: its input variables, sorted; the Boolean ones among them; its
@@ -128,20 +61,10 @@ class _ExecTables(NamedTuple):
     more members and 0 otherwise. ``consumers`` holds the units a variable
     feeds. Repeated flows between one variable and one unit count once
     everywhere.
-
-    ``schedule`` is the circuit's step tree, rooted at the invars, in which
-    :func:`~ctrlcirc.dynamics.run` keeps the steps its runs derive. A
-    seed-free circuit (no group of two or more) only ever draws ``()``, so
-    its tree is a chain.
     """
 
     units: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[tuple[str, bool], ...], tuple[str, ...], int]]
     consumers: dict[str, tuple[str, ...]]
-    schedule: _StepTree
-
-
-# Fields of a unit row in ``_ExecTables.units``, for reading many rows in one C-level ``map``.
-_PRE, _POST, _DRAW = itemgetter(0), itemgetter(2), itemgetter(4)
 
 
 class _cached_view:
@@ -153,8 +76,8 @@ class _cached_view:
     compute a view on its first read; both get an equal value.
     """
 
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__  # named as on ``cached_property``
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
@@ -162,7 +85,7 @@ class _cached_view:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.name] = self.fn(obj)
+        value = obj.__dict__[self.name] = self.func(obj)
         return value
 
 
@@ -254,17 +177,7 @@ class Circuit:
             for u in g:
                 units[u] = (vs, bool_in, post_of[u], g, draw)
                 draw = 0
-        invars = self.invars
-        return _ExecTables(
-            units=units,
-            consumers={v: tuple(dict.fromkeys(us)) for v, us in cons.items()},
-            schedule=_StepTree(
-                invars == self.outvars,
-                itertools.compress(units, map(invars.issuperset, map(_PRE, units.values()))),
-                units,
-                _TREE_ROOM_PER_ELEMENT * (len(vt) + len(self.units)),
-            ),
-        )
+        return _ExecTables(units, {v: tuple(dict.fromkeys(us)) for v, us in cons.items()})
 
     def pre_set(self, unit: str) -> frozenset[str]:
         """Variables connected into ``unit``: a copy of the inputs in its execution-table row, O(|pre-set|).

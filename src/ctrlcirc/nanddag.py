@@ -18,13 +18,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import StructureError, ValidationError
-from .model import BOOL, CTRL, Circuit, Flow, mk_primitive
+from .model import BOOL, CTRL, Circuit, Flow, _cached_view, mk_primitive
 from .dynamics import ExecConfig, Outcome, State, Trace, Value, initial_state, run
 
 _ZERO, _ONE = Value.ZERO, Value.ONE
@@ -43,7 +42,7 @@ class NandDag:
     nodes: Mapping[str, NodeKind]
     edges: frozenset[tuple[str, str]]
 
-    @cached_property
+    @_cached_view
     def out_edges(self) -> dict[str, list[tuple[str, str]]]:
         """Each node's out-edges, sorted; the only sort of the edge set.
 
@@ -56,7 +55,7 @@ class NandDag:
                 table[n] = []
         return table
 
-    @cached_property
+    @_cached_view
     def in_edges(self) -> dict[str, list[tuple[str, str]]]:
         """Each node's in-edges, sorted: filled from the sorted edge walk."""
         table: dict[str, list[tuple[str, str]]] = {n: [] for n in self.nodes}
@@ -68,17 +67,17 @@ class NandDag:
         """The edges in sorted order, read off the ``out_edges`` rows."""
         return chain.from_iterable(self.out_edges.values())
 
-    @cached_property
+    @_cached_view
     def _input_vars(self) -> tuple[tuple[str, tuple[tuple[str, str], ...]], ...]:
         """Per input node, in sorted order: its (control, Boolean) invar pair per outgoing edge."""
         return tuple((n, tuple((ctrl_var(e), bool_var(e)) for e in self.out_edges[n])) for n in self.inputs())
 
-    @cached_property
+    @_cached_view
     def _output_vars(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """Per output node, in sorted order: the Boolean outvar of each incoming edge."""
         return tuple((n, tuple(bool_var(e) for e in self.in_edges[n])) for n in self.outputs())
 
-    @cached_property
+    @_cached_view
     def _oracle_order(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
         """What the ``eval_dag`` oracle reads: the topological order, then the sorted input and output nodes.
 

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from ctrlcirc import (
+    BOOL,
     CTRL,
     CompositionError,
     Flow,
     Span,
+    StructureError,
     circuit_violations,
     compose_morphisms,
     copair,
@@ -302,3 +304,25 @@ def test_iso_agrees_with_brute_force_on_small_circuits(rnd):
         if len(a.vars) > 6 or len(b.vars) > 6:
             continue
         assert (_brute_force_iso(a, b)) == (is_isomorphic(a, b) is not None)
+
+
+def test_span_legs_must_share_the_apex():
+    apex, other = mk_trivial([CTRL]), mk_trivial([CTRL, CTRL])
+    with pytest.raises(StructureError, match=r"^span legs must share the apex as their domain$"):
+        Span(apex, identity_morphism(other), identity_morphism(apex))
+
+
+def test_copair_refuses_wrong_summands_and_codomains():
+    a, b = mk_trivial([CTRL]), mk_trivial([CTRL, CTRL])
+    cp = coproduct(a, b)
+    with pytest.raises(StructureError, match=r"^copair components must match the coproduct summands$"):
+        copair(identity_morphism(b), identity_morphism(b), cp)
+    with pytest.raises(StructureError, match=r"^copair components must share a codomain$"):
+        copair(identity_morphism(a), identity_morphism(b), cp)
+
+
+def test_the_kernel_asserts_that_glued_variables_share_a_type():
+    # operators and pushout refuse such pairs first; only hand-built seeds reach the kernel's own check
+    c = mk_trivial([CTRL, BOOL])
+    with pytest.raises(AssertionError, match=r"^gluing identified variables of different types at 'v1'$"):
+        colimits._glue(c, c, ([("v1", "v2")], (), (), ()), "t")

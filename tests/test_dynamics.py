@@ -378,3 +378,19 @@ def test_splitmix_reference_values():
     rng2 = SplitMix64(0x12345678)
     seen = {rng2.below(4) for _ in range(64)}
     assert seen == {0, 1, 2, 3}
+
+
+
+@pytest.mark.parametrize("time, drop", [(1, False), (0, True)], ids=["later-time", "not-every-invar"])
+def test_run_refuses_a_state_that_is_not_initial(and_c, time, drop):
+    values = {v: S if and_c.var_types[v] is CTRL else B1 for v in sorted(and_c.invars)}
+    if drop:
+        del values[max(values)]
+    with pytest.raises(StructureError, match=r"^run\(\) needs an initial state \(time 0, exactly the invars\)$"):
+        run(and_c, State(time, values), ExecConfig())
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_splitmix_below_refuses_a_bound_below_one(n):
+    with pytest.raises(ValueError, match=r"^below\(\) needs a positive bound$"):
+        SplitMix64(0).below(n)

@@ -1,9 +1,10 @@
 """Differential tests: a circuit's execution rows against the seven-table build they replaced.
 
 ``Circuit._exec_tables`` keeps one row per unit, ``(pre, bool_in, post,
-group, draw)``, beside the consumers table and the step tree, and ``run``
-recounts each unit's missing inputs from the domain wherever it leaves the
-tree. ``reference_tables`` is a frozen copy of the earlier build, which kept
+group, draw)``, beside the consumers table. ``run`` counts each unit's
+missing inputs from the domain, at the invars on a circuit's first run,
+where the counts give the root of the step tree it plants, and wherever a
+later run leaves the tree. ``reference_tables`` is a frozen copy of the earlier build, which kept
 seven tables keyed by unit or variable and each unit's missing-input count
 at the invars. Every sampled circuit must give the same rows, consumers and
 tree root, and the recount at the invars must equal the old counts.
@@ -22,7 +23,7 @@ from ctrlcirc.nanddag import random_dag, to_control
 from ctrlcirc.serialize import dumps_circuit, loads_circuit
 from conftest import random_circuit
 from test_differential import doubled_flow_circuit, random_flow_graph, toggle_loop, with_doubled_flows
-from test_run_memo import competing_random_circuit
+from test_run_memo import competing_random_circuit, step_tree
 
 
 def reference_tables(c):
@@ -91,11 +92,11 @@ def test_the_sample_has_competing_groups_and_netlists():
 def test_rows_consumers_root_and_counts_match_the_seven_table_build(c):
     ref = reference_tables(c)
     t = c._exec_tables
-    assert t._fields == ("units", "consumers", "schedule")
+    assert t._fields == ("units", "consumers")
     assert t.units.keys() == c.units
     for u, row in t.units.items():
         want = (ref["pre"][u], ref["bool_in"][u], ref["post"][u], ref["group"][u], ref["draw"].get(u, 0))
         assert row == want, u
     assert t.consumers == ref["consumers"]
-    assert t.schedule.root == reference_root(c, ref)
+    assert step_tree(c).root == reference_root(c, ref)
     assert _missing_inputs(t.units, dict.fromkeys(c.invars)) == ref["missing"]

@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from ctrlcirc import (
     BOOL,
     CTRL,
+    StructureError,
     check_morphism,
     classify,
     compose_morphisms,
@@ -12,6 +15,7 @@ from ctrlcirc import (
     mk_primitive,
     mk_trivial,
     out_adjoint,
+    parallel,
     validate_morphism,
 )
 from ctrlcirc.fixtures import build_and
@@ -182,3 +186,42 @@ def test_adjoint_domains_fixture_tags():
     assert sorted(t.value for t in and_in.var_types.values()) == ["bool", "bool", "ctrl"]
     not_out = out_adjoint(build_not()).domain
     assert sorted(t.value for t in not_out.var_types.values()) == ["bool", "ctrl"]
+
+
+def swapped_maps(c, *pairs):
+    """The identity maps of ``c``'s four id kinds with each pair of ids swapped."""
+    maps = []
+    for ids in (c.var_types, c.units, c.in_flows, c.out_flows):
+        m = {x: x for x in ids}
+        for a, b in pairs:
+            if a in m:
+                m[a], m[b] = b, a
+        maps.append(m)
+    return maps
+
+
+@pytest.mark.parametrize(
+    "swaps, broken",
+    [
+        ((("u1", "u1/par/u1"), ("o1", "o1/par/o1"), ("v2", "v2/par/v2")), "input-unit-square-broken"),
+        ((("u1", "u1/par/u1"), ("i1", "i1/par/i1"), ("v1", "v2/par/v1")), "output-unit-square-broken"),
+        ((("v2", "v2/par/v2"),), "target-square-broken"),
+    ],
+    ids=["units-and-out-flows", "units-and-in-flows", "outvars"],
+)
+def test_each_flow_square_is_checked_on_its_own(swaps, broken):
+    # two copies of one primitive side by side; swapping the copies' elements of some kinds breaks one square
+    c = parallel(mk_primitive(1, 0, 1, 0), mk_primitive(1, 0, 1, 0))
+    assert check_morphism(c, c, *swapped_maps(c, *swaps)) == [broken]
+
+
+def test_a_map_into_undeclared_elements_is_refused():
+    c = mk_trivial([CTRL])
+    with pytest.raises(StructureError, match=r"^f_v maps into undeclared elements: \['nope'\]$"):
+        check_morphism(c, c, {"v1": "nope"}, {}, {}, {})
+
+
+def test_compose_morphisms_refuses_maps_that_do_not_compose():
+    f, g = identity_morphism(mk_trivial([CTRL])), identity_morphism(mk_trivial([CTRL, CTRL]))
+    with pytest.raises(StructureError, match=r"^compose_morphisms: codomain of first argument != domain of second$"):
+        compose_morphisms(g, f)

@@ -465,3 +465,11 @@ def test_family_member_for_k10_builds_and_matches_its_table():
     member = synth_family({10: table}).members[10]
     for row in rng.sample(range(2**10), 3):
         assert member.evaluate([(row >> i) & 1 for i in range(10)]) == table[row]
+
+
+def test_member_and_family_refuse_an_input_of_another_length():
+    fam = synth_family({1: [1, 0]})
+    with pytest.raises(StructureError, match=r"^expected 1 input bits, got 2$"):
+        fam.members[1].evaluate([0, 1])
+    with pytest.raises(StructureError, match=r"^family has no member for input length 2$"):
+        fam.evaluate([0, 1])

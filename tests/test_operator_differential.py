@@ -3,9 +3,10 @@
 ``reference_branch``, ``reference_iterate_head`` and ``reference_iterate_tail``
 are the first implementations, in which each operator built its own trivial
 apexes and ran its own final coproduct, copairs and pushout, and ``branch``
-checked each pairing twice. The library builds every apex with one helper and
-ends all three operators with one gluing step. Composites, all maps, gluing
-domains and refusals (code and message) must come out equal.
+checked each pairing twice. The library builds no apex: each operator checks
+its rows once, hands the variable pairs they identify to the gluing kernel
+and ends with one gluing step. Composites, all maps, gluing domains and
+refusals (code and message) must come out equal.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ from ctrlcirc import (
     CTRL,
     CompositionError,
     IterationWiring,
+    Span,
     StructureError,
     branch,
+    identity_morphism,
     in_adjoint,
     is_isomorphic,
     iterate_head,
@@ -19,8 +21,10 @@ from ctrlcirc import (
     out_adjoint,
     parallel,
     sequence,
+    sequence_span,
     unit_circuit,
     validate_circuit,
+    validate_morphism,
 )
 from ctrlcirc.fixtures import (
     build_action,
@@ -465,3 +469,22 @@ def test_iterate_tail_role_swap_is_rejected():
     with pytest.raises(CompositionError) as exc:
         iterate_tail(swapped)
     assert exc.value.code == "iteration-wiring-mismatch"
+
+
+def test_sequence_span_refuses_a_non_trivial_apex_and_legs_that_are_not_mono():
+    prim = mk_primitive(1, 0, 1, 0)
+    with pytest.raises(CompositionError, match=r"^span-apex-not-trivial$") as exc:
+        sequence_span(Span(prim, identity_morphism(prim), identity_morphism(prim)))
+    assert exc.value.code == "span-apex-not-trivial"
+    apex = mk_trivial([CTRL, CTRL])
+    fold = validate_morphism(apex, unit_circuit(), {"v1": "v1", "v2": "v1"}, {}, {}, {})
+    with pytest.raises(CompositionError, match=r"^span-legs-not-mono$") as exc:
+        sequence_span(Span(apex, fold, identity_morphism(apex)))
+    assert exc.value.code == "span-legs-not-mono"
+
+
+def test_sequence_refuses_a_pair_naming_an_unknown_variable():
+    prim = mk_primitive(1, 0, 1, 0)
+    with pytest.raises(CompositionError, match=r"^pairing-unknown-variable: \(nope, v1\)$") as exc:
+        sequence(prim, prim, [("nope", "v1")])
+    assert exc.value.code == "pairing-unknown-variable"

@@ -1,23 +1,25 @@
 """Differential tests: runs that replay a circuit's known steps against ``reference_run``.
 
 ``run`` keeps the value-free steps a circuit's runs have taken in a tree
-in its execution tables, keyed by each step's draws, and replays them for
-later runs, deriving steps live only where a run leaves the tree. A
-seed-free circuit (no two units share an input variable set) draws
-nothing, so its tree is a chain. Every run here is compared with
+that the first run plants on the circuit, keyed by each step's draws, and
+replays them for later runs, deriving steps live only where a run leaves
+the tree. A seed-free circuit (no two units share an input variable set)
+draws nothing, so its tree is a chain. Every run here is compared with
 ``reference_run``, which derives every step afresh, on ``Trace`` equality
 and on the JSONL bytes, across runs of one circuit object: over all its
 inputs and many seeds, with step bounds that grow and shrink, on write
 conflicts that depend on the inputs or on the draws, on loops and
-deadlocks, after interrupted runs, past the tree's size bound, and
-interleaved with ``step`` and the set queries. Seeded circuits draw
-exactly as the reference does.
+deadlocks, after interrupted runs, past the tree's size bound, in threads
+racing on cold circuits, and interleaved with ``step`` and the set
+queries. Seeded circuits draw exactly as the reference does.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
 from collections import Counter
 from operator import is_
 
@@ -39,9 +41,9 @@ from ctrlcirc import (
     validate_circuit,
 )
 from ctrlcirc import cli, dynamics
-from ctrlcirc.dynamics import WriteConflictError, is_final
+from ctrlcirc.dynamics import _TREE_ROOM_PER_ELEMENT, WriteConflictError, _missing_inputs, _StepTree, is_final
 from ctrlcirc.fixtures import REGISTRY, fixture
-from ctrlcirc.model import _TREE_ROOM_PER_ELEMENT, Flow
+from ctrlcirc.model import Flow
 from ctrlcirc.nanddag import lift_inputs, random_dag, to_control
 from ctrlcirc.operators import branch, parallel
 from ctrlcirc.serialize import dumps_circuit, loads_circuit, trace_to_jsonl
@@ -60,13 +62,21 @@ from test_differential import (
 S, B0, B1 = Value.SIGNAL, Value.ZERO, Value.ONE
 
 
+def step_tree(c):
+    """The circuit's step tree, planted at the invars as a first run plants it if no run has."""
+    units = c._exec_tables.units
+    return vars(c).get("_step_tree") or vars(c).setdefault(
+        "_step_tree", _StepTree(c, units, _missing_inputs(units, dict.fromkeys(c.invars)))
+    )
+
+
 def known(c):
     """A seed-free circuit's known steps and the ending after them (or None).
 
     The steps are the nodes along its tree's chain below the root, each
     ``(ready, left, double, enabled, sizes, ending, ident)``.
     """
-    tree = c._exec_tables.schedule
+    tree = step_tree(c)
     node, steps = tree.root, []
     while node[6] in tree.children:  # a node without draws keys its child by its id alone
         node = tree.children[node[6]]
@@ -90,7 +100,7 @@ def tree_size(c):
 
     Every child must hang below the root.
     """
-    tree = c._exec_tables.schedule
+    tree = step_tree(c)
     below = {}
     for key, node in tree.children.items():
         below.setdefault(key if type(key) is int else key[0], []).append(node)
@@ -425,7 +435,7 @@ def test_seeded_circuits_replay_over_many_seeds(c):
         init = initial_state(c, inputs[seed % len(inputs)])
         traces.append(assert_reference(c, init, ExecConfig(seed=seed, max_steps=600)))
     size = tree_size(c)
-    assert size == tree_bound(c) - c._exec_tables.schedule.room
+    assert size == tree_bound(c) - step_tree(c).room
     # the second pass replays: same traces, and the tree does not grow
     for seed, tr in enumerate(traces):
         assert run(c, initial_state(c, inputs[seed % len(inputs)]), ExecConfig(seed=seed, max_steps=600)) == tr
@@ -469,7 +479,7 @@ def test_a_write_conflict_on_some_draws_only():
                     assert tr.conflict == "units 'a1' and 'b' write different Booleans into 't'"
     assert seen[True] == {(("a1", "b"), Outcome.DEADLOCK), (("a2", "b"), Outcome.DEADLOCK)}
     assert seen[False] == {(("a1", "b"), Outcome.WRITE_CONFLICT), (("a2", "b"), Outcome.DEADLOCK)}
-    children, root = c._exec_tables.schedule.children, c._exec_tables.schedule.root[6]
+    children, root = step_tree(c).children, step_tree(c).root[6]
     assert children[root, (0,)][2] and not children[root, (1,)][2]  # only drawing a1 makes two units write t
 
 
@@ -478,12 +488,13 @@ def test_a_write_conflict_on_some_draws_only():
 def test_an_exception_in_a_derived_step_leaves_a_valid_tree(monkeypatch, name, k):
     for c in (cold(fixture("p53")), cold(fixture("flipflop")), toggle_loop()):
         inputs = all_inputs(c)
-        restore = interrupt_on_call(monkeypatch, name, k)
+        # a cold circuit's first run builds its root with ``_step_node`` too: skip that call
+        restore = interrupt_on_call(monkeypatch, name, k + (name == "_step_node"))
         with pytest.raises(KeyboardInterrupt):
             for seed in range(200):
                 run(c, initial_state(c, inputs[seed % len(inputs)]), ExecConfig(seed=seed, max_steps=300))
         restore()
-        assert tree_size(c) == tree_bound(c) - c._exec_tables.schedule.room
+        assert tree_size(c) == tree_bound(c) - step_tree(c).room
         for seed in range(200):
             assert_reference(c, initial_state(c, inputs[seed % len(inputs)]), ExecConfig(seed=seed, max_steps=300))
 
@@ -502,7 +513,7 @@ def pairs_loop(k):
 
 def test_a_high_entropy_loop_fills_the_tree_up_to_its_bound():
     c = pairs_loop(8)
-    bound, tree = tree_bound(c), c._exec_tables.schedule
+    bound, tree = tree_bound(c), step_tree(c)
     inputs = all_inputs(c)
     paths = set()
     for seed in range(500):
@@ -511,6 +522,62 @@ def test_a_high_entropy_loop_fills_the_tree_up_to_its_bound():
         paths.update(readies[:n] for n in range(1, len(readies) + 1))
         assert 0 <= tree.room and tree_size(c) == bound - tree.room
     assert len(tree.children) < len(paths)  # the runs took more steps than the tree could keep
+
+
+def test_a_cold_run_counts_missing_inputs_once_at_the_invars(monkeypatch):
+    real, counted = dynamics._missing_inputs, []
+    monkeypatch.setattr(dynamics, "_missing_inputs", lambda units, values: counted.append(dict(values)) or real(units, values))
+    d = spine_netlist(30, 3, random.Random(9))
+    for c, init in (
+        (cold(fixture("p53")), None),
+        (cold(fixture("flipflop")), None),
+        (toggle_loop(), None),
+        (to_control(d).circuit, lift_inputs(d, vectors(d)[5])),
+    ):
+        init = init or initial_state(c, all_inputs(c)[0])
+        counted.clear()
+        assert_reference(c, init, ExecConfig(seed=3, max_steps=300))
+        assert counted == [init.values]  # the root and every derived step read these counts
+        counted.clear()
+        assert_reference(c, init, ExecConfig(seed=3, max_steps=300))
+        assert counted == []  # the second run replays every step
+
+
+def test_threads_racing_on_cold_circuits_run_as_the_reference():
+    """Four threads start together on each cold circuit, switching every microsecond, and plant one tree.
+
+    A thread whose first run lost the planting race replays the steps
+    another thread attached, so the counts it took at the invars are stale
+    once it leaves the tree; it must count again there.
+    """
+    jobs = []
+    for c in [cold(fixture(name)) for name in ("p53", "flipflop") for _ in range(15)] + [toggle_loop(), pairs_loop(3)]:
+        inputs = all_inputs(c)
+        inits = [initial_state(c, inputs[seed % len(inputs)]) for seed in range(20)]
+        jobs.append((c, inits, [reference_run(c, init, ExecConfig(seed=seed, max_steps=80)) for seed, init in enumerate(inits)]))
+    wrong = []
+
+    def work(c, inits, want, seeds, start):
+        start.wait(timeout=60)
+        for seed in seeds:
+            if run(c, inits[seed], ExecConfig(seed=seed, max_steps=80)) != want[seed]:
+                wrong.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for c, inits, want in jobs:
+            start = threading.Barrier(4)
+            threads = [threading.Thread(target=work, args=(c, inits, want, [*range(k, 20), *range(k)], start)) for k in (0, 5, 10, 15)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert type(vars(c)["_step_tree"]) is _StepTree
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 @pytest.mark.parametrize(
