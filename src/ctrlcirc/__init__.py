@@ -70,6 +70,7 @@ from .dynamics import (
     reduce_unit,
     run,
     step,
+    tally_runs,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,7 +19,7 @@ from .errors import CircuitError, CompositionError, StructureError, ValidationEr
 from .model import classify, is_sound
 from .colimits import Span, coproduct, is_isomorphic
 from .operators import IterationWiring, auto_pairing, branch, iterate_head, iterate_tail, sequence, sequence_span
-from .dynamics import ExecConfig, Outcome, initial_state, run
+from .dynamics import ExecConfig, Outcome, initial_state, run, tally_runs
 from .nanddag import synth_family, to_control
 from .dot import export_dot
 from .fixtures import REGISTRY, fixture
@@ -223,10 +223,9 @@ def cmd_exec(args) -> int:
     if args.runs > 1:
         outcomes: Counter[str] = Counter()
         fired_sets: Counter[frozenset[str]] = Counter()
-        for k in range(args.runs):
-            tr = run(c, init, ExecConfig(seed=args.seed + k, max_steps=args.max_steps))
-            outcomes[tr.outcome.value] += 1
-            fired_sets[tr.fired_units()] += 1
+        for (outcome, fired), n in tally_runs(c, init, cfg, args.runs).items():
+            outcomes[outcome.value] += n
+            fired_sets[fired] += n
         # each distinct set is sorted once, here, not once per run
         counted = [(sorted(units), n) for units, n in fired_sets.items()]
         payload = {

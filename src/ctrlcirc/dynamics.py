@@ -18,14 +18,20 @@ situation, the tree's root included, is derived from each unit's count of
 missing inputs. A circuit without competing units (a seed-free circuit,
 such as every imported netlist) draws nothing, so it fires the same units
 in the same order from every input and its tree is one chain. A run ends
-in one of the :class:`Outcome` members.
+in one of the :class:`Outcome` members. So a run's outcome and fired units
+also follow from its draws alone, except at a step where two ready units
+write one variable: :func:`tally_runs` counts them over many seeds by
+walking the tree, making only the draws, and runs a seed in full only
+where its path leaves the tree or meets such a step.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import is_not, itemgetter, not_
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -382,10 +388,12 @@ class _StepTree:
     each, so runs in two threads never give two nodes one id; ``room`` is
     what is left of the tree's size bound, counted as one entry per node
     below the root plus the ids its ready, left and enabled tuples hold.
-    :func:`run` attaches a node only while it fits.
+    :func:`run` attaches a node only while it fits, and only once per key:
+    it holds ``lock`` while it checks the room, attaches and debits, and
+    never while it replays a step.
     """
 
-    __slots__ = ("root", "children", "ids", "room")
+    __slots__ = ("root", "children", "ids", "room", "lock")
 
     def __init__(self, c: Circuit, units: Mapping[str, tuple], missing: Mapping[str, int]):
         """The tree of just the root, given the unit rows of ``c`` and their missing-input counts at its invars."""
@@ -393,6 +401,7 @@ class _StepTree:
         self.root = _step_node((), (), False, c.invars == c.outvars, _enabled(missing), units, self.ids)
         self.children: dict = {}
         self.room = _TREE_ROOM_PER_ELEMENT * (len(c.var_types) + len(units))
+        self.lock = threading.Lock()
 
 
 def _step_node(
@@ -524,8 +533,13 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     attached as a new node in one dict store, so an interrupted run leaves
     a valid tree, while the tree holds at most ``_TREE_ROOM_PER_ELEMENT``
     entries per variable and unit; past that, runs derive their new steps
-    without keeping them. A seed-free circuit only ever draws ``()``, so its
-    tree is one chain.
+    without keeping them. A step is attached once: a run that derived a
+    step another thread attached first goes on from the stored node, the
+    same step under another id, and debits no room. The room check, the
+    debit and the attach hold the tree's lock, which a replayed step never
+    takes. A seed-free circuit only ever draws ``()``, so its tree is one
+    chain. :func:`tally_runs` walks the same tree to count the outcomes and
+    fired units of many seeds without building their traces.
 
     The trace records each step's change, not its state (see
     :class:`Trace`): the first step holds ``init``, the last a state of its
@@ -611,12 +625,20 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
             double = len(produced) < sum(map(len, map(_POST, map(units.__getitem__, ready))))
             node = _step_node(ready, left, double, values.keys() == c.outvars, now, units, tree.ids)
             _, _, _, reached, sizes, ending, ident = node
-            size = 1 + len(ready) + len(left) + len(reached)
-            if grow and tree.room >= size:
-                tree.room -= size
-                tree.children[key] = node
-            else:
-                grow = False
+            if grow:
+                size = 1 + len(ready) + len(left) + len(reached)
+                with tree.lock:
+                    if tree.room >= size:
+                        stored = tree.children.setdefault(key, node)
+                        if stored is node:
+                            tree.room -= size
+                    else:
+                        stored = tree.children.get(key)
+                if stored is None:
+                    grow = False
+                else:
+                    # another thread may have attached this step first: the same step under its own id
+                    ident = stored[6]
         rec = TraceStep(time, state, enabled, ready, results)
         rec._change = change
         steps.append(rec)
@@ -634,3 +656,61 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     rec._change = change
     steps.append(rec)
     return Trace(tuple(steps), outcome, conflict[1] if conflict else None)
+
+
+def tally_runs(c: Circuit, init: State, cfg: ExecConfig, runs: int) -> Counter[tuple[Outcome, frozenset[str]]]:
+    """How often each ``(outcome, fired units)`` pair ends the ``runs`` runs from seed ``cfg.seed`` on.
+
+    Equal to counting ``(tr.outcome, tr.fired_units())`` over the traces
+    ``run(c, init, ExecConfig(seed=cfg.seed + k, max_steps=cfg.max_steps))``
+    for ``k < runs``, without building them. A run's outcome and fired
+    units depend only on its draws, except at a step where two ready units
+    write one variable, whose conflict depends on the Booleans. So each
+    seed walks the circuit's step tree (see ``_StepTree``) as :func:`run`
+    does, making only the draws: at each node it checks for an ending, then
+    for the step limit, then draws and looks up the node below. A seed
+    whose path leaves the tree or meets a step where two units write one
+    variable is run in full by :func:`run`, which attaches the steps it
+    derives; the walk attaches none. The last key of a path fixes the
+    path, so each distinct one's fired units are collected once per call.
+    A warm seed costs O(its draws + steps), and evaluates no Boolean.
+
+    Raises :class:`StructureError` when ``init`` is not an initial state
+    of ``c`` or ``runs`` is not a positive int.
+    """
+    if init.time != 0 or init.values.keys() != c.invars:
+        raise StructureError("run() needs an initial state (time 0, exactly the invars)")
+    _check_tags(c, init.values)
+    if not isinstance(runs, int) or isinstance(runs, bool) or runs < 1:
+        raise StructureError(f"runs must be an int of at least 1, got {runs!r}")
+    max_steps = cfg.max_steps
+    tally: Counter[tuple[Outcome, frozenset[str]]] = Counter()
+    leaves: dict = {}  # the last key of a walked path -> its (outcome, fired units)
+    tree = c.__dict__.get("_step_tree")
+    for seed in range(cfg.seed, cfg.seed + runs):
+        if tree is not None:
+            lookup = tree.children.get
+            below = SplitMix64(seed).below
+            _, _, _, _, sizes, ending, ident = tree.root
+            key = None
+            path = []  # the ready units of each step walked
+            while ending is None:
+                if len(path) >= max_steps:
+                    ending = Outcome.STEP_LIMIT
+                    break
+                key = (ident, tuple(map(below, sizes))) if sizes else ident
+                node = lookup(key)
+                if node is None or node[2]:  # off the tree, or a conflict that depends on the Booleans
+                    break
+                ready, _, _, _, sizes, ending, ident = node
+                path.append(ready)
+            if ending is not None:
+                leaf = leaves.get(key)
+                if leaf is None:
+                    leaf = leaves[key] = (ending, frozenset(chain.from_iterable(path)))
+                tally[leaf] += 1
+                continue
+        tr = run(c, init, ExecConfig(seed=seed, max_steps=max_steps))
+        tally[tr.outcome, tr.fired_units()] += 1
+        tree = c.__dict__["_step_tree"]
+    return tally

@@ -12,6 +12,9 @@ conflicts that depend on the inputs or on the draws, on loops and
 deadlocks, after interrupted runs, past the tree's size bound, in threads
 racing on cold circuits, and interleaved with ``step`` and the set
 queries. Seeded circuits draw exactly as the reference does.
+``tally_runs``, which walks the tree by draws alone, is compared with the
+per-seed aggregation of ``reference_run``, and a warm walk is shown to
+call neither ``run`` nor the firing code.
 """
 
 from __future__ import annotations
@@ -31,13 +34,17 @@ from ctrlcirc import (
     ExecConfig,
     Outcome,
     SplitMix64,
+    State,
+    StructureError,
     Value,
     enabled_units,
     initial_state,
+    mk_trivial,
     ready_units,
     reduce_unit,
     run,
     step,
+    tally_runs,
     validate_circuit,
 )
 from ctrlcirc import cli, dynamics
@@ -548,7 +555,9 @@ def test_threads_racing_on_cold_circuits_run_as_the_reference():
 
     A thread whose first run lost the planting race replays the steps
     another thread attached, so the counts it took at the invars are stale
-    once it leaves the tree; it must count again there.
+    once it leaves the tree; it must count again there. Two threads that
+    derive one step attach it once: the tree stays whole and its room is
+    exact.
     """
     jobs = []
     for c in [cold(fixture(name)) for name in ("p53", "flipflop") for _ in range(15)] + [toggle_loop(), pairs_loop(3)]:
@@ -575,6 +584,8 @@ def test_threads_racing_on_cold_circuits_run_as_the_reference():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert type(vars(c)["_step_tree"]) is _StepTree
+            # each step was attached once, below the root, and its room debited once
+            assert tree_size(c) == tree_bound(c) - step_tree(c).room
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
@@ -611,3 +622,101 @@ def test_exec_runs_summary_matches_a_per_run_sorted_aggregation(tmp_path, capsys
     assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# -- tally_runs: outcome counts from walking the step tree -----------------------------------
+
+
+def reference_tally(c, init, cfg, runs):
+    """``tally_runs``'s answer, from ``reference_run`` traces."""
+    seeds = range(cfg.seed, cfg.seed + runs)
+    traces = (reference_run(c, init, ExecConfig(seed=seed, max_steps=cfg.max_steps)) for seed in seeds)
+    return Counter((tr.outcome, tr.fired_units()) for tr in traces)
+
+
+def assert_tally(c, init, cfg, runs):
+    got = tally_runs(c, init, cfg, runs)
+    assert got == reference_tally(c, init, cfg, runs), (init, cfg, runs)
+    assert sum(got.values()) == runs
+    return got
+
+
+def test_tally_a_write_conflict_on_some_draws_only():
+    c = draw_race()
+    outcomes = set()
+    for _ in range(2):
+        for inputs in all_inputs(c):
+            got = assert_tally(c, initial_state(c, inputs), ExecConfig(seed=3), 40)
+            outcomes.update(outcome for outcome, _ in got)
+    assert outcomes == {Outcome.DEADLOCK, Outcome.WRITE_CONFLICT}
+
+
+def counted_runs(monkeypatch):
+    """Count the calls of ``dynamics.run``, ``_fire`` and ``_reduce`` by name."""
+    calls = Counter()
+    for fn in ("run", "_fire", "_reduce"):
+        real = getattr(dynamics, fn)
+        monkeypatch.setattr(dynamics, fn, lambda *args, _real=real, _fn=fn: calls.update([_fn]) or _real(*args))
+    return calls
+
+
+def test_tally_past_a_full_tree(monkeypatch):
+    c = pairs_loop(8)
+    cases = [(initial_state(c, inputs), ExecConfig(seed=60 * k, max_steps=40)) for k, inputs in enumerate(all_inputs(c)[:5])]
+    calls = counted_runs(monkeypatch)
+    for _ in range(2):
+        for init, cfg in cases:
+            assert_tally(c, init, cfg, 60)
+    assert tree_size(c) == tree_bound(c) - step_tree(c).room
+    # the tree is full, so the second tally of the same seeds still runs those whose paths did not fit
+    calls.clear()
+    for init, cfg in cases:
+        tally_runs(c, init, cfg, 60)
+    assert 0 < calls["run"] < 5 * 60
+
+
+@pytest.mark.parametrize("max_steps", [1, 2, 3, 5, 13])
+def test_tally_at_the_step_limit(max_steps):
+    c = toggle_loop()
+    for _ in range(2):
+        for inputs in all_inputs(c):
+            assert_tally(c, initial_state(c, inputs), ExecConfig(seed=max_steps, max_steps=max_steps), 50)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_tally_every_fixture_cold_and_warm(name):
+    for inputs in all_inputs(fixture(name)):
+        c = cold(fixture(name))
+        for max_steps in (600, 1, 600, 1):  # cold, then warm; at a bound of 1 a one-step circuit still ends final
+            for seed in (0, 977):
+                assert_tally(c, initial_state(c, inputs), ExecConfig(seed=seed, max_steps=max_steps), 30)
+
+
+def test_tally_from_a_final_root():
+    c = mk_trivial([CTRL, BOOL])
+    init = initial_state(c, {"v1": S, "v2": B0})
+    for _ in range(2):
+        assert assert_tally(c, init, ExecConfig(seed=5), 7) == Counter({(Outcome.FINAL, frozenset()): 7})
+
+
+def test_tally_refusals():
+    c = fixture("p53")
+    init = initial_state(c, all_inputs(c)[0])
+    for bad in (State(1, init.values), State(0, {}), State(0, {**init.values, "x": S})):
+        with pytest.raises(StructureError, match=r"^run\(\) needs an initial state \(time 0, exactly the invars\)$"):
+            tally_runs(c, bad, ExecConfig(), 10)
+    for runs in (0, -3):
+        with pytest.raises(StructureError, match=rf"^runs must be an int of at least 1, got {runs}$"):
+            tally_runs(c, init, ExecConfig(), runs)
+
+
+@pytest.mark.parametrize("name", ["p53", "flipflop"])
+def test_a_warm_tally_only_draws(monkeypatch, name):
+    calls = counted_runs(monkeypatch)
+    c = cold(fixture(name))
+    init, cfg = initial_state(c, all_inputs(c)[0]), ExecConfig(max_steps=600)
+    first = tally_runs(c, init, cfg, 1000)
+    assert 0 < calls["run"] <= len(step_tree(c).children)  # a cold seed runs only where it leaves the tree
+    calls.clear()
+    assert tally_runs(c, init, cfg, 1000) == first
+    assert calls == Counter()  # a warm seed makes its draws and nothing else
