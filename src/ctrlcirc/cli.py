@@ -8,6 +8,7 @@ problems, 3 execution that did not reach a final state under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,6 +32,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise SystemExit(f"io error: {e}")
+    except ValueError as e:  # not UTF-8, or a path with a NUL or a character the file system cannot encode
+        raise SystemExit(f"io error: {path}: {e}")
 
 
 def _write(path: str, text: str) -> None:
@@ -40,7 +43,11 @@ def _write(path: str, text: str) -> None:
 def _write_pieces(path: str, pieces: Iterable[str]) -> None:
     """Write the pieces to ``path`` one after another, as UTF-8 text, as ``Path.write_text`` writes one string."""
     try:
-        with open(path, "w", encoding="utf-8") as f:
+        try:
+            f = open(path, "w", encoding="utf-8")
+        except ValueError as e:  # as in _read; a ValueError raised by the pieces escapes
+            raise SystemExit(f"io error: {path}: {e}")
+        with f:
             f.writelines(pieces)
     except OSError as e:
         raise SystemExit(f"io error: {e}")
@@ -395,9 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(seed_text: Optional[str]) -> argparse.ArgumentParser:
+    """``build_parser()``, built once per raw ``CTRLCIRC_SEED`` value, the one input it reads."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    """Run one command; in-process calls reuse one parser per ``CTRLCIRC_SEED`` value, read on every call."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser(os.environ.get("CTRLCIRC_SEED")).parse_args(argv)
         if args.command == "fixtures" and args.action == "emit" and not args.name:
             print("fixtures emit needs a name", file=sys.stderr)
             return 2

@@ -349,6 +349,88 @@ def test_cli_malformed_seed_env_is_malformed_input(monkeypatch, tmp_path, capsys
     assert err.startswith("malformed input: ") and "CTRLCIRC_SEED" in err and "'abc'" in err
 
 
+def _count_builds(monkeypatch) -> list:
+    """Empty ``main``'s parser cache and count the ``build_parser`` calls from now on."""
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    return builds
+
+
+def test_cli_main_builds_its_parser_once_per_seed_value(monkeypatch, tmp_path, capsys):
+    builds = _count_builds(monkeypatch)
+    monkeypatch.setenv("CTRLCIRC_SEED", "7")
+    inputs = tmp_path / "in.json"
+    inputs.write_text(json.dumps({"ctrl_in": "*", "p53_in": 1, "mdm2_in": 0}))
+    # the calls of one fixture_exec benchmark pass: every fixture emitted, then four exec runs
+    codes = [run_cli("fixtures", "emit", name, "--out", str(tmp_path / f"{name}.circuit")) for name in sorted(REGISTRY)]
+    p53 = str(tmp_path / "p53.circuit")
+    codes += [run_cli("exec", p53, "--inputs", str(inputs), "--runs", "10") for _ in range(4)]
+    assert set(codes) == {0} and len(builds) == 1
+
+
+def test_cli_seed_env_change_between_calls_sets_the_next_default(monkeypatch, tmp_path, capsys):
+    circ = tmp_path / "p53.circuit"
+    assert run_cli("fixtures", "emit", "p53", "--out", str(circ)) == 0
+    inputs = tmp_path / "in.json"
+    inputs.write_text(json.dumps({"ctrl_in": "*", "p53_in": 1, "mdm2_in": 0}))
+
+    def trace(name, *seed):
+        out = tmp_path / f"{name}.jsonl"
+        assert run_cli("exec", str(circ), "--inputs", str(inputs), "--trace", str(out), *seed) == 0
+        return out.read_bytes()
+
+    # p53 runs differ at seeds 1 and 6, so a parser that kept the first default would show
+    monkeypatch.setenv("CTRLCIRC_SEED", "1")
+    first = trace("env-1")
+    monkeypatch.setenv("CTRLCIRC_SEED", "6")
+    second = trace("env-6")
+    monkeypatch.delenv("CTRLCIRC_SEED")
+    assert first == trace("seed-1", "--seed", "1") and second == trace("seed-6", "--seed", "6")
+    assert first != second
+
+
+@pytest.mark.parametrize(
+    "argv", [["exec", "c.circuit", "--inputs", "in.json"], ["fixtures", "list"]], ids=["exec", "fixtures-list"]
+)
+def test_cli_malformed_seed_env_refuses_every_call(monkeypatch, capsys, argv):
+    monkeypatch.setenv("CTRLCIRC_SEED", "abc")
+    for _ in range(2):
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("malformed input: ") and "CTRLCIRC_SEED" in err and "'abc'" in err
+
+
+def _exit_output(parse, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    captured = capsys.readouterr()
+    return e.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["exec", "--help"], ["exec", "c.circuit"]], ids=["help", "exec-help", "usage-error"]
+)
+def test_cli_reused_parser_writes_help_and_usage_as_a_fresh_one(monkeypatch, capsys, argv):
+    fresh = cli.build_parser
+    builds = _count_builds(monkeypatch)
+    outputs = {}
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        first = _exit_output(cli.main, argv, capsys)
+        assert _exit_output(cli.main, argv, capsys) == first
+        assert _exit_output(fresh().parse_args, argv, capsys) == first
+        outputs[columns] = first
+    # one parser served both widths, and formatted at each call's
+    assert len(builds) == 1 and outputs["60"] != outputs["200"]
+
+
 def test_cli_bad_file_is_io_error(tmp_path, capsys):
     missing = tmp_path / "nope.circuit"
     assert run_cli("validate", str(missing)) == 2

@@ -4,7 +4,9 @@ Every reader either returns its object or raises ``StructureError`` (bad
 shape) or ``ValidationError`` (well-formed data that breaks a model rule).
 Through ``main()`` those become exit 2 (``malformed input: ...``) and exit 1
 (``validation failure: ...``); a well-formed wiring that the operator
-refuses is a composition failure, exit 1. Nothing escapes as a traceback.
+refuses is a composition failure, exit 1. A document that is not UTF-8, and
+a path that holds a NUL, are I/O errors, exit 2 (``io error: ...``).
+Nothing escapes as a traceback.
 Truth tables of k = 10 to 12 inputs must synthesise within a wall-clock
 budget, and ``validate`` must read a circuit document with a 1 MB id, one
 with 100,000 flows and one whose flow entry is nested 100,000 deep within
@@ -97,7 +99,7 @@ def documents(base):
     return mutated(base) | JSON
 
 
-FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow], print_blob=True)
 
 
 @FUZZ
@@ -144,8 +146,12 @@ def main_on(files, argv_of, doc) -> tuple[int, str]:
 
 
 def main_on_text(files, argv_of, text: str) -> tuple[int, str]:
+    return main_on_bytes(files, argv_of, text.encode())
+
+
+def main_on_bytes(files, argv_of, data: bytes) -> tuple[int, str]:
     doc_file = files / "doc.json"
-    doc_file.write_text(text)
+    doc_file.write_bytes(data)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main([str(a).format(dir=files, doc=doc_file) for a in argv_of])
@@ -185,7 +191,7 @@ def assert_documented(code: int, err: str) -> None:
     ids=["exec-inputs", "seq-wiring", "branch-wiring", "iter-wiring", "seq-span", "synth-tables"],
 )
 def test_main_maps_malformed_documents_to_documented_exits(files, argv_of, base):
-    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow], print_blob=True)
     @given(documents(base))
     def check(doc):
         assert_documented(*main_on(files, argv_of, doc))
@@ -258,6 +264,47 @@ def test_documents_nested_too_deeply_for_the_json_reader_exit_2(files, argv_of):
     (files / "inputs.json").write_text(json.dumps(INPUTS))
     code, err = main_on_text(files, argv_of, "[" * 200_000)
     assert code == 2 and err.startswith("io error: ") and "nested too deeply" in err, err
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+IMPORT = ["import-nand", "{doc}", "--out", "{dir}/o.circuit"]
+
+
+@pytest.mark.parametrize(
+    "argv_of, data",
+    [
+        (VALIDATE, NOT_UTF8),
+        (EXEC, NOT_UTF8),
+        (SEQ, NOT_UTF8),
+        (SPAN_SEQ, NOT_UTF8),
+        (IMPORT, NOT_UTF8),
+        (SYNTH, NOT_UTF8),
+        (SPAN_SEQ, json.dumps({**SPAN, "apex": "a\u0000b"}).encode()),
+        (SPAN_SEQ, json.dumps({**SPAN, "apex": "\ud800"}).encode()),
+        (["fixtures", "emit", "not", "--out", "{dir}/a\x00b"], b""),
+        (SEQ[:-1] + ["{dir}/a\x00b"], json.dumps(SEQ_WIRING).encode()),
+    ],
+    ids=[
+        "validate-not-utf8", "exec-inputs-not-utf8", "seq-wiring-not-utf8", "seq-span-not-utf8",
+        "import-nand-not-utf8", "synth-tables-not-utf8", "span-apex-nul", "span-apex-lone-surrogate",
+        "fixtures-out-nul", "compose-out-nul",
+    ],
+)
+def test_unreadable_documents_and_paths_exit_2_as_io_errors(files, argv_of, data):
+    code, err = main_on_bytes(files, argv_of, data)
+    assert code == 2 and err.startswith("io error: "), err
+    if data == NOT_UTF8:
+        assert err.startswith(f"io error: {files / 'doc.json'}: ") and "utf-8" in err, err
+
+
+def test_a_value_error_raised_by_the_written_pieces_escapes(tmp_path):
+    # only opening the file maps a ValueError to an io error; one from the text being written is a fault
+    def pieces():
+        yield "a"
+        raise ValueError("from the pieces")
+
+    with pytest.raises(ValueError, match="from the pieces"):
+        cli._write_pieces(str(tmp_path / "o.jsonl"), pieces())
 
 
 @pytest.mark.parametrize("runs", ["0", "-3"])
@@ -351,7 +398,6 @@ def test_size_adversarial_circuit_documents_validate_within_budget(files, make, 
 
 BIG = "v" * 1_000_000
 BIG_SEQ = ["compose", "--op", "seq", "{dir}/big.circuit", "{dir}/big.circuit", "--out", "{dir}/o.circuit"]
-IMPORT = ["import-nand", "{doc}", "--out", "{dir}/o.circuit"]
 
 
 def _nested(doc, depth: int = 100_000) -> str:
