@@ -74,12 +74,21 @@ def _default_seed() -> int:
         raise StructureError(f"CTRLCIRC_SEED must be an integer, got {text!r}") from None
 
 
+def _say(text: str, end: str = "\n") -> None:
+    """Print ``text``, each character stdout cannot encode (a lone surrogate in an id, say) as a backslash escape."""
+    try:
+        print(text, end=end)
+    except UnicodeEncodeError:  # raised before anything is written
+        encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+        print(text.encode(encoding, "backslashreplace").decode(encoding), end=end)
+
+
 def _emit(args, payload: dict, human: Optional[str] = None) -> None:
     """Print ``payload`` as one JSON line, or ``human`` (by default the payload as indented JSON)."""
     if getattr(args, "format", None) == "json-lines":
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(ser._indented(payload) if human is None else human)
+        _say(ser._indented(payload) if human is None else human)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -213,7 +222,7 @@ def cmd_compose(args) -> int:
     _write(args.out, ser.dumps_circuit(out))
     if args.provenance:
         _write(args.provenance, ser._indented(prov) + "\n")
-    print(f"wrote {args.out} ({len(out.vars)} vars, {len(out.units)} units)")
+    _say(f"wrote {args.out} ({len(out.vars)} vars, {len(out.units)} units)")
     return 0
 
 
@@ -281,7 +290,7 @@ def cmd_import_nand(args) -> int:
     _write(args.out, ser.dumps_circuit(res.circuit))
     if args.provenance:
         _write(args.provenance, ser._transform_provenance(res))
-    print(f"wrote {args.out} ({len(res.circuit.vars)} vars, {len(res.circuit.units)} units)")
+    _say(f"wrote {args.out} ({len(res.circuit.vars)} vars, {len(res.circuit.units)} units)")
     return 0
 
 
@@ -292,6 +301,8 @@ def cmd_synth_family(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise SystemExit(f"io error: {e}")
+    except ValueError as e:  # as in _read
+        raise SystemExit(f"io error: {args.out_dir}: {e}")
     manifest = {}
     for k, member in sorted(fam.members.items()):
         path = outdir / f"member_{k}.circuit"
@@ -304,7 +315,7 @@ def cmd_synth_family(args) -> int:
             entry["output"] = member.output_node
         manifest[str(k)] = entry
     _write(str(outdir / "family.json"), ser._indented(manifest) + "\n")
-    print(f"wrote {len(fam.members)} members into {outdir}")
+    _say(f"wrote {len(fam.members)} members into {outdir}")
     return 0
 
 
@@ -313,9 +324,9 @@ def cmd_export_dot(args) -> int:
     text = export_dot(c)
     if args.out:
         _write(args.out, text)
-        print(f"wrote {args.out}")
+        _say(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        _say(text, end="")
     return 0
 
 
@@ -328,9 +339,9 @@ def cmd_fixtures(args) -> int:
     text = ser.dumps_circuit(c)
     if args.out:
         _write(args.out, text)
-        print(f"wrote {args.out}")
+        _say(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text)  # a circuit document is ASCII: its ids are written escaped
     return 0
 
 

@@ -22,7 +22,9 @@ in one of the :class:`Outcome` members. So a run's outcome and fired units
 also follow from its draws alone, except at a step where two ready units
 write one variable: :func:`tally_runs` counts them over many seeds by
 walking the tree, making only the draws, and runs a seed in full only
-where its path leaves the tree or meets such a step.
+where its path leaves the tree or meets such a step. A node without draws
+has one child, so the walk jumps each draw-free stretch of the tree in one
+lookup, and a warm seed costs O(its draws + stretches), not O(its steps).
 """
 
 from __future__ import annotations
@@ -97,26 +99,29 @@ class Outcome(enum.Enum):
     WRITE_CONFLICT = "write-conflict"
 
 
+# splitmix64's mask, increment and two multipliers, as module globals: a class attribute costs a lookup per read
+_MASK64 = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
 class SplitMix64:
     """Deterministic 64-bit generator (splitmix64), identical on all platforms."""
 
-    MASK = (1 << 64) - 1
-
     def __init__(self, seed: int):
-        self._state = seed & self.MASK
+        self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self.MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
-        return z ^ (z >> 31)
+        return self.below(_MASK64 + 1)  # the draw is below 2**64, so the remainder is the draw itself
 
     def below(self, n: int) -> int:
-        """Uniform-ish draw in [0, n); exact for powers of two."""
+        """Uniform-ish draw in [0, n): ``next_u64() % n``; exact for powers of two."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        return self.next_u64() % n
+        # the arithmetic lives here, not in next_u64: a draw is a tally's hot call, and a method call costs more than it
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return (z ^ (z >> 31)) % n
 
 
 # the members as module constants: each ``Value.ONE`` lookup goes through the enum class machinery
@@ -391,9 +396,18 @@ class _StepTree:
     :func:`run` attaches a node only while it fits, and only once per key:
     it holds ``lock`` while it checks the room, attaches and debits, and
     never while it replays a step.
+
+    ``stretches`` maps the id of a node whose situation makes no draws to
+    the draw-free stretch below it (see :meth:`stretch`), which
+    :func:`tally_runs` takes in one lookup. A node without draws has one
+    child, attached once, so a stretch, once stored, stays valid as the
+    tree grows; two threads that compute one store the first. A stretch
+    starts only at the root, at a child of a drawing node, or at the last
+    node of a stored stretch, so stored stretches share no step and the
+    store holds O(nodes) entries and ready tuples.
     """
 
-    __slots__ = ("root", "children", "ids", "room", "lock")
+    __slots__ = ("root", "children", "ids", "room", "lock", "stretches")
 
     def __init__(self, c: Circuit, units: Mapping[str, tuple], missing: Mapping[str, int]):
         """The tree of just the root, given the unit rows of ``c`` and their missing-input counts at its invars."""
@@ -402,6 +416,35 @@ class _StepTree:
         self.children: dict = {}
         self.room = _TREE_ROOM_PER_ELEMENT * (len(c.var_types) + len(units))
         self.lock = threading.Lock()
+        self.stretches: dict = {}
+
+    def stretch(self, ident: int) -> Optional[tuple]:
+        """The draw-free stretch below the node ``ident``: the one stored there, or the one found now if none is.
+
+        ``ident`` names a node whose situation makes no draws and does not
+        end. The stretch follows the children keyed by an id alone while
+        they are in the tree and no two units of a step write one variable,
+        up to and including the first node that draws or ends. It is
+        ``(last node, length, the steps' ready tuples, the key of its last
+        step)``, or ``None`` when the node's child is missing or writes a
+        variable twice, which stores nothing.
+        """
+        get = self.children.get
+        readies = []
+        key = node = None
+        at = ident
+        while True:
+            child = get(at)
+            if child is None or child[2]:
+                break
+            key, node = at, child
+            readies.append(child[0])
+            if child[4] or child[5] is not None:
+                break
+            at = child[6]
+        if node is None:
+            return None
+        return self.stretches.setdefault(ident, (node, len(readies), tuple(readies), key))
 
 
 def _step_node(
@@ -668,12 +711,18 @@ def tally_runs(c: Circuit, init: State, cfg: ExecConfig, runs: int) -> Counter[t
     write one variable, whose conflict depends on the Booleans. So each
     seed walks the circuit's step tree (see ``_StepTree``) as :func:`run`
     does, making only the draws: at each node it checks for an ending, then
-    for the step limit, then draws and looks up the node below. A seed
-    whose path leaves the tree or meets a step where two units write one
-    variable is run in full by :func:`run`, which attaches the steps it
-    derives; the walk attaches none. The last key of a path fixes the
-    path, so each distinct one's fired units are collected once per call.
-    A warm seed costs O(its draws + steps), and evaluates no Boolean.
+    for the step limit, then draws and looks up the node below. From a node
+    without draws it takes the whole draw-free stretch below it in one
+    lookup (see ``_StepTree.stretch``) when the stretch fits under the step
+    limit, and otherwise steps to the limit one node at a time, so the walk
+    ends where :func:`run` would. A seed whose path leaves the tree or meets
+    a step where two units write one variable is run in full by
+    :func:`run`, which attaches the steps it derives; the walk attaches
+    none. The last key of a path fixes the path, so seeds are counted per
+    last key, and each distinct one's fired units are collected once per
+    call, from the steps and stretches that seed took. A warm seed costs
+    O(its draws + stretches), plus the steps of the stretch its step limit
+    falls in, and evaluates no Boolean.
 
     Raises :class:`StructureError` when ``init`` is not an initial state
     of ``c`` or ``runs`` is not a positive int.
@@ -685,32 +734,59 @@ def tally_runs(c: Circuit, init: State, cfg: ExecConfig, runs: int) -> Counter[t
         raise StructureError(f"runs must be an int of at least 1, got {runs!r}")
     max_steps = cfg.max_steps
     tally: Counter[tuple[Outcome, frozenset[str]]] = Counter()
-    leaves: dict = {}  # the last key of a walked path -> its (outcome, fired units)
+    leaves: dict = {}  # the last key of a walked path -> [its (outcome, fired units), the seeds that ended there]
     tree = c.__dict__.get("_step_tree")
     for seed in range(cfg.seed, cfg.seed + runs):
         if tree is not None:
             lookup = tree.children.get
+            stored = tree.stretches.get
             below = SplitMix64(seed).below
             _, _, _, _, sizes, ending, ident = tree.root
             key = None
-            path = []  # the ready units of each step walked
+            steps = 0
+            path = []  # the ready units of each step walked alone
+            jumps = []  # the ready tuples of each stretch taken
             while ending is None:
-                if len(path) >= max_steps:
-                    ending = Outcome.STEP_LIMIT
+                if sizes:
+                    if steps >= max_steps:
+                        ending = Outcome.STEP_LIMIT
+                        break
+                    key = (ident, tuple(map(below, sizes)))
+                    node = lookup(key)
+                    if node is None or node[2]:  # off the tree, or a conflict that depends on the Booleans
+                        break
+                    ready, _, _, _, sizes, ending, ident = node
+                    steps += 1
+                    path.append(ready)
+                    continue
+                jump = stored(ident) or tree.stretch(ident)
+                if jump is None:  # the child is off the tree, or a conflict that depends on the Booleans
+                    if steps >= max_steps:
+                        ending = Outcome.STEP_LIMIT
                     break
-                key = (ident, tuple(map(below, sizes))) if sizes else ident
-                node = lookup(key)
-                if node is None or node[2]:  # off the tree, or a conflict that depends on the Booleans
-                    break
-                ready, _, _, _, sizes, ending, ident = node
-                path.append(ready)
+                node, n, readies, last = jump
+                if steps + n <= max_steps:
+                    _, _, _, _, sizes, ending, ident = node
+                    key = last
+                    steps += n
+                    jumps.append(readies)
+                    continue
+                # the limit falls inside the stretch, whose steps are all in the tree and draw nothing
+                for _ in range(max_steps - steps):
+                    key = ident
+                    ready, _, _, _, _, _, ident = lookup(key)
+                    path.append(ready)
+                ending = Outcome.STEP_LIMIT
             if ending is not None:
                 leaf = leaves.get(key)
                 if leaf is None:
-                    leaf = leaves[key] = (ending, frozenset(chain.from_iterable(path)))
-                tally[leaf] += 1
+                    units = chain(chain.from_iterable(path), chain.from_iterable(chain.from_iterable(jumps)))
+                    leaf = leaves[key] = [(ending, frozenset(units)), 0]
+                leaf[1] += 1
                 continue
         tr = run(c, init, ExecConfig(seed=seed, max_steps=max_steps))
         tally[tr.outcome, tr.fired_units()] += 1
         tree = c.__dict__["_step_tree"]
+    for pair, n in leaves.values():
+        tally[pair] += n
     return tally

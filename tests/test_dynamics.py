@@ -380,6 +380,19 @@ def test_splitmix_reference_values():
     assert seen == {0, 1, 2, 3}
 
 
+def test_below_draws_next_u64_modulo_its_bound():
+    # below holds the arithmetic and next_u64 is below(2**64); a twin generator checks that they draw one stream
+    for seed in range(1000):
+        rng, twin = SplitMix64(seed), SplitMix64(seed)
+        for n in (1, 2, 3, 5, 2**16, 2**64 + 1):
+            assert rng.below(n) == twin.next_u64() % n, (seed, n)
+    rng = SplitMix64(7)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=r"^below\(\) needs a positive bound$"):
+            rng.below(n)
+    assert rng.below(2**64) == SplitMix64(7).next_u64()  # refused before the state moved
+
+
 
 @pytest.mark.parametrize("time, drop", [(1, False), (0, True)], ids=["later-time", "not-every-invar"])
 def test_run_refuses_a_state_that_is_not_initial(and_c, time, drop):

@@ -141,6 +141,29 @@ def test_cli_validate_and_exec(tmp_path, capsys):
     assert trace.read_text().splitlines()[-1] == '{"outcome": "final"}'
 
 
+def test_cli_human_output_escapes_what_stdout_cannot_encode(tmp_path, capsys):
+    # the and fixture with its output v7 renamed to a lone surrogate, which json.loads accepts
+    circ = tmp_path / "sur.circuit"
+    circ.write_text(dumps_circuit(build_and()).replace('"v7"', '"\\ud800"'))
+    inputs = tmp_path / "in.json"
+    inputs.write_text(json.dumps({"v1": "*", "v2": 1, "v3": 0}))
+    exec_argv = ["exec", str(circ), "--inputs", str(inputs)]
+    capsys.readouterr()
+    # capsys's stdout encodes strictly as UTF-8, so printing the id itself would raise
+    assert run_cli(*exec_argv) == 0
+    assert capsys.readouterr().out == "outcome: final at t=2; state: v6=*, \\ud800=0\n"
+    assert run_cli(*exec_argv, "--format", "json-lines") == 0
+    assert json.loads(capsys.readouterr().out) == {"outcome": "final", "time": 2, "state": {"v6": "*", "\ud800": 0}}
+    assert run_cli("export-dot", str(circ)) == 0
+    dot = capsys.readouterr().out
+    assert '"var:\\ud800" [label="\\ud800"' in dot and "\ud800" not in dot
+    # an output path that holds an undecodable file-name byte is echoed the same way
+    out = tmp_path / "\udcff.circuit"
+    assert run_cli("fixtures", "emit", "not", "--out", str(out)) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path}/\\udcff.circuit\n"
+    assert loads_circuit(out.read_text()) is not None
+
+
 def test_cli_validate_reports_violations(tmp_path, capsys):
     bad = tmp_path / "bad.circuit"
     bad.write_text(json.dumps({"vars": {"x": "bool"}, "units": [], "in_flows": {}, "out_flows": {}}))

@@ -283,11 +283,12 @@ IMPORT = ["import-nand", "{doc}", "--out", "{dir}/o.circuit"]
         (SPAN_SEQ, json.dumps({**SPAN, "apex": "\ud800"}).encode()),
         (["fixtures", "emit", "not", "--out", "{dir}/a\x00b"], b""),
         (SEQ[:-1] + ["{dir}/a\x00b"], json.dumps(SEQ_WIRING).encode()),
+        (SYNTH[:-1] + ["{dir}/a\x00b"], json.dumps({"2": [0, 1, 1, 0]}).encode()),
     ],
     ids=[
         "validate-not-utf8", "exec-inputs-not-utf8", "seq-wiring-not-utf8", "seq-span-not-utf8",
         "import-nand-not-utf8", "synth-tables-not-utf8", "span-apex-nul", "span-apex-lone-surrogate",
-        "fixtures-out-nul", "compose-out-nul",
+        "fixtures-out-nul", "compose-out-nul", "synth-out-dir-nul",
     ],
 )
 def test_unreadable_documents_and_paths_exit_2_as_io_errors(files, argv_of, data):

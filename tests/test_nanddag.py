@@ -397,8 +397,8 @@ def test_member_runs_make_no_random_draws(monkeypatch):
     # every unit of a synthesised member has an input set of its own, so no
     # run draws and evaluate needs no seed
     draws = []
-    next_u64 = SplitMix64.next_u64
-    monkeypatch.setattr(SplitMix64, "next_u64", lambda rng: draws.append(1) or next_u64(rng))
+    below = SplitMix64.below
+    monkeypatch.setattr(SplitMix64, "below", lambda rng, n: draws.append(n) or below(rng, n))
     gen = random.Random(0xD1CE)
     for k in range(6):
         table = [gen.randint(0, 1) for _ in range(2**k)]

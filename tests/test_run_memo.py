@@ -14,7 +14,9 @@ racing on cold circuits, and interleaved with ``step`` and the set
 queries. Seeded circuits draw exactly as the reference does.
 ``tally_runs``, which walks the tree by draws alone, is compared with the
 per-seed aggregation of ``reference_run``, and a warm walk is shown to
-call neither ``run`` nor the firing code.
+call neither ``run`` nor the firing code, to look up one node per drawing
+step and per draw-free stretch it jumps, and to stop at every step limit
+where ``run`` stops, inside a stretch or at either end of one.
 """
 
 from __future__ import annotations
@@ -720,3 +722,116 @@ def test_a_warm_tally_only_draws(monkeypatch, name):
     calls.clear()
     assert tally_runs(c, init, cfg, 1000) == first
     assert calls == Counter()  # a warm seed makes its draws and nothing else
+
+
+# -- tally_runs: the draw-free stretches of the step tree -------------------------------------
+
+
+def assert_stretches(c):
+    """Each stored stretch is the steps below its start; no two share a step, so they hold at most the tree's nodes."""
+    tree = step_tree(c)
+    covered = []
+    for start, (last, length, readies, key) in tree.stretches.items():
+        steps, ident = [], start
+        for _ in range(length):  # the chain of children keyed by an id alone
+            steps.append(tree.children[ident])
+            ident = steps[-1][6]
+        assert length >= 1 and steps[-1] is last and readies == tuple(node[0] for node in steps)
+        assert key == (start if length == 1 else steps[-2][6])
+        assert not any(node[2] for node in steps) and not any(node[4] or node[5] for node in steps[:-1])
+        covered.extend(map(id, steps))
+    assert len(covered) == len(set(covered)) <= len(tree.children)
+    assert sum(length for _, length, _, _ in tree.stretches.values()) <= len(tree.children)
+
+
+@pytest.mark.parametrize(
+    "build, inputs",
+    [
+        (lambda: fixture("flipflop"), slice(None)),
+        (toggle_loop, slice(None)),
+        (lambda: pairs_loop(8), slice(3)),
+        (toggler, slice(None)),
+        (lambda: chains_into(5, "race"), slice(None)),
+        (lambda: chains_into(6, "stuck"), slice(None)),
+    ],
+    ids=["flipflop", "toggle_loop", "pairs_loop", "toggler", "race", "stuck"],
+)
+def test_tally_at_every_step_limit_inside_and_at_the_ends_of_stretches(build, inputs):
+    """Step limits 1 to 20 on a cold circuit, where a stretch may stop at a missing child, then after long runs."""
+    c = cold(build())
+    inits = [initial_state(c, values) for values in all_inputs(c)[inputs]]
+    for warm in (False, True):
+        if warm:
+            for init in inits:
+                tally_runs(c, init, ExecConfig(seed=500, max_steps=600), 30)
+        for max_steps in range(1, 21):
+            for k, init in enumerate(inits):
+                assert_tally(c, init, ExecConfig(seed=40 * k + max_steps, max_steps=max_steps), 20)
+        assert_stretches(c)
+    assert step_tree(c).stretches
+
+
+def test_a_warm_walk_looks_up_a_node_per_draw_and_per_stretch(counted_draws):
+    c = cold(fixture("flipflop"))
+    init = initial_state(c, all_inputs(c)[0])
+    tally_runs(c, init, ExecConfig(seed=1000, max_steps=600), 1000)
+    looked = Counter()
+
+    def counting(name, store):
+        class Counting(dict):
+            def get(self, key, default=None):
+                found = dict.get(self, key, default)
+                looked[name] += 1
+                looked[name + " found"] += found is not None
+                return found
+
+        return Counting(store)
+
+    tree = step_tree(c)
+    tree.children, tree.stretches = counting("children", tree.children), counting("stretches", tree.stretches)
+    steps = draws = 0
+    for seed in range(1000, 1200):
+        cfg = ExecConfig(seed=seed, max_steps=600)
+        looked.clear()
+        counted_draws[0] = 0
+        got = tally_runs(c, init, cfg, 1)
+        walked = counted_draws[0]
+        # the walk makes the draws the reference run makes, and no other
+        counted_draws[0] = 0
+        tr = reference_run(c, init, cfg)
+        assert walked == counted_draws[0] and got == Counter([(tr.outcome, tr.fired_units())])
+        assert looked["children"] + looked["stretches"] <= walked + looked["stretches found"] + 1
+        assert looked["children"] <= walked  # one lookup per drawing node, none inside a stretch
+        steps, draws = steps + len(tr.steps) - 1, draws + walked
+    assert steps > 4 * draws  # so a walk of a node per step would look up many more
+
+
+def test_threads_racing_on_a_cold_tally_count_as_the_reference():
+    """Four threads tally the same seeds of each cold circuit at once, switching every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for build in [lambda: fixture("flipflop"), lambda: fixture("p53"), toggle_loop, lambda: pairs_loop(3)]:
+            for max_steps in (600, 7):
+                c = build()
+                init = initial_state(c, all_inputs(c)[-1])
+                cfg = ExecConfig(seed=11, max_steps=max_steps)
+                want = reference_tally(c, init, cfg, 200)
+                c = cold(c)
+                got, start = [], threading.Barrier(4)
+
+                def work():
+                    start.wait(timeout=60)
+                    got.append(tally_runs(c, init, cfg, 200))
+
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [want] * 4
+                assert tree_size(c) == tree_bound(c) - step_tree(c).room
+                assert_stretches(c)
+    finally:
+        sys.setswitchinterval(interval)
