@@ -41,14 +41,21 @@ def _write(path: str, text: str) -> None:
 
 
 def _write_pieces(path: str, pieces: Iterable[str]) -> None:
-    """Write the pieces to ``path`` one after another, as UTF-8 text, as ``Path.write_text`` writes one string."""
+    """Write the pieces to ``path`` one after another, as UTF-8 text, as ``Path.write_text`` writes one string.
+
+    A piece that UTF-8 cannot encode (it holds a lone surrogate) is an io
+    error; the file then holds the pieces before it.
+    """
     try:
         try:
             f = open(path, "w", encoding="utf-8")
         except ValueError as e:  # as in _read; a ValueError raised by the pieces escapes
             raise SystemExit(f"io error: {path}: {e}")
         with f:
-            f.writelines(pieces)
+            try:
+                f.writelines(pieces)
+            except UnicodeEncodeError as e:  # a lone surrogate in the text; any other ValueError of the pieces escapes
+                raise SystemExit(f"io error: {path}: {e}")
     except OSError as e:
         raise SystemExit(f"io error: {e}")
 

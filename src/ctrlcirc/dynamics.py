@@ -11,20 +11,26 @@ negated conjunction of all of them.
 
 Which units are enabled and ready depends only on which variables hold
 values, never on the Booleans, so the units a run fires, step by step,
-depend only on its draws. :func:`run` keeps the steps each circuit's runs
-have taken in a tree keyed by the draws, planted on the circuit by its
-first run, and replays a known step, computing only the Booleans. Every
-situation, the tree's root included, is derived from each unit's count of
-missing inputs. A circuit without competing units (a seed-free circuit,
+depend only on its draws. A step thus splits into its shape (its ready
+units, the variables that leave and enter the domain, and whether two
+ready units write one variable), which ``_shape`` derives from the
+domain alone, and its values (each ready unit's Boolean and the entries
+it writes), which :func:`run` applies in one place for every step.
+:func:`run` keeps the shapes of the steps each circuit's runs have taken
+in a tree keyed by the draws, planted on the circuit by its first run,
+and replays a known step, computing only its values. Every situation, the
+tree's root included, is derived from each unit's count of missing
+inputs. A circuit without competing units (a seed-free circuit,
 such as every imported netlist) draws nothing, so it fires the same units
 in the same order from every input and its tree is one chain. A run ends
 in one of the :class:`Outcome` members. So a run's outcome and fired units
 also follow from its draws alone, except at a step where two ready units
 write one variable: :func:`tally_runs` counts them over many seeds by
 walking the tree, making only the draws, and runs a seed in full only
-where its path leaves the tree or meets such a step. A node without draws
-has one child, so the walk jumps each draw-free stretch of the tree in one
-lookup, and a warm seed costs O(its draws + stretches), not O(its steps).
+where its path leaves the tree, meets such a step, or has its step limit
+fall inside a draw-free stretch. A node without draws has one child, so
+the walk jumps each draw-free stretch of the tree in one lookup, and a
+warm seed costs O(its draws + stretches), not O(its steps).
 """
 
 from __future__ import annotations
@@ -288,6 +294,13 @@ def _check_tags(c: Circuit, values: Mapping[str, Value]) -> None:
             raise StructureError(f"Boolean variable {v!r} cannot hold a bare signal")
 
 
+def _check_initial(c: Circuit, init: State) -> None:
+    """``init`` must be an initial state of ``c``: time 0, exactly the invars, each holding a ``Value`` of its type."""
+    if init.time != 0 or init.values.keys() != c.invars:
+        raise StructureError("run() needs an initial state (time 0, exactly the invars)")
+    _check_tags(c, init.values)
+
+
 def is_final(c: Circuit, st: State) -> bool:
     return st.values.keys() == c.outvars
 
@@ -365,8 +378,8 @@ def _enabled(missing: Mapping[str, int]) -> Iterator[str]:
     return compress(missing, map(not_, missing.values()))
 
 
-# Fields of a unit row in ``Circuit._exec_tables.units``, for reading many rows in one C-level ``map``.
-_POST, _DRAW = itemgetter(2), itemgetter(4)
+# The draw field of a unit row in ``Circuit._exec_tables.units``, for reading many rows in one C-level ``map``.
+_DRAW = itemgetter(4)
 
 # A circuit's step tree holds at most this many entries per variable and unit (see ``_StepTree``).
 _TREE_ROOM_PER_ELEMENT = 64
@@ -376,9 +389,10 @@ class _StepTree:
     """The value-free steps the runs of one circuit have taken, keyed by their draws.
 
     :func:`run` plants it on the circuit, at ``"_step_tree"`` in its
-    ``__dict__``, on the circuit's first run. A node is a step and the
-    situation it reaches from the invars, a tuple ``(ready, left, double,
-    enabled, sizes, ending, ident)``: the step's sorted ready units, the
+    ``__dict__``, on the circuit's first run. A node is a step's shape
+    (see ``_shape``) and the situation it reaches from the invars, a tuple
+    ``(ready, left, double, enabled, sizes, ending, ident)``: the step's
+    sorted ready units, the
     variables that leave the domain, and whether two ready units write one
     variable (``()``, ``()`` and ``False`` at the root); then the sorted
     units enabled after it, the sizes of the draws a step makes there (the
@@ -485,47 +499,53 @@ def _write(
     return produced, None
 
 
-def _fire(
-    units: Mapping[str, tuple], ready: Sequence[str], values: dict[str, Value]
-) -> tuple[dict[str, Value], dict[str, Value], list[str], list[str], Optional[tuple[str, str]]]:
-    """Fire the sorted ``ready`` units into the assignment ``values``, in place.
+def _shape(
+    units: Mapping[str, tuple], ready: Sequence[str], domain: Collection[str]
+) -> tuple[tuple[str, ...], list[str], bool]:
+    """The shape of firing the sorted ``ready`` units, each enabled in ``domain``: ``(left, entered, double)``.
 
-    ``values`` becomes the next assignment. Each ready unit is reduced once;
-    a produced variable takes its value even if another firing unit
-    consumes it, and consumed-only variables leave the domain. Returns the
-    results, the produced entries, the variables that left and that entered
-    the domain, and an optional ``(variable, detail)`` conflict, which is
-    found before ``values`` changes.
+    It reads only which variables hold values, never the Booleans. A
+    variable a ready unit consumes leaves the domain unless a ready unit
+    produces it; ``left`` lists those in firing order. ``entered`` lists the
+    produced variables outside ``domain``, in the order they are first
+    written, and ``double`` is whether two ready units write one variable.
     """
-    results = {}
+    produced = {}
+    writes = 0
     for u in ready:
-        results[u] = _reduce(units[u][1], values)
-    produced, conflict = _write(units, ready, results)
-    if conflict:
-        return results, produced, [], [], conflict
-    left = []
+        post = units[u][2]
+        writes += len(post)
+        for v, _ in post:
+            produced[v] = None
+    left = {}
     for u in ready:
         for v in units[u][0]:
-            if v in values and v not in produced:
-                del values[v]
-                left.append(v)
-    entered = [v for v in produced if v not in values]
-    values.update(produced)
-    return results, produced, left, entered, None
+            if v not in produced:
+                left[v] = None
+    return tuple(left), [v for v in produced if v not in domain], writes > len(produced)
 
 
 def step(c: Circuit, st: State, rng: SplitMix64) -> State:
     """One transition, fired like :func:`run` into a copy of ``st.values``.
+
+    The step's shape, the variables that leave the domain, comes from
+    ``_shape`` as in a step :func:`run` derives; its values, each ready
+    unit's Boolean and the entries it writes, from ``_write``.
 
     Raises :class:`StructureError` when ``st`` assigns an id that is not a
     variable of ``c`` or a value of the wrong type, and
     :class:`WriteConflictError` on conflicting writes.
     """
     _check_tags(c, st.values)
-    values = dict(st.values)
-    conflict = _fire(c._exec_tables.units, sorted(ready_units(c, st, rng)), values)[4]
+    units, values = c._exec_tables.units, dict(st.values)
+    ready = sorted(ready_units(c, st, rng))
+    left = _shape(units, ready, values)[0]
+    produced, conflict = _write(units, ready, {u: _reduce(units[u][1], values) for u in ready})
     if conflict:
         raise WriteConflictError(*conflict)
+    for v in left:
+        del values[v]
+    values.update(produced)
     return State(st.time + 1, values)
 
 
@@ -553,11 +573,13 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     values, never on their Booleans, so a run's steps depend only on its
     draws. The circuit keeps the steps its runs have taken in its step
     tree (see ``_StepTree``): a node per step and the situation it
-    reaches from the invars, with the step's ready units, the variables
-    that left the domain and whether two ready units write one variable,
-    and the situation's enabled units, draw sizes and ending; below a node
-    is one node per tuple of its draw results. At each node a run makes the
-    node's draws and looks up the node below. A known step is replayed: its
+    reaches from the invars, with the step's shape (its ready units, the
+    variables that left the domain and whether two ready units write one
+    variable), and the situation's enabled units, draw sizes and ending;
+    below a node is one node per tuple of its draw results. At each node a
+    run makes the node's draws and looks up the node below. A known step
+    takes its shape from the node; a step the run derives takes it from
+    ``_shape``. Either way the step's values are applied by one block: its
     ready units are reduced and their outputs written, and only a step
     where two units write one variable checks for a conflict, as that
     depends on the Booleans; it costs O(firing units' flows).
@@ -589,9 +611,7 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     own, and a checkpoint copy of the assignment is taken once the changes
     since the last one reach its size, which adds O(1) amortised per change.
     """
-    if init.time != 0 or init.values.keys() != c.invars:
-        raise StructureError("run() needs an initial state (time 0, exactly the invars)")
-    _check_tags(c, init.values)
+    _check_initial(c, init)
     units, consumers = c._exec_tables
     values = dict(init.values)
     missing: Optional[dict[str, int]] = None  # the counts, set up where the run first derives a situation
@@ -621,27 +641,6 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
         node = lookup(key)
         if node is not None:
             ready, left, double, reached, sizes, ending, ident = node
-            # loops, not comprehensions: a comprehension is a function call, which a step of one
-            # or two units pays for again and again
-            results = {}
-            if double:
-                for u in ready:
-                    results[u] = _reduce(units[u][1], values)
-                produced, conflict = _write(units, ready, results)
-                if conflict:
-                    outcome, last = Outcome.WRITE_CONFLICT, (enabled, ready, results)
-                    break
-            else:
-                # no variable is written twice, so each unit is reduced and written in one pass
-                produced = {}
-                for u in ready:
-                    _, bool_in, post, _, _ = units[u]
-                    results[u] = res = _reduce(bool_in, values)
-                    for v, is_ctrl in post:
-                        produced[v] = _SIGNAL if is_ctrl else res
-            for v in left:
-                del values[v]
-            values.update(produced)
             # counts taken before a replayed step are stale: another thread may attach below a node this run derived
             missing = None
         else:
@@ -649,10 +648,7 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
                 missing = _missing_inputs(units, values)
             # without draws every enabled group is a single unit, so every enabled unit is ready
             ready = tuple(sorted(_pick_ready(units, enabled, iter(key[1])))) if sizes else enabled
-            results, produced, left, entered, conflict = _fire(units, ready, values)
-            if conflict:
-                outcome, last = Outcome.WRITE_CONFLICT, (enabled, ready, results)
-                break
+            left, entered, double = _shape(units, ready, values)
             for v in left:
                 for u in consumers[v]:
                     missing[u] += 1
@@ -664,8 +660,28 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
                     missing[u] = n
                     if not n:
                         now.append(u)
-            left = tuple(left)
-            double = len(produced) < sum(map(len, map(_POST, map(units.__getitem__, ready))))
+        # the step's values, the same for a replayed and a derived step; loops, not comprehensions: a
+        # comprehension is a function call, which a step of one or two units pays for again and again
+        results = {}
+        if double:
+            for u in ready:
+                results[u] = _reduce(units[u][1], values)
+            produced, conflict = _write(units, ready, results)
+            if conflict:
+                outcome, last = Outcome.WRITE_CONFLICT, (enabled, ready, results)
+                break
+        else:
+            # no variable is written twice, so each unit is reduced and written in one pass
+            produced = {}
+            for u in ready:
+                _, bool_in, post, _, _ = units[u]
+                results[u] = res = _reduce(bool_in, values)
+                for v, is_ctrl in post:
+                    produced[v] = _SIGNAL if is_ctrl else res
+        for v in left:
+            del values[v]
+        values.update(produced)
+        if node is None:
             node = _step_node(ready, left, double, values.keys() == c.outvars, now, units, tree.ids)
             _, _, _, reached, sizes, ending, ident = node
             if grow:
@@ -711,25 +727,22 @@ def tally_runs(c: Circuit, init: State, cfg: ExecConfig, runs: int) -> Counter[t
     write one variable, whose conflict depends on the Booleans. So each
     seed walks the circuit's step tree (see ``_StepTree``) as :func:`run`
     does, making only the draws: at each node it checks for an ending, then
-    for the step limit, then draws and looks up the node below. From a node
-    without draws it takes the whole draw-free stretch below it in one
-    lookup (see ``_StepTree.stretch``) when the stretch fits under the step
-    limit, and otherwise steps to the limit one node at a time, so the walk
-    ends where :func:`run` would. A seed whose path leaves the tree or meets
-    a step where two units write one variable is run in full by
-    :func:`run`, which attaches the steps it derives; the walk attaches
-    none. The last key of a path fixes the path, so seeds are counted per
-    last key, and each distinct one's fired units are collected once per
-    call, from the steps and stretches that seed took. A warm seed costs
-    O(its draws + stretches), plus the steps of the stretch its step limit
-    falls in, and evaluates no Boolean.
+    for the step limit, then takes one hop. From a drawing node the hop is
+    the step its draws pick; from a node without draws it is the whole
+    draw-free stretch below it, taken in one lookup (see
+    ``_StepTree.stretch``). A seed whose path leaves the tree, meets a step
+    where two units write one variable, or has its step limit fall inside
+    a stretch is run in full by :func:`run`, which attaches the steps it
+    derives and ends where the limit falls; the walk attaches none. The
+    last key of a path fixes the path, so seeds are counted per last key,
+    and each distinct one's fired units are collected once per call, from
+    the ready tuples of the hops that seed took. A warm seed costs O(its
+    draws + stretches) and evaluates no Boolean.
 
     Raises :class:`StructureError` when ``init`` is not an initial state
     of ``c`` or ``runs`` is not a positive int.
     """
-    if init.time != 0 or init.values.keys() != c.invars:
-        raise StructureError("run() needs an initial state (time 0, exactly the invars)")
-    _check_tags(c, init.values)
+    _check_initial(c, init)
     if not isinstance(runs, int) or isinstance(runs, bool) or runs < 1:
         raise StructureError(f"runs must be an int of at least 1, got {runs!r}")
     max_steps = cfg.max_steps
@@ -744,39 +757,29 @@ def tally_runs(c: Circuit, init: State, cfg: ExecConfig, runs: int) -> Counter[t
             _, _, _, _, sizes, ending, ident = tree.root
             key = None
             steps = 0
-            path = []  # the ready units of each step walked alone
+            path = []  # the ready units of each step a draw picked
             jumps = []  # the ready tuples of each stretch taken
             while ending is None:
+                if steps >= max_steps:
+                    ending = Outcome.STEP_LIMIT
+                    break
+                # one hop: the step a drawing node's draws pick, or the draw-free stretch below a node
                 if sizes:
-                    if steps >= max_steps:
-                        ending = Outcome.STEP_LIMIT
-                        break
                     key = (ident, tuple(map(below, sizes)))
                     node = lookup(key)
                     if node is None or node[2]:  # off the tree, or a conflict that depends on the Booleans
                         break
-                    ready, _, _, _, sizes, ending, ident = node
                     steps += 1
-                    path.append(ready)
-                    continue
-                jump = stored(ident) or tree.stretch(ident)
-                if jump is None:  # the child is off the tree, or a conflict that depends on the Booleans
-                    if steps >= max_steps:
-                        ending = Outcome.STEP_LIMIT
-                    break
-                node, n, readies, last = jump
-                if steps + n <= max_steps:
-                    _, _, _, _, sizes, ending, ident = node
-                    key = last
+                    path.append(node[0])
+                else:
+                    hop = stored(ident) or tree.stretch(ident)
+                    # the child is off the tree or writes a variable twice, or the limit falls inside the stretch
+                    if hop is None or steps + hop[1] > max_steps:
+                        break
+                    node, n, readies, key = hop
                     steps += n
                     jumps.append(readies)
-                    continue
-                # the limit falls inside the stretch, whose steps are all in the tree and draw nothing
-                for _ in range(max_steps - steps):
-                    key = ident
-                    ready, _, _, _, _, _, ident = lookup(key)
-                    path.append(ready)
-                ending = Outcome.STEP_LIMIT
+                _, _, _, _, sizes, ending, ident = node
             if ending is not None:
                 leaf = leaves.get(key)
                 if leaf is None:

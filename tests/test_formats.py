@@ -164,6 +164,20 @@ def test_cli_human_output_escapes_what_stdout_cannot_encode(tmp_path, capsys):
     assert loads_circuit(out.read_text()) is not None
 
 
+def test_export_dot_out_with_a_lone_surrogate_id_is_an_io_error(tmp_path, capsys):
+    # the and fixture with v7 renamed to a lone surrogate: the DOT text holds it, and UTF-8 cannot encode it
+    circ = tmp_path / "sur.circuit"
+    circ.write_text(dumps_circuit(build_and()).replace('"v7"', '"\\ud800"'))
+    dot = tmp_path / "sur.dot"
+    capsys.readouterr()
+    assert run_cli("export-dot", str(circ), "--out", str(dot)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"io error: {dot}: 'utf-8' codec can't encode character '\\ud800'"), err
+    assert dot.read_text() == ""  # the text is one piece, so nothing of it was written
+    assert run_cli("export-dot", str(circ)) == 0
+    assert '[label="\\ud800"' in capsys.readouterr().out
+
+
 def test_cli_validate_reports_violations(tmp_path, capsys):
     bad = tmp_path / "bad.circuit"
     bad.write_text(json.dumps({"vars": {"x": "bool"}, "units": [], "in_flows": {}, "out_flows": {}}))

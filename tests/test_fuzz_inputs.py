@@ -299,7 +299,7 @@ def test_unreadable_documents_and_paths_exit_2_as_io_errors(files, argv_of, data
 
 
 def test_a_value_error_raised_by_the_written_pieces_escapes(tmp_path):
-    # only opening the file maps a ValueError to an io error; one from the text being written is a fault
+    # opening the file and encoding the text map a ValueError to an io error; any other one from the text is a fault
     def pieces():
         yield "a"
         raise ValueError("from the pieces")

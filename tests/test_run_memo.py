@@ -221,7 +221,7 @@ def test_an_interrupted_run_keeps_the_steps_it_attached(monkeypatch):
     init = lift_inputs(d, vectors(d)[5])
     assert_reference(c, init, ExecConfig(max_steps=3))
     before, _ = known(c)
-    restore = interrupt_on_call(monkeypatch, "_fire", 3)
+    restore = interrupt_on_call(monkeypatch, "_shape", 3)
     with pytest.raises(KeyboardInterrupt):
         run(c, init, ExecConfig())
     restore()
@@ -492,7 +492,7 @@ def test_a_write_conflict_on_some_draws_only():
     assert children[root, (0,)][2] and not children[root, (1,)][2]  # only drawing a1 makes two units write t
 
 
-@pytest.mark.parametrize("name", ["_fire", "_step_node"])
+@pytest.mark.parametrize("name", ["_shape", "_step_node"])
 @pytest.mark.parametrize("k", [1, 4, 12])
 def test_an_exception_in_a_derived_step_leaves_a_valid_tree(monkeypatch, name, k):
     for c in (cold(fixture("p53")), cold(fixture("flipflop")), toggle_loop()):
@@ -654,9 +654,9 @@ def test_tally_a_write_conflict_on_some_draws_only():
 
 
 def counted_runs(monkeypatch):
-    """Count the calls of ``dynamics.run``, ``_fire`` and ``_reduce`` by name."""
+    """Count the calls of ``dynamics.run``, ``_shape`` and ``_reduce`` by name."""
     calls = Counter()
-    for fn in ("run", "_fire", "_reduce"):
+    for fn in ("run", "_shape", "_reduce"):
         real = getattr(dynamics, fn)
         monkeypatch.setattr(dynamics, fn, lambda *args, _real=real, _fn=fn: calls.update([_fn]) or _real(*args))
     return calls
