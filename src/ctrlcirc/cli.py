@@ -37,6 +37,18 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    """Write one whole text to ``path`` as UTF-8 text.
+
+    A text that UTF-8 cannot encode (it holds a lone surrogate) is an io
+    error found before the path is opened, so a file already there keeps
+    its content and none is created. An ASCII text, which
+    ``str.isascii`` tells in O(1), is not encoded twice.
+    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise SystemExit(f"io error: {path}: {e}")
     _write_pieces(path, (text,))
 
 
@@ -44,7 +56,8 @@ def _write_pieces(path: str, pieces: Iterable[str]) -> None:
     """Write the pieces to ``path`` one after another, as UTF-8 text, as ``Path.write_text`` writes one string.
 
     A piece that UTF-8 cannot encode (it holds a lone surrogate) is an io
-    error; the file then holds the pieces before it.
+    error; the file then holds the pieces before it. A text written whole
+    goes through ``_write``, which refuses it before the file is opened.
     """
     try:
         try:

@@ -26,11 +26,14 @@ in the same order from every input and its tree is one chain. A run ends
 in one of the :class:`Outcome` members. So a run's outcome and fired units
 also follow from its draws alone, except at a step where two ready units
 write one variable: :func:`tally_runs` counts them over many seeds by
-walking the tree, making only the draws, and runs a seed in full only
-where its path leaves the tree, meets such a step, or has its step limit
-fall inside a draw-free stretch. A node without draws has one child, so
-the walk jumps each draw-free stretch of the tree in one lookup, and a
-warm seed costs O(its draws + stretches), not O(its steps).
+walking the tree, making only the draws. The generator is counter-based,
+so the seeds at a node draw at once, and they walk in groups that split
+only where their draws differ: each node is visited once per group and
+block of seeds, and a warm tally costs O(nodes visited + runs x draws),
+in memory O(block + tree) for any number of runs. A seed is run in full
+only where its group's path leaves the tree (the first seed of the
+group, whose run attaches the step; all of them if the tree is full) or
+meets such a step, never at a step limit.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import enum
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import compress, count
 from operator import is_not, itemgetter, not_
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -110,6 +113,13 @@ _MASK64 = (1 << 64) - 1
 _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
+def _mix(z: int) -> int:
+    """splitmix64's output for the counter ``z`` (below 2**64): the k-th draw of seed s mixes ``(s + k * gamma) mod 2**64``."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """Deterministic 64-bit generator (splitmix64), identical on all platforms."""
 
@@ -120,14 +130,27 @@ class SplitMix64:
         return self.below(_MASK64 + 1)  # the draw is below 2**64, so the remainder is the draw itself
 
     def below(self, n: int) -> int:
-        """Uniform-ish draw in [0, n): ``next_u64() % n``; exact for powers of two."""
+        """Uniform-ish draw in [0, n): ``next_u64() % n``; exact for powers of two.
+
+        The generator is counter-based: the k-th draw (from 1) of
+        ``SplitMix64(seed)`` is ``_mix((seed + k * gamma) mod 2**64) % n``,
+        which :func:`tally_runs` computes for many seeds at once, through
+        ``_draws``, without a generator each. :func:`run` and
+        :func:`ready_units` draw here, one draw per competing group.
+        """
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        # the arithmetic lives here, not in next_u64: a draw is a tally's hot call, and a method call costs more than it
         self._state = z = (self._state + _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return (z ^ (z >> 31)) % n
+        return _mix(z) % n
+
+
+def _draws(seeds: Sequence[int], drawn: int, sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each seed's draws of ``sizes``, after ``drawn`` draws: what ``tuple(map(SplitMix64(seed).below, sizes))`` gives then."""
+    columns = []
+    for k, n in enumerate(sizes, drawn + 1):
+        at = k * _GAMMA  # the counter's advance by the k-th draw
+        columns.append([_mix((s + at) & _MASK64) % n for s in seeds])
+    return zip(*columns)
 
 
 # the members as module constants: each ``Value.ONE`` lookup goes through the enum class machinery
@@ -411,17 +434,16 @@ class _StepTree:
     it holds ``lock`` while it checks the room, attaches and debits, and
     never while it replays a step.
 
-    ``stretches`` maps the id of a node whose situation makes no draws to
-    the draw-free stretch below it (see :meth:`stretch`), which
-    :func:`tally_runs` takes in one lookup. A node without draws has one
-    child, attached once, so a stretch, once stored, stays valid as the
-    tree grows; two threads that compute one store the first. A stretch
-    starts only at the root, at a child of a drawing node, or at the last
-    node of a stored stretch, so stored stretches share no step and the
-    store holds O(nodes) entries and ready tuples.
+    :func:`tally_runs` reads the tree without the lock and attaches
+    nothing itself: a group of its seeds hops to the node its draws key,
+    so it visits each node at most once per group and block of
+    ``_TALLY_BLOCK`` seeds, and holds O(block) seeds besides the tree.
+    Where that node is missing, the group's first seed is run in full and
+    attaches it; where it stays missing (the tree is full) or two of its
+    units write one variable, the whole group is.
     """
 
-    __slots__ = ("root", "children", "ids", "room", "lock", "stretches")
+    __slots__ = ("root", "children", "ids", "room", "lock")
 
     def __init__(self, c: Circuit, units: Mapping[str, tuple], missing: Mapping[str, int]):
         """The tree of just the root, given the unit rows of ``c`` and their missing-input counts at its invars."""
@@ -430,35 +452,6 @@ class _StepTree:
         self.children: dict = {}
         self.room = _TREE_ROOM_PER_ELEMENT * (len(c.var_types) + len(units))
         self.lock = threading.Lock()
-        self.stretches: dict = {}
-
-    def stretch(self, ident: int) -> Optional[tuple]:
-        """The draw-free stretch below the node ``ident``: the one stored there, or the one found now if none is.
-
-        ``ident`` names a node whose situation makes no draws and does not
-        end. The stretch follows the children keyed by an id alone while
-        they are in the tree and no two units of a step write one variable,
-        up to and including the first node that draws or ends. It is
-        ``(last node, length, the steps' ready tuples, the key of its last
-        step)``, or ``None`` when the node's child is missing or writes a
-        variable twice, which stores nothing.
-        """
-        get = self.children.get
-        readies = []
-        key = node = None
-        at = ident
-        while True:
-            child = get(at)
-            if child is None or child[2]:
-                break
-            key, node = at, child
-            readies.append(child[0])
-            if child[4] or child[5] is not None:
-                break
-            at = child[6]
-        if node is None:
-            return None
-        return self.stretches.setdefault(ident, (node, len(readies), tuple(readies), key))
 
 
 def _step_node(
@@ -717,6 +710,10 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     return Trace(tuple(steps), outcome, conflict[1] if conflict else None)
 
 
+# A tally walks its seeds into the step tree this many at a time, so its memory is O(this + the tree) for any runs.
+_TALLY_BLOCK = 1024
+
+
 def tally_runs(c: Circuit, init: State, cfg: ExecConfig, runs: int) -> Counter[tuple[Outcome, frozenset[str]]]:
     """How often each ``(outcome, fired units)`` pair ends the ``runs`` runs from seed ``cfg.seed`` on.
 
@@ -724,20 +721,23 @@ def tally_runs(c: Circuit, init: State, cfg: ExecConfig, runs: int) -> Counter[t
     ``run(c, init, ExecConfig(seed=cfg.seed + k, max_steps=cfg.max_steps))``
     for ``k < runs``, without building them. A run's outcome and fired
     units depend only on its draws, except at a step where two ready units
-    write one variable, whose conflict depends on the Booleans. So each
-    seed walks the circuit's step tree (see ``_StepTree``) as :func:`run`
-    does, making only the draws: at each node it checks for an ending, then
-    for the step limit, then takes one hop. From a drawing node the hop is
-    the step its draws pick; from a node without draws it is the whole
-    draw-free stretch below it, taken in one lookup (see
-    ``_StepTree.stretch``). A seed whose path leaves the tree, meets a step
-    where two units write one variable, or has its step limit fall inside
-    a stretch is run in full by :func:`run`, which attaches the steps it
-    derives and ends where the limit falls; the walk attaches none. The
-    last key of a path fixes the path, so seeds are counted per last key,
-    and each distinct one's fired units are collected once per call, from
-    the ready tuples of the hops that seed took. A warm seed costs O(its
-    draws + stretches) and evaluates no Boolean.
+    write one variable, whose conflict depends on the Booleans. So the
+    seeds walk the circuit's step tree (see ``_StepTree``) as :func:`run`
+    does, making only the draws, in groups of seeds that drew alike: the
+    seeds enter the root in blocks of ``_TALLY_BLOCK``, one group each. At
+    a node a group ends, together, in the node's ending or at the step
+    limit; otherwise its seeds make the node's draws, each from its own
+    counter (see ``_draws``), and split by their draws, each part hopping
+    to the node its draws key; a node without draws keeps the group whole.
+    Each group carries the set of units its path fired, which grows only
+    where a step fires a unit not yet in it. Where the node is missing,
+    the part's first seed is run in full by :func:`run`, which attaches the
+    step, and the rest hop on; where the step stays missing (the tree is
+    full, or that run ended in a write conflict there) or two of its units
+    write one variable, the whole part is run in full. The walk attaches nothing. A warm tally
+    thus costs O(nodes visited + runs x draws), each node visited once per
+    block and group, in O(``_TALLY_BLOCK`` + tree) memory, and evaluates
+    no Boolean; a step limit never sends a seed to :func:`run`.
 
     Raises :class:`StructureError` when ``init`` is not an initial state
     of ``c`` or ``runs`` is not a positive int.
@@ -747,49 +747,45 @@ def tally_runs(c: Circuit, init: State, cfg: ExecConfig, runs: int) -> Counter[t
         raise StructureError(f"runs must be an int of at least 1, got {runs!r}")
     max_steps = cfg.max_steps
     tally: Counter[tuple[Outcome, frozenset[str]]] = Counter()
-    leaves: dict = {}  # the last key of a walked path -> [its (outcome, fired units), the seeds that ended there]
-    tree = c.__dict__.get("_step_tree")
-    for seed in range(cfg.seed, cfg.seed + runs):
-        if tree is not None:
-            lookup = tree.children.get
-            stored = tree.stretches.get
-            below = SplitMix64(seed).below
-            _, _, _, _, sizes, ending, ident = tree.root
-            key = None
-            steps = 0
-            path = []  # the ready units of each step a draw picked
-            jumps = []  # the ready tuples of each stretch taken
-            while ending is None:
-                if steps >= max_steps:
-                    ending = Outcome.STEP_LIMIT
-                    break
-                # one hop: the step a drawing node's draws pick, or the draw-free stretch below a node
-                if sizes:
-                    key = (ident, tuple(map(below, sizes)))
-                    node = lookup(key)
-                    if node is None or node[2]:  # off the tree, or a conflict that depends on the Booleans
-                        break
-                    steps += 1
-                    path.append(node[0])
-                else:
-                    hop = stored(ident) or tree.stretch(ident)
-                    # the child is off the tree or writes a variable twice, or the limit falls inside the stretch
-                    if hop is None or steps + hop[1] > max_steps:
-                        break
-                    node, n, readies, key = hop
-                    steps += n
-                    jumps.append(readies)
-                _, _, _, _, sizes, ending, ident = node
-            if ending is not None:
-                leaf = leaves.get(key)
-                if leaf is None:
-                    units = chain(chain.from_iterable(path), chain.from_iterable(chain.from_iterable(jumps)))
-                    leaf = leaves[key] = [(ending, frozenset(units)), 0]
-                leaf[1] += 1
+
+    def in_full(seeds: Iterable[int]) -> None:
+        for seed in seeds:
+            tr = run(c, init, ExecConfig(seed=seed, max_steps=max_steps))
+            tally[tr.outcome, tr.fired_units()] += 1
+
+    first, end = cfg.seed, cfg.seed + runs
+    if "_step_tree" not in c.__dict__:  # the first seed's run plants the tree
+        in_full((first,))
+        first += 1
+    tree = c.__dict__["_step_tree"]
+    lookup = tree.children.get
+    for start in range(first, end, _TALLY_BLOCK):
+        # a group: the node its seeds reached, their draws and steps so far, the units fired on the way, the seeds
+        groups = [(tree.root, 0, 0, frozenset(), range(start, min(start + _TALLY_BLOCK, end)))]
+        while groups:
+            node, drawn, steps, fired, seeds = groups.pop()
+            _, _, _, _, sizes, ending, ident = node
+            if ending is not None or steps >= max_steps:
+                tally[ending or Outcome.STEP_LIMIT, fired] += len(seeds)
                 continue
-        tr = run(c, init, ExecConfig(seed=seed, max_steps=max_steps))
-        tally[tr.outcome, tr.fired_units()] += 1
-        tree = c.__dict__["_step_tree"]
-    for pair, n in leaves.values():
-        tally[pair] += n
+            if sizes:
+                parts: dict = {}
+                for seed, draws in zip(seeds, _draws(seeds, drawn, sizes)):
+                    parts.setdefault(draws, []).append(seed)
+                hops = [((ident, draws), part) for draws, part in parts.items()]
+                drawn += len(sizes)
+            else:
+                hops = [(ident, seeds)]
+            for key, part in hops:
+                child = lookup(key)
+                if child is None:  # the first seed's run attaches the step, unless the tree is full
+                    in_full(part[:1])
+                    part = part[1:]
+                    child = lookup(key)
+                # still missing (the tree is full, or the run conflicted there), or a conflict that depends on the Booleans
+                if child is None or child[2]:
+                    in_full(part)
+                elif part:
+                    ready = child[0]
+                    groups.append((child, drawn, steps + 1, fired if fired.issuperset(ready) else fired.union(ready), part))
     return tally

@@ -173,7 +173,14 @@ def test_export_dot_out_with_a_lone_surrogate_id_is_an_io_error(tmp_path, capsys
     assert run_cli("export-dot", str(circ), "--out", str(dot)) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"io error: {dot}: 'utf-8' codec can't encode character '\\ud800'"), err
-    assert dot.read_text() == ""  # the text is one piece, so nothing of it was written
+    assert not dot.exists()  # the text is refused before the path is opened
+    # a file already at the path keeps its content
+    keep = tmp_path / "keep.dot"
+    keep.write_text("old content")
+    assert run_cli("export-dot", str(circ), "--out", str(keep)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"io error: {keep}: 'utf-8' codec can't encode character '\\ud800'"), err
+    assert keep.read_text() == "old content"
     assert run_cli("export-dot", str(circ)) == 0
     assert '[label="\\ud800"' in capsys.readouterr().out
 

@@ -12,11 +12,12 @@ conflicts that depend on the inputs or on the draws, on loops and
 deadlocks, after interrupted runs, past the tree's size bound, in threads
 racing on cold circuits, and interleaved with ``step`` and the set
 queries. Seeded circuits draw exactly as the reference does.
-``tally_runs``, which walks the tree by draws alone, is compared with the
-per-seed aggregation of ``reference_run``, and a warm walk is shown to
-call neither ``run`` nor the firing code, to look up one node per drawing
-step and per draw-free stretch it jumps, and to stop at every step limit
-where ``run`` stops, inside a stretch or at either end of one.
+``tally_runs``, which walks the tree by draws alone in groups of seeds
+that drew alike, is compared with the per-seed aggregation of
+``reference_run``: over several blocks of seeds, at negative seeds and
+across 2**64, where its per-seed counters wrap. A warm walk is shown to
+call neither ``run`` nor the firing code at any step limit, to look up a
+child at most once per block, and to make exactly the reference's draws.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from operator import is_
 
@@ -594,21 +596,23 @@ def test_threads_racing_on_cold_circuits_run_as_the_reference():
 
 
 @pytest.mark.parametrize(
-    "name, inputs, max_steps",
+    "name, inputs, max_steps, seed",
     [
-        ("p53", {"ctrl_in": "*", "p53_in": 1, "mdm2_in": 0}, 10_000),
-        ("flipflop", {"ctrl_in": "*", "r_in": 0, "q_in": 1, "s_in": 0}, 600),
+        ("p53", {"ctrl_in": "*", "p53_in": 1, "mdm2_in": 0}, 10_000, 0),
+        ("flipflop", {"ctrl_in": "*", "r_in": 0, "q_in": 1, "s_in": 0}, 600, 0),
+        ("p53", {"ctrl_in": "*", "p53_in": 1, "mdm2_in": 0}, 10_000, -1000),
+        ("flipflop", {"ctrl_in": "*", "r_in": 0, "q_in": 1, "s_in": 0}, 600, -500),
     ],
 )
-def test_exec_runs_summary_matches_a_per_run_sorted_aggregation(tmp_path, capsys, name, inputs, max_steps):
+def test_exec_runs_summary_matches_a_per_run_sorted_aggregation(tmp_path, capsys, name, inputs, max_steps, seed):
     circ, ins = tmp_path / f"{name}.circuit", tmp_path / "in.json"
     assert cli.main(["fixtures", "emit", name, "--out", str(circ)]) == 0
     ins.write_text(json.dumps(inputs))
     c = loads_circuit(circ.read_text())
     init = initial_state(c, {v: S if x == "*" else Value.from_bit(x) for v, x in inputs.items()})
     outcomes, fired = Counter(), Counter()
-    for seed in range(1000):
-        tr = reference_run(c, init, ExecConfig(seed=seed, max_steps=max_steps))
+    for k in range(seed, seed + 1000):
+        tr = reference_run(c, init, ExecConfig(seed=k, max_steps=max_steps))
         outcomes[tr.outcome.value] += 1
         fired[tuple(sorted(tr.fired_units()))] += 1
     payload = {
@@ -618,7 +622,7 @@ def test_exec_runs_summary_matches_a_per_run_sorted_aggregation(tmp_path, capsys
             {"units": list(units), "count": n} for units, n in sorted(fired.items(), key=lambda kv: (-kv[1], kv[0]))
         ],
     }
-    argv = ["exec", str(circ), "--inputs", str(ins), "--max-steps", str(max_steps), "--runs", "1000"]
+    argv = ["exec", str(circ), "--inputs", str(ins), "--max-steps", str(max_steps), "--runs", "1000", "--seed", str(seed)]
     capsys.readouterr()
     assert cli.main(argv + ["--format", "json-lines"]) == 0
     assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
@@ -724,24 +728,41 @@ def test_a_warm_tally_only_draws(monkeypatch, name):
     assert calls == Counter()  # a warm seed makes its draws and nothing else
 
 
-# -- tally_runs: the draw-free stretches of the step tree -------------------------------------
+# -- tally_runs: the grouped walk ---------------------------------------------------------------
 
 
-def assert_stretches(c):
-    """Each stored stretch is the steps below its start; no two share a step, so they hold at most the tree's nodes."""
+def counting_children(c, monkeypatch):
+    """Swap the children of the circuit's step tree for a dict that logs ``(key, found)`` for each lookup outside ``run``."""
+    looked, in_run = [], []
+
+    class Counting(dict):
+        def get(self, key, default=None):
+            found = dict.get(self, key, default)
+            if not in_run:
+                looked.append((key, found is not None))
+            return found
+
+    def counted_run(*args, _real=dynamics.run):
+        in_run.append(True)
+        try:
+            return _real(*args)
+        finally:
+            in_run.pop()
+
+    monkeypatch.setattr(dynamics, "run", counted_run)
     tree = step_tree(c)
-    covered = []
-    for start, (last, length, readies, key) in tree.stretches.items():
-        steps, ident = [], start
-        for _ in range(length):  # the chain of children keyed by an id alone
-            steps.append(tree.children[ident])
-            ident = steps[-1][6]
-        assert length >= 1 and steps[-1] is last and readies == tuple(node[0] for node in steps)
-        assert key == (start if length == 1 else steps[-2][6])
-        assert not any(node[2] for node in steps) and not any(node[4] or node[5] for node in steps[:-1])
-        covered.extend(map(id, steps))
-    assert len(covered) == len(set(covered)) <= len(tree.children)
-    assert sum(length for _, length, _, _ in tree.stretches.values()) <= len(tree.children)
+    tree.children = Counting(tree.children)
+    return looked
+
+
+def assert_lookups_per_block(looked, runs):
+    """The walk finds each child at most once per block; a missing one it looks up again once, after a seed's run.
+
+    The child stays missing when the tree is full or the step conflicts, as a run that ends in a conflict attaches nothing.
+    """
+    blocks = -(-runs // dynamics._TALLY_BLOCK)
+    for (key, found), n in Counter(looked).items():
+        assert n <= (1 if found else 2) * blocks, (key, found, n, blocks)
 
 
 @pytest.mark.parametrize(
@@ -756,9 +777,10 @@ def assert_stretches(c):
     ],
     ids=["flipflop", "toggle_loop", "pairs_loop", "toggler", "race", "stuck"],
 )
-def test_tally_at_every_step_limit_inside_and_at_the_ends_of_stretches(build, inputs):
-    """Step limits 1 to 20 on a cold circuit, where a stretch may stop at a missing child, then after long runs."""
+def test_tally_at_every_step_limit_cold_and_warm(monkeypatch, build, inputs):
+    """Step limits 1 to 20 on a cold circuit, where a group may stop at a missing child, then after long runs."""
     c = cold(build())
+    looked = counting_children(c, monkeypatch)
     inits = [initial_state(c, values) for values in all_inputs(c)[inputs]]
     for warm in (False, True):
         if warm:
@@ -766,44 +788,124 @@ def test_tally_at_every_step_limit_inside_and_at_the_ends_of_stretches(build, in
                 tally_runs(c, init, ExecConfig(seed=500, max_steps=600), 30)
         for max_steps in range(1, 21):
             for k, init in enumerate(inits):
+                looked.clear()
                 assert_tally(c, init, ExecConfig(seed=40 * k + max_steps, max_steps=max_steps), 20)
-        assert_stretches(c)
-    assert step_tree(c).stretches
+                assert_lookups_per_block(looked, 20)
+    assert tree_size(c) <= tree_bound(c)
 
 
-def test_a_warm_walk_looks_up_a_node_per_draw_and_per_stretch(counted_draws):
+def counted_mixes(monkeypatch):
+    """Count the calls of ``dynamics._mix``, which both the walk's draws and ``SplitMix64.below`` make."""
+    counts = [0]
+    mix = dynamics._mix
+
+    def counted(z):
+        counts[0] += 1
+        return mix(z)
+
+    monkeypatch.setattr(dynamics, "_mix", counted)
+    return counts
+
+
+def test_a_warm_walk_looks_up_a_child_per_node_and_block_and_makes_the_reference_draws(monkeypatch, counted_draws):
     c = cold(fixture("flipflop"))
     init = initial_state(c, all_inputs(c)[0])
     tally_runs(c, init, ExecConfig(seed=1000, max_steps=600), 1000)
-    looked = Counter()
-
-    def counting(name, store):
-        class Counting(dict):
-            def get(self, key, default=None):
-                found = dict.get(self, key, default)
-                looked[name] += 1
-                looked[name + " found"] += found is not None
-                return found
-
-        return Counting(store)
-
-    tree = step_tree(c)
-    tree.children, tree.stretches = counting("children", tree.children), counting("stretches", tree.stretches)
-    steps = draws = 0
-    for seed in range(1000, 1200):
+    looked = counting_children(c, monkeypatch)
+    mixes = counted_mixes(monkeypatch)
+    calls = counted_runs(monkeypatch)
+    monkeypatch.setattr(dynamics, "_TALLY_BLOCK", 64)
+    steps = lookups = 0
+    for seed, runs in [(1000, 200), (1000, 1), (1100, 130), (1999, 1)]:
         cfg = ExecConfig(seed=seed, max_steps=600)
         looked.clear()
+        mixes[0] = 0
+        got = tally_runs(c, init, cfg, runs)
+        walked = mixes[0]
+        assert calls == Counter()  # a warm walk runs no seed and derives no step
+        assert all(found for _, found in looked)
+        assert_lookups_per_block(looked, runs)
+        # the walk makes the draws the reference runs make, and no other
         counted_draws[0] = 0
-        got = tally_runs(c, init, cfg, 1)
-        walked = counted_draws[0]
-        # the walk makes the draws the reference run makes, and no other
-        counted_draws[0] = 0
-        tr = reference_run(c, init, cfg)
-        assert walked == counted_draws[0] and got == Counter([(tr.outcome, tr.fired_units())])
-        assert looked["children"] + looked["stretches"] <= walked + looked["stretches found"] + 1
-        assert looked["children"] <= walked  # one lookup per drawing node, none inside a stretch
-        steps, draws = steps + len(tr.steps) - 1, draws + walked
-    assert steps > 4 * draws  # so a walk of a node per step would look up many more
+        traces = [reference_run(c, init, ExecConfig(seed=s, max_steps=600)) for s in range(seed, seed + runs)]
+        assert walked == counted_draws[0] > 0
+        assert got == Counter((tr.outcome, tr.fired_units()) for tr in traces)
+        steps += sum(len(tr.steps) - 1 for tr in traces)
+        lookups += len(looked)
+    assert steps > 4 * lookups  # so a walk of a node per seed and step would look up many more
+
+
+@pytest.mark.parametrize("build", [lambda: fixture("flipflop"), lambda: fixture("p53"), toggle_loop], ids=["flipflop", "p53", "toggle_loop"])
+def test_a_warm_tally_at_every_small_step_limit_runs_no_seed(monkeypatch, build):
+    """A step limit ends a group where it falls, so no seed of a warm tree is run in full, whatever the limit."""
+    c = cold(build())
+    inits = [initial_state(c, values) for values in all_inputs(c)[:4]]
+    for init in inits:
+        tally_runs(c, init, ExecConfig(seed=300, max_steps=600), 60)
+    wants = {
+        (k, max_steps): reference_tally(c, init, ExecConfig(seed=300, max_steps=max_steps), 60)
+        for k, init in enumerate(inits)
+        for max_steps in range(1, 21)
+    }
+    calls = counted_runs(monkeypatch)
+    for (k, max_steps), want in wants.items():
+        assert tally_runs(c, inits[k], ExecConfig(seed=300, max_steps=max_steps), 60) == want
+    assert calls["run"] == calls["_shape"] == 0
+
+
+def test_a_tally_of_several_blocks_counts_every_seed_once(monkeypatch):
+    monkeypatch.setattr(dynamics, "_TALLY_BLOCK", 7)
+    for build in (lambda: fixture("flipflop"), lambda: fixture("p53"), draw_race, lambda: pairs_loop(3)):
+        c = cold(build())
+        for init in [initial_state(c, values) for values in all_inputs(c)[:4]]:
+            for max_steps in (600, 5, 600):  # cold, then at a limit, then warm
+                assert_tally(c, init, ExecConfig(seed=11, max_steps=max_steps), 3 * 7 + 2)
+
+
+EDGE_SEEDS = [-7, 2**64 - 3, 2**70 + 5]  # a negative seed, a range that crosses 2**64, and a seed far past it
+
+
+@pytest.mark.parametrize("build", [lambda: fixture("p53"), lambda: fixture("flipflop"), draw_race, lambda: pairs_loop(3)], ids=["p53", "flipflop", "draw_race", "pairs_loop"])
+def test_tally_at_the_generators_edges(build):
+    """The walk's per-seed counter wraps at 2**64, as ``SplitMix64(seed)`` masks the seed."""
+    c = cold(build())
+    for init in [initial_state(c, values) for values in all_inputs(c)[:4]]:
+        for max_steps in (600, 600, 3):  # cold, warm, and at a limit
+            for seed in EDGE_SEEDS:
+                assert_tally(c, init, ExecConfig(seed=seed, max_steps=max_steps), 12)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS + [0, 2**64 - 1, 2**64])
+def test_the_walks_draws_are_the_generators_draws(seed):
+    for k in range(6):
+        for n in (1, 2, 3, 2**16):
+            rng = SplitMix64(seed)
+            for _ in range(k):
+                rng.below(7)
+            assert list(dynamics._draws([seed], k, (n,))) == [(rng.below(n),)]
+    # several seeds and sizes at once, each seed's tuple drawn in order by its own generator
+    seeds, sizes = [seed + i for i in range(5)], (3, 2**16, 2)
+    want = []
+    for s in seeds:
+        rng = SplitMix64(s)
+        rng.below(5), rng.below(5)
+        want.append(tuple(map(rng.below, sizes)))
+    assert list(dynamics._draws(seeds, 2, sizes)) == want
+
+
+def test_a_warm_tallys_memory_does_not_grow_with_its_runs():
+    c = cold(fixture("p53"))
+    init = initial_state(c, all_inputs(c)[0])
+    tally_runs(c, init, ExecConfig(seed=0, max_steps=10_000), 2000)
+    peaks = []
+    for runs in (10_000, 100_000):
+        tracemalloc.start()
+        try:
+            tally_runs(c, init, ExecConfig(seed=0, max_steps=10_000), runs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_threads_racing_on_a_cold_tally_count_as_the_reference():
@@ -832,6 +934,5 @@ def test_threads_racing_on_a_cold_tally_count_as_the_reference():
                 assert not any(t.is_alive() for t in threads)
                 assert got == [want] * 4
                 assert tree_size(c) == tree_bound(c) - step_tree(c).room
-                assert_stretches(c)
     finally:
         sys.setswitchinterval(interval)
