@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation/equivalence failure, 2 I/O or usage
 problems, 3 execution that did not reach a final state under
-``--expect-final``. The default seed comes from ``CTRLCIRC_SEED`` when set.
+``--expect-final`` (with ``--runs``, unless every run did). The default
+seed comes from ``CTRLCIRC_SEED`` when set.
 """
 
 from __future__ import annotations
@@ -355,8 +356,9 @@ def cmd_fixtures(args) -> int:
         for name in sorted(REGISTRY):
             print(name)
         return 0
-    c = fixture(args.name)
-    text = ser.dumps_circuit(c)
+    if args.name not in REGISTRY:
+        raise StructureError(f"unknown fixture {args.name!r}; known: {', '.join(sorted(REGISTRY))}")
+    text = ser.dumps_circuit(fixture(args.name))
     if args.out:
         _write(args.out, text)
         _say(f"wrote {args.out}")

@@ -34,6 +34,12 @@ in memory O(block + tree) for any number of runs. A seed is run in full
 only where its group's path leaves the tree (the first seed of the
 group, whose run attaches the step; all of them if the tree is full) or
 meets such a step, never at a step limit.
+
+A run's :class:`Trace` holds ``init`` on its first step, the final state on
+its last, and only its change on every other step. A step's state is
+replayed when read, and the replay leaves checkpoint copies behind, so
+reading every state, in any order, costs O(|init| + changes + states read)
+in total, amortised over the reads.
 """
 
 from __future__ import annotations
@@ -157,14 +163,21 @@ def _draws(seeds: Sequence[int], drawn: int, sizes: Sequence[int]) -> Iterator[t
 _SIGNAL, _ZERO, _ONE = Value.SIGNAL, Value.ZERO, Value.ONE
 
 
+# A replay leaves a copy of the assignment on a step once the changes since the
+# last held state reach that state's size, and at least this many.
+_MIN_CHECKPOINT_GAP = 32
+
+
 class TraceStep:
     """One observation: the state at ``time`` plus what fired out of it. Treat as immutable.
 
-    Built by hand, a step holds its ``state``. A step that :func:`run`
-    recorded may hold only its change from the previous step (that step,
-    the entries assigned and the ids that left); its ``state`` is then
-    replayed on first read from the nearest earlier step holding a state,
-    and cached. Equality compares the five fields, as for a dataclass.
+    Built by hand, a step holds its ``state``. Of the steps :func:`run`
+    records, the first holds ``init`` and the last the final state; every
+    other one holds only its change from the previous step (that step, the
+    entries assigned and the ids that left). Its ``state`` is replayed on
+    first read from the nearest earlier step holding a state and kept, and
+    the replay leaves checkpoint copies behind on the steps it passes (see
+    ``_replay``). Equality compares the five fields, as for a dataclass.
     """
 
     __slots__ = ("time", "_state", "enabled", "ready", "results", "_change")
@@ -193,16 +206,30 @@ class TraceStep:
         return st
 
     def _replay(self) -> State:
-        changes = []
+        """This step's state, from the nearest earlier step holding one, leaving checkpoints on the way.
+
+        A step it passes keeps a copy of the assignment once the changes
+        since the last held state reach that state's size, and at least
+        ``_MIN_CHECKPOINT_GAP``. So the copies cost O(1) amortised per
+        change replayed, and a later read replays fewer than that many
+        changes before its own step.
+        """
+        passed = []
         s = self
         while s._state is None:
-            changes.append(s._change)
+            passed.append(s)
             s = s._change[0]
         values = dict(s._state.values)
-        for _, assigned, left in reversed(changes):
+        budget = max(len(values), _MIN_CHECKPOINT_GAP)  # changes left before the next checkpoint
+        for s in reversed(passed):
+            _, assigned, left = s._change
             for v in left:
                 del values[v]
             values.update(assigned)
+            budget -= len(assigned) + len(left)
+            if budget <= 0 and s is not self:
+                s._state = State(s.time, dict(values))
+                budget = max(len(values), _MIN_CHECKPOINT_GAP)
         return State(self.time, values)
 
     def _fields(self) -> tuple:
@@ -224,14 +251,15 @@ class TraceStep:
 class Trace:
     """The steps of one run and how it ended.
 
-    A trace that :func:`run` made keeps the initial state, each step's
-    change and a few checkpoint states: O(|init| + sum of changes +
-    checkpoints) memory, where a checkpoint is taken once the changes since
-    the last one reach the state's size, and at least
-    ``_MIN_CHECKPOINT_GAP``. The last step's state, and so
-    ``final_state``, is always held. Reading another step's ``state``
-    replays at most the changes since the nearest earlier checkpoint or
-    already-read state, O(|state| + changes), and keeps the result.
+    A trace that :func:`run` made keeps the initial state on its first
+    step, the final state on its last (so ``final_state`` is always held)
+    and each other step's change, no state: O(|init| + sum of changes)
+    memory. Reading another step's ``state`` replays the changes since the
+    nearest earlier held state and keeps the result, and the replay leaves
+    checkpoint copies behind (see ``TraceStep._replay``). So a trace nobody
+    reads holds no checkpoint, and reading every state, in any order, costs
+    O(|init| + sum of changes + sum of the states read) in total, amortised
+    over the reads.
     """
 
     steps: tuple[TraceStep, ...]
@@ -542,17 +570,13 @@ def step(c: Circuit, st: State, rng: SplitMix64) -> State:
     return State(st.time + 1, values)
 
 
-# A run keeps a copy of its assignment once the changes since the last copy
-# reach the assignment's size, and at least this many.
-_MIN_CHECKPOINT_GAP = 32
-
-
 def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     """Execute until final, deadlocked, conflicting, or out of steps.
 
-    Every state is recorded together with the enabled and ready sets that
-    produced the next one; the last record has empty sets. Failure modes are
-    reported through the outcome, never raised.
+    Every step is recorded together with the enabled and ready sets that
+    produced the next one; the last record fires nothing, except in a
+    write-conflict run, where it holds the step whose writes conflicted.
+    Failure modes are reported through the outcome, never raised.
 
     One assignment, copied once from ``init``, is updated in place; a step
     touches only the fired units' pre- and post-sets. The circuit's
@@ -600,9 +624,10 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     fired units of many seeds without building their traces.
 
     The trace records each step's change, not its state (see
-    :class:`Trace`): the first step holds ``init``, the last a state of its
-    own, and a checkpoint copy of the assignment is taken once the changes
-    since the last one reach its size, which adds O(1) amortised per change.
+    :class:`Trace`): the first step holds ``init`` itself, the last the
+    final state, which is the run's own assignment, not a copy, and no other
+    step holds a state. The run keeps no checkpoints; a replay that reads
+    states leaves them behind (see ``TraceStep._replay``).
     """
     _check_initial(c, init)
     units, consumers = c._exec_tables
@@ -619,9 +644,7 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     steps: list[TraceStep] = []
     grow = True  # false once a derived step did not fit the tree, so its node is not in the tree
     time = 0
-    state: Optional[State] = init  # the state this step holds, or None when only its change is kept
     change = None
-    budget = max(len(values), _MIN_CHECKPOINT_GAP)  # changes left before the next checkpoint
     conflict = None
     while True:
         if ending is not None:
@@ -691,20 +714,14 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
                 else:
                     # another thread may have attached this step first: the same step under its own id
                     ident = stored[6]
-        rec = TraceStep(time, state, enabled, ready, results)
+        rec = TraceStep(time, None if steps else init, enabled, ready, results)  # later steps keep only their change
         rec._change = change
         steps.append(rec)
         enabled = reached
         time += 1
         change = (rec, produced, left)
-        budget -= len(produced) + len(left)
-        if budget > 0:
-            state = None
-        else:
-            state = State(time, dict(values))
-            budget = max(len(values), _MIN_CHECKPOINT_GAP)
     # the last step holds its state; ``values`` changes no more, so it is not copied
-    rec = TraceStep(time, State(time, values) if state is None else state, *last)
+    rec = TraceStep(time, State(time, values) if steps else init, *last)
     rec._change = change
     steps.append(rec)
     return Trace(tuple(steps), outcome, conflict[1] if conflict else None)

@@ -283,9 +283,10 @@ def read_outputs(d: NandDag, trace: Trace) -> dict[str, int]:
     """Decode the DAG's output bits from a finished trace.
 
     Requires a final outcome; replicated outvars mapped to one output node
-    must agree (a disagreement would be an engine bug). Bits are decoded by
-    identity, as ``Value`` members are singletons; a control signal among
-    the outvars raises ``Value.bit``'s ``ValueError``.
+    must agree: where they disagree (an output node fed by two gates that
+    disagree), it raises the :class:`StructureError` :func:`eval_dag` does.
+    Bits are decoded by identity, as ``Value`` members are singletons; a
+    control signal among the outvars raises ``Value.bit``'s ``ValueError``.
     """
     if trace.outcome is not Outcome.FINAL:
         raise StructureError(f"cannot read outputs from a {trace.outcome.value} trace")
@@ -295,7 +296,7 @@ def read_outputs(d: NandDag, trace: Trace) -> dict[str, int]:
         val = final[vs[0]]
         if len(vs) > 1 and any(final[v] is not val for v in vs):
             if len({final[v].bit for v in vs}) > 1:  # a control signal raises in ``bit`` first
-                raise AssertionError(f"replicated outvars for {n!r} disagree")
+                raise StructureError(f"output node {n!r} receives disagreeing values")
         out[n] = 1 if val is _ONE else 0 if val is _ZERO else val.bit
     return out
 

@@ -719,7 +719,7 @@ def chains_into(n: int, tail: str) -> Circuit:
 
 
 def long_runs() -> list[tuple[Circuit, State, ExecConfig]]:
-    """Runs that pass several checkpoints, covering every outcome."""
+    """Runs long enough for a replay to leave several checkpoints, covering every outcome."""
     rnd = random.Random(0xDE17A)
     d = spine_netlist(120, 5, rnd)
     spine = to_control(d).circuit
@@ -746,6 +746,26 @@ def reference_assignment_history(trace: Trace, var: str) -> list[tuple[int, Valu
     return events
 
 
+def assert_checkpoint_gaps(tr: Trace) -> None:
+    """Between two steps holding a state, fewer than max(|earlier state|, 32) changes come before the later step's own."""
+    gap = since = None
+    for s in tr.steps:
+        if s._state is not None:
+            if gap is not None:
+                assert since < gap, (s.time, since, gap)
+            gap, since = max(len(s._state.values), 32), 0
+        else:
+            since += len(s._change[1]) + len(s._change[2])
+
+
+def test_a_run_holds_only_the_initial_and_the_final_state():
+    for c, init, cfg in long_runs():
+        tr, want = run(c, init, cfg), reference_run(c, init, cfg)
+        assert tr.steps[0]._state is init and tr.steps[0].state is init
+        assert tr.steps[-1]._state is not None and tr.steps[-1]._state == want.final_state
+        assert all(s._state is None for s in tr.steps[1:-1])
+
+
 @pytest.mark.parametrize("order", ["forward", "reverse", "random"])
 def test_replayed_states_match_reference_snapshots(order):
     rnd = random.Random(0x0DE7)
@@ -754,7 +774,12 @@ def test_replayed_states_match_reference_snapshots(order):
         tr, want = run(c, init, cfg), reference_run(c, init, cfg)
         held = [s._state is not None for s in tr.steps]
         assert held[0] and held[-1]  # the initial and the last state are kept
-        crossed += any(held[1:-1]) and not all(held)
+        if len(tr.steps) >= 3:
+            # a replay of one state leaves checkpoints spaced as the docstrings say
+            once = run(c, init, cfg)
+            once.steps[-2].state
+            assert_checkpoint_gaps(once)
+            crossed += any(s._state is not None for s in once.steps[1:-2])
         positions = list(range(len(tr.steps)))
         if order == "reverse":
             positions.reverse()
@@ -845,7 +870,7 @@ def retained_trace_bytes(n_gates: int) -> int:
 
 def test_trace_memory_grows_with_the_changes_not_with_steps_x_state():
     # a snapshot per step kept about 4.7 MB at 800 gates and 69 MB at 3,200
-    # (15x for 4x the gates); the changes and checkpoints grow linearly
+    # (15x for 4x the gates); the changes grow linearly
     small, large = retained_trace_bytes(800), retained_trace_bytes(3200)
     assert large * 5 <= 69e6, large
     assert large <= 8 * small, (small, large)

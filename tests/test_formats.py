@@ -6,7 +6,7 @@ import pytest
 from ctrlcirc import StructureError, Value, circuit_violations, in_adjoint
 from ctrlcirc.dot import export_dot
 from ctrlcirc.fixtures import REGISTRY, build_and, fixture
-from ctrlcirc.model import unit_circuit
+from ctrlcirc.model import classify, unit_circuit
 from ctrlcirc.nanddag import random_dag
 from ctrlcirc.serialize import (
     assignments_from_dict,
@@ -154,6 +154,13 @@ def test_cli_human_output_escapes_what_stdout_cannot_encode(tmp_path, capsys):
     assert capsys.readouterr().out == "outcome: final at t=2; state: v6=*, \\ud800=0\n"
     assert run_cli(*exec_argv, "--format", "json-lines") == 0
     assert json.loads(capsys.readouterr().out) == {"outcome": "final", "time": 2, "state": {"v6": "*", "\ud800": 0}}
+    # the trace file is ASCII, the id escaped as JSON escapes it
+    trace = tmp_path / "t.jsonl"
+    assert run_cli(*exec_argv, "--trace", str(trace)) == 0
+    lines = trace.read_bytes().decode("ascii").splitlines()
+    assert '"\\ud800": 0' in lines[-2] and lines[-1] == '{"outcome": "final"}'
+    assert json.loads(lines[-2])["state"] == {"v6": "*", "\ud800": 0}
+    assert capsys.readouterr().out == "outcome: final at t=2; state: v6=*, \\ud800=0\n"
     assert run_cli("export-dot", str(circ)) == 0
     dot = capsys.readouterr().out
     assert '"var:\\ud800" [label="\\ud800"' in dot and "\ud800" not in dot
@@ -191,6 +198,11 @@ def test_cli_validate_reports_violations(tmp_path, capsys):
     assert run_cli("validate", str(bad), "--format", "json-lines") == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"valid": False, "violations": ["no-control-invar", "no-control-outvar"]}
+    # a command that needs a valid circuit refuses it with exit 1
+    inputs = tmp_path / "in.json"
+    inputs.write_text(json.dumps({"x": 0}))
+    assert run_cli("exec", str(bad), "--inputs", str(inputs)) == 1
+    assert capsys.readouterr() == ("", "validation failure: invalid circuit: no-control-invar, no-control-outvar\n")
 
 
 def test_cli_compose_iso_roundabout(tmp_path, capsys):
@@ -304,7 +316,7 @@ def test_cli_exec_multirun_statistics(tmp_path, capsys):
     assert len(payload["fired_unit_sets"]) == 4
 
 
-def test_cli_expect_final_exit_code(tmp_path):
+def test_cli_expect_final_exit_code(tmp_path, capsys):
     circ = tmp_path / "ff.circuit"
     assert run_cli("fixtures", "emit", "flipflop", "--out", str(circ)) == 0
     inputs = tmp_path / "in.json"
@@ -312,6 +324,13 @@ def test_cli_expect_final_exit_code(tmp_path):
     assert (
         run_cli("exec", str(circ), "--inputs", str(inputs), "--max-steps", "3", "--expect-final") == 3
     )
+    # with --runs the summary is printed, and the exit is 3 unless every run is final
+    argv = ["exec", str(circ), "--inputs", str(inputs), "--runs", "40", "--max-steps", "3", "--format", "json-lines"]
+    capsys.readouterr()
+    assert run_cli(*argv, "--expect-final") == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["runs"] == 40 and payload["outcomes"] == {"step-limit": 40}
+    assert run_cli(*argv) == 0
 
 
 def test_cli_synth_family(tmp_path):
@@ -481,6 +500,11 @@ def test_cli_bad_file_is_io_error(tmp_path, capsys):
     garbled = tmp_path / "garbled.circuit"
     garbled.write_text("{not json")
     assert run_cli("validate", str(garbled)) == 2
+    out = tmp_path / "missing" / "x.circuit"
+    capsys.readouterr()
+    assert run_cli("fixtures", "emit", "and", "--out", str(out)) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith("io error: ") and str(out) in err, err
 
 
 def test_cli_circuit_vars_list_is_malformed_input(tmp_path, capsys):
@@ -539,6 +563,67 @@ def test_cli_exec_trace_with_several_runs_is_malformed_input(tmp_path, capsys):
     assert not trace.exists()
     assert run_cli("exec", str(circ), "--inputs", str(inputs), "--runs", "1", "--trace", str(trace)) == 0
     assert trace.read_text().splitlines()[-1] == '{"outcome": "final"}'
+
+
+def test_cli_classify_and_fixtures_list_and_emit_to_stdout(tmp_path, capsys):
+    circ = tmp_path / "and.circuit"
+    circ.write_text(dumps_circuit(build_and()))
+    capsys.readouterr()
+    assert run_cli("classify", str(circ)) == 0
+    assert capsys.readouterr().out == classify(build_and()).value + "\n"
+    assert run_cli("fixtures", "list") == 0
+    assert capsys.readouterr().out.splitlines() == sorted(REGISTRY)
+    assert run_cli("fixtures", "emit", "and") == 0
+    assert capsys.readouterr().out == dumps_circuit(build_and())
+
+
+def test_cli_export_dot_out_writes_the_file_and_says_so(tmp_path, capsys):
+    circ = tmp_path / "and.circuit"
+    circ.write_text(dumps_circuit(build_and()))
+    dot = tmp_path / "and.dot"
+    capsys.readouterr()
+    assert run_cli("export-dot", str(circ), "--out", str(dot)) == 0
+    assert capsys.readouterr() == (f"wrote {dot}\n", "")
+    assert dot.read_text() == export_dot(build_and())
+
+
+def test_cli_fixtures_emit_without_a_known_name_exits_2(tmp_path, capsys):
+    capsys.readouterr()
+    assert run_cli("fixtures", "emit") == 2
+    assert capsys.readouterr() == ("", "fixtures emit needs a name\n")
+    out = tmp_path / "x.circuit"
+    assert run_cli("fixtures", "emit", "nosuch", "--out", str(out)) == 2
+    known = ", ".join(sorted(REGISTRY))
+    assert capsys.readouterr() == ("", f"malformed input: unknown fixture 'nosuch'; known: {known}\n")
+    assert not out.exists()
+    with pytest.raises(KeyError):  # the library call keeps its KeyError
+        fixture("nosuch")
+
+
+@pytest.mark.parametrize(
+    "op, count, named",
+    [("seq", 3, "compose --op seq takes exactly 2 operand files"),
+     ("iter-tail", 2, "compose --op iter-tail takes entry, body, end and exit files")],
+)
+def test_cli_compose_with_the_wrong_operand_count_exits_2(tmp_path, capsys, op, count, named):
+    circ = tmp_path / "buffer.circuit"
+    run_cli("fixtures", "emit", "buffer", "--out", str(circ))
+    out = tmp_path / "o.circuit"
+    capsys.readouterr()
+    assert run_cli("compose", "--op", op, *[str(circ)] * count, "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", named + "\n")
+    assert not out.exists()
+
+
+def test_cli_netlist_edges_object_is_malformed_input(tmp_path, capsys):
+    dag = tmp_path / "g.dag"
+    dag.write_text(json.dumps({"nodes": {"a": "input", "b": "input", "g": "gate", "y": "output"}, "edges": {"a": "g"}}))
+    out = tmp_path / "g.circuit"
+    capsys.readouterr()
+    assert run_cli("import-nand", str(dag), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "edges" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("op", ["par", "branch"])

@@ -271,7 +271,7 @@ def reference_read_outputs(d, trace):
     for n, vs in d._output_vars:
         vals = {final[v].bit for v in vs}
         if len(vals) != 1:
-            raise AssertionError(f"replicated outvars for {n!r} disagree")
+            raise StructureError(f"output node {n!r} receives disagreeing values")
         out[n] = vals.pop()
     return out
 
@@ -302,7 +302,28 @@ def test_read_outputs_decodes_by_identity_with_the_same_errors():
             got = decoded(read_outputs, d, tr)
             assert got == decoded(reference_read_outputs, d, tr)
             seen.add(got[0] if isinstance(got, tuple) else dict)
-    assert seen == {dict, ValueError, AssertionError, StructureError}
+    assert seen == {dict, ValueError, StructureError}
+
+
+def test_an_output_fed_by_disagreeing_gates_is_refused_by_the_oracle_and_the_decoder():
+    # x,y -> g1 and z,w -> g2 both feed out: x = y = 1 gives g1 = 0, z = w = 0 gives g2 = 1
+    d = validate_dag(
+        {"x": "input", "y": "input", "z": "input", "w": "input", "g1": "gate", "g2": "gate", "out": "output"},
+        [("x", "g1"), ("y", "g1"), ("z", "g2"), ("w", "g2"), ("g1", "out"), ("g2", "out")],
+    )
+    bits = {"x": 1, "y": 1, "z": 0, "w": 0}
+    message = "output node 'out' receives disagreeing values"
+    with pytest.raises(StructureError) as oracle:
+        eval_dag(d, bits)
+    assert str(oracle.value) == message
+    tr = run(to_control(d).circuit, lift_inputs(d, bits), ExecConfig())
+    assert tr.outcome is Outcome.FINAL
+    with pytest.raises(StructureError) as decoder:
+        read_outputs(d, tr)
+    assert str(decoder.value) == message
+    # inputs on which the gates agree decode as the oracle reads them
+    agree = {"x": 1, "y": 1, "z": 1, "w": 1}
+    assert read_outputs(d, run(to_control(d).circuit, lift_inputs(d, agree), ExecConfig())) == eval_dag(d, agree) == {"out": 0}
 
 
 # -- family synthesis ---------------------------------------------------------
