@@ -194,7 +194,7 @@ def cmd_compose(args) -> int:
 
     if args.op in ("seq", "par", "branch"):
         if len(args.operands) != 2:
-            raise SystemExit(f"compose --op {args.op} takes exactly 2 operand files")
+            raise StructureError(f"compose --op {args.op} takes exactly 2 operand files")
         left = _load_circuit(args.operands[0])
         right = _load_circuit(args.operands[1])
 
@@ -220,7 +220,7 @@ def cmd_compose(args) -> int:
         prov["right"] = ser.morphism_to_dict(res.right_leg)
     else:  # iter-head / iter-tail
         if len(args.operands) != 4:
-            raise SystemExit(f"compose --op {args.op} takes entry, body, end and exit files")
+            raise StructureError(f"compose --op {args.op} takes entry, body, end and exit files")
         entry, body, end, exit_c = (_load_circuit(p) for p in args.operands)
         w = IterationWiring(
             entry=entry,
@@ -356,6 +356,8 @@ def cmd_fixtures(args) -> int:
         for name in sorted(REGISTRY):
             print(name)
         return 0
+    if not args.name:
+        raise StructureError("fixtures emit needs a name")
     if args.name not in REGISTRY:
         raise StructureError(f"unknown fixture {args.name!r}; known: {', '.join(sorted(REGISTRY))}")
     text = ser.dumps_circuit(fixture(args.name))
@@ -445,9 +447,6 @@ def main(argv=None) -> int:
     """Run one command; in-process calls reuse one parser per ``CTRLCIRC_SEED`` value, read on every call."""
     try:
         args = _parser(os.environ.get("CTRLCIRC_SEED")).parse_args(argv)
-        if args.command == "fixtures" and args.action == "emit" and not args.name:
-            print("fixtures emit needs a name", file=sys.stderr)
-            return 2
         return args.fn(args)
     except SystemExit as e:
         if isinstance(e.code, str):

@@ -18,7 +18,9 @@ domain alone, and its values (each ready unit's Boolean and the entries
 it writes), which :func:`run` applies in one place for every step.
 :func:`run` keeps the shapes of the steps each circuit's runs have taken
 in a tree keyed by the draws, planted on the circuit by its first run,
-and replays a known step, computing only its values. Every situation, the
+and replays a known step, computing only its values. A step it derives
+is attached before its values are computed, as its node does not depend
+on them, so a step whose writes conflict is kept too. Every situation, the
 tree's root included, is derived from each unit's count of missing
 inputs. A circuit without competing units (a seed-free circuit,
 such as every imported netlist) draws nothing, so it fires the same units
@@ -460,7 +462,9 @@ class _StepTree:
     below the root plus the ids its ready, left and enabled tuples hold.
     :func:`run` attaches a node only while it fits, and only once per key:
     it holds ``lock`` while it checks the room, attaches and debits, and
-    never while it replays a step.
+    never while it replays a step. It attaches a derived step before it
+    computes the step's values, so a step whose writes conflict is kept
+    like any other, marked ``double``.
 
     :func:`tally_runs` reads the tree without the lock and attaches
     nothing itself: a group of its seeds hops to the node its draws key,
@@ -612,8 +616,12 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
     the units enabled before that still miss nothing, and those whose count
     reached zero. So a derived step costs O(firing units' flows + changed
     variables x their consumers + enabled units). Each derived step is
-    attached as a new node in one dict store, so an interrupted run leaves
-    a valid tree, while the tree holds at most ``_TREE_ROOM_PER_ELEMENT``
+    attached as a new node in one dict store before its values are
+    applied: whether its domain is final follows from the domain, the
+    variables that leave and those that enter, with no Boolean. So an
+    interrupted run leaves a valid tree holding every step it began, and a
+    step that ends in a write conflict is attached like any other, while
+    the tree holds at most ``_TREE_ROOM_PER_ELEMENT``
     entries per variable and unit; past that, runs derive their new steps
     without keeping them. A step is attached once: a run that derived a
     step another thread attached first goes on from the stored node, the
@@ -655,11 +663,7 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
             break
         key = (ident, tuple(map(below, sizes))) if sizes else ident
         node = lookup(key)
-        if node is not None:
-            ready, left, double, reached, sizes, ending, ident = node
-            # counts taken before a replayed step are stale: another thread may attach below a node this run derived
-            missing = None
-        else:
+        if node is None:
             if missing is None:  # the run leaves the tree here
                 missing = _missing_inputs(units, values)
             # without draws every enabled group is a single unit, so every enabled unit is ready
@@ -676,6 +680,25 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
                     missing[u] = n
                     if not n:
                         now.append(u)
+            # the domain after the step is the domain minus ``left`` plus ``entered``: no Boolean decides the node
+            after = len(values) - len(left) + len(entered)
+            final = after == len(c.outvars) and (values.keys() - left).union(entered) == c.outvars
+            node = _step_node(ready, left, double, final, now, units, tree.ids)
+            if grow:
+                size = 1 + len(ready) + len(left) + len(node[3])
+                with tree.lock:
+                    stored = tree.children.get(key)
+                    if stored is None and tree.room >= size:
+                        stored = tree.children[key] = node
+                        tree.room -= size
+                if stored is None:
+                    grow = False
+                else:
+                    node = stored  # another thread may have attached this step first: the same step under its own id
+        else:
+            # counts taken before a replayed step are stale: another thread may attach below a node this run derived
+            missing = None
+        ready, left, double, reached, sizes, ending, ident = node
         # the step's values, the same for a replayed and a derived step; loops, not comprehensions: a
         # comprehension is a function call, which a step of one or two units pays for again and again
         results = {}
@@ -697,23 +720,6 @@ def run(c: Circuit, init: State, cfg: ExecConfig) -> Trace:
         for v in left:
             del values[v]
         values.update(produced)
-        if node is None:
-            node = _step_node(ready, left, double, values.keys() == c.outvars, now, units, tree.ids)
-            _, _, _, reached, sizes, ending, ident = node
-            if grow:
-                size = 1 + len(ready) + len(left) + len(reached)
-                with tree.lock:
-                    if tree.room >= size:
-                        stored = tree.children.setdefault(key, node)
-                        if stored is node:
-                            tree.room -= size
-                    else:
-                        stored = tree.children.get(key)
-                if stored is None:
-                    grow = False
-                else:
-                    # another thread may have attached this step first: the same step under its own id
-                    ident = stored[6]
         rec = TraceStep(time, None if steps else init, enabled, ready, results)  # later steps keep only their change
         rec._change = change
         steps.append(rec)
@@ -749,12 +755,13 @@ def tally_runs(c: Circuit, init: State, cfg: ExecConfig, runs: int) -> Counter[t
     Each group carries the set of units its path fired, which grows only
     where a step fires a unit not yet in it. Where the node is missing,
     the part's first seed is run in full by :func:`run`, which attaches the
-    step, and the rest hop on; where the step stays missing (the tree is
-    full, or that run ended in a write conflict there) or two of its units
-    write one variable, the whole part is run in full. The walk attaches nothing. A warm tally
-    thus costs O(nodes visited + runs x draws), each node visited once per
-    block and group, in O(``_TALLY_BLOCK`` + tree) memory, and evaluates
-    no Boolean; a step limit never sends a seed to :func:`run`.
+    step before its values, even one that ends in a write conflict, and the
+    rest hop on; where the step stays missing (the tree is full) or two of
+    its units write one variable, the whole part is run in full. The walk
+    attaches nothing. A warm tally thus costs O(nodes visited + runs x
+    draws), each node visited once per block and group, in
+    O(``_TALLY_BLOCK`` + tree) memory, and evaluates no Boolean; a step
+    limit never sends a seed to :func:`run`.
 
     Raises :class:`StructureError` when ``init`` is not an initial state
     of ``c`` or ``runs`` is not a positive int.
@@ -799,7 +806,7 @@ def tally_runs(c: Circuit, init: State, cfg: ExecConfig, runs: int) -> Counter[t
                     in_full(part[:1])
                     part = part[1:]
                     child = lookup(key)
-                # still missing (the tree is full, or the run conflicted there), or a conflict that depends on the Booleans
+                # still missing (the tree is full), or a conflict that depends on the Booleans
                 if child is None or child[2]:
                     in_full(part)
                 elif part:

@@ -590,7 +590,7 @@ def test_cli_export_dot_out_writes_the_file_and_says_so(tmp_path, capsys):
 def test_cli_fixtures_emit_without_a_known_name_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("fixtures", "emit") == 2
-    assert capsys.readouterr() == ("", "fixtures emit needs a name\n")
+    assert capsys.readouterr() == ("", "malformed input: fixtures emit needs a name\n")
     out = tmp_path / "x.circuit"
     assert run_cli("fixtures", "emit", "nosuch", "--out", str(out)) == 2
     known = ", ".join(sorted(REGISTRY))
@@ -611,7 +611,7 @@ def test_cli_compose_with_the_wrong_operand_count_exits_2(tmp_path, capsys, op, 
     out = tmp_path / "o.circuit"
     capsys.readouterr()
     assert run_cli("compose", "--op", op, *[str(circ)] * count, "--out", str(out)) == 2
-    assert capsys.readouterr() == ("", named + "\n")
+    assert capsys.readouterr() == ("", f"malformed input: {named}\n")
     assert not out.exists()
 
 

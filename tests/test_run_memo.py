@@ -11,7 +11,9 @@ inputs and many seeds, with step bounds that grow and shrink, on write
 conflicts that depend on the inputs or on the draws, on loops and
 deadlocks, after interrupted runs, past the tree's size bound, in threads
 racing on cold circuits, and interleaved with ``step`` and the set
-queries. Seeded circuits draw exactly as the reference does.
+queries. Every step a run takes stays in the tree while it has room, one
+that ends in a write conflict or is interrupted in its values included.
+Seeded circuits draw exactly as the reference does.
 ``tally_runs``, which walks the tree by draws alone in groups of seeds
 that drew alike, is compared with the per-seed aggregation of
 ``reference_run``: over several blocks of seeds, at negative seeds and
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
+from itertools import accumulate
 import sys
 import threading
 import tracemalloc
@@ -494,7 +498,7 @@ def test_a_write_conflict_on_some_draws_only():
     assert children[root, (0,)][2] and not children[root, (1,)][2]  # only drawing a1 makes two units write t
 
 
-@pytest.mark.parametrize("name", ["_shape", "_step_node"])
+@pytest.mark.parametrize("name", ["_shape", "_step_node", "_reduce"])
 @pytest.mark.parametrize("k", [1, 4, 12])
 def test_an_exception_in_a_derived_step_leaves_a_valid_tree(monkeypatch, name, k):
     for c in (cold(fixture("p53")), cold(fixture("flipflop")), toggle_loop()):
@@ -508,6 +512,25 @@ def test_an_exception_in_a_derived_step_leaves_a_valid_tree(monkeypatch, name, k
         assert tree_size(c) == tree_bound(c) - step_tree(c).room
         for seed in range(200):
             assert_reference(c, initial_state(c, inputs[seed % len(inputs)]), ExecConfig(seed=seed, max_steps=300))
+
+
+@pytest.mark.parametrize("k", [1, 15, 16, 23])
+def test_an_exception_in_a_steps_values_leaves_its_node_attached(monkeypatch, k):
+    # a cold chain: its first step reduces 15 units, every later one a single unit
+    d = spine_netlist(30, 3, random.Random(9))
+    c = to_control(d).circuit
+    init = lift_inputs(d, vectors(d)[5])
+    want = reference_run(c, init, ExecConfig())
+    interrupted = bisect_left(list(accumulate(len(s.ready) for s in want.steps)), k)  # the step of the k-th reduction
+    restore = interrupt_on_call(monkeypatch, "_reduce", k)
+    with pytest.raises(KeyboardInterrupt):
+        run(c, init, ExecConfig())
+    restore()
+    # a derived step is attached before its values, so the interrupted step is in the tree
+    steps, ending = known(c)
+    assert [node[0] for node in steps] == [s.ready for s in want.steps[: interrupted + 1]] and ending is None
+    assert tree_size(c) == tree_bound(c) - step_tree(c).room
+    assert_reference(c, init, ExecConfig())
 
 
 def pairs_loop(k):
@@ -533,6 +556,75 @@ def test_a_high_entropy_loop_fills_the_tree_up_to_its_bound():
         paths.update(readies[:n] for n in range(1, len(readies) + 1))
         assert 0 <= tree.room and tree_size(c) == bound - tree.room
     assert len(tree.children) < len(paths)  # the runs took more steps than the tree could keep
+
+
+def biggest_node(c):
+    """An upper bound on the entries one node of the circuit's step tree holds: its ready, left and enabled ids, plus one."""
+    return 1 + 2 * len(c.units) + len(c.vars)
+
+
+def assert_steps_in_tree(c, tr, seed):
+    """Walk the step tree from the root with ``seed``'s draws, finding a node with the trace's ready units for each step.
+
+    A trace's last record fires nothing, except in a write-conflict run,
+    where it holds the step whose writes conflicted; that step is found
+    too. Returns the node of the last step.
+    """
+    tree = step_tree(c)
+    below, node = SplitMix64(seed).below, tree.root
+    for s in tr.steps:
+        if not s.ready:
+            break
+        _, _, _, enabled, sizes, ending, ident = node
+        assert ending is None and enabled == s.enabled
+        node = tree.children.get((ident, tuple(map(below, sizes))) if sizes else ident)
+        assert node is not None and node[0] == s.ready, (tr.outcome, s.time)
+    return node
+
+
+def runs_that_keep_every_step():
+    """Circuits, named, with the initial states and configs of their runs and whether some run conflicts; all fit the tree."""
+    cases = []
+    for name, c, conflicts in (
+        ("draw_race", draw_race(), True),
+        ("pairs_loop", pairs_loop(3), False),
+        ("p53", cold(fixture("p53")), False),
+        ("flipflop", cold(fixture("flipflop")), False),
+    ):
+        inits = [initial_state(c, inputs) for inputs in all_inputs(c)]
+        runs = [(inits[seed % len(inits)], ExecConfig(seed=seed, max_steps=30)) for seed in range(60)]
+        cases.append(pytest.param(c, runs, conflicts, id=name))
+    for n in (0, 1, 5):
+        for order in ((B0, B1), (B1, B0)):  # the conflicting run first or second
+            c = chains_into(n, "race")
+            runs = [(race_inputs(c, b), ExecConfig()) for b in order]
+            cases.append(pytest.param(c, runs, True, id=f"race{n}-{order[0].value}{order[1].value}"))
+    return cases
+
+
+@pytest.mark.parametrize("c, runs, conflicts", runs_that_keep_every_step())
+def test_every_step_a_run_takes_stays_in_the_tree(c, runs, conflicts):
+    outcomes = set()
+    for _ in range(2):  # cold, then warm
+        for init, cfg in runs:
+            tr = assert_reference(c, init, cfg)
+            outcomes.add(tr.outcome)
+            node = assert_steps_in_tree(c, tr, cfg.seed)
+            if tr.outcome is Outcome.WRITE_CONFLICT:
+                assert node[2]  # the conflicting step is kept, marked as one where two ready units write one variable
+    assert (Outcome.WRITE_CONFLICT in outcomes) is conflicts
+    assert step_tree(c).room >= biggest_node(c)  # the tree had room for every step
+
+
+def test_a_conflicting_step_is_replayed_by_the_next_run(monkeypatch):
+    c = chains_into(0, "race")
+    calls = counted_runs(monkeypatch)
+    assert run(c, race_inputs(c, B0), ExecConfig()).outcome is Outcome.WRITE_CONFLICT
+    (racing,), ending = known(c)
+    assert racing[0] == ("u1", "u2") and racing[2] and ending is Outcome.FINAL
+    calls.clear()
+    assert assert_reference(c, race_inputs(c, B1), ExecConfig()).outcome is Outcome.FINAL
+    assert calls["_shape"] == 0  # the racing step was replayed, not derived
 
 
 def test_a_cold_run_counts_missing_inputs_once_at_the_invars(monkeypatch):
@@ -758,11 +850,19 @@ def counting_children(c, monkeypatch):
 def assert_lookups_per_block(looked, runs):
     """The walk finds each child at most once per block; a missing one it looks up again once, after a seed's run.
 
-    The child stays missing when the tree is full or the step conflicts, as a run that ends in a conflict attaches nothing.
+    The child stays missing only when the tree is full: a run attaches a step before its values, conflicting or not.
     """
     blocks = -(-runs // dynamics._TALLY_BLOCK)
     for (key, found), n in Counter(looked).items():
         assert n <= (1 if found else 2) * blocks, (key, found, n, blocks)
+
+
+def assert_found_after_a_miss(c, looked):
+    """A child missing at its first lookup is found at the second, after a seed's run attached it, unless the tree is full."""
+    full = step_tree(c).room < biggest_node(c)
+    for (key, found), again in zip(looked, looked[1:]):
+        if not found:
+            assert again == (key, True) or full, (key, again)
 
 
 @pytest.mark.parametrize(
@@ -791,6 +891,7 @@ def test_tally_at_every_step_limit_cold_and_warm(monkeypatch, build, inputs):
                 looked.clear()
                 assert_tally(c, init, ExecConfig(seed=40 * k + max_steps, max_steps=max_steps), 20)
                 assert_lookups_per_block(looked, 20)
+                assert_found_after_a_miss(c, looked)
     assert tree_size(c) <= tree_bound(c)
 
 
